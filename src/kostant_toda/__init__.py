@@ -5,12 +5,9 @@ a, b, c) evolved by the Lax flow dJ/dt = [J, J_lower], together with the
 2x2 block moment functional, vector polynomials, leading resolvent
 block, and two closed-form solution routes. The verify module cross
 checks every law numerically on seeded random instances.
-
-Backend selection (vectorized numpy vs jitted kernels) is controlled by
-the KOSTANT_TODA_BACKEND environment variable; see backends.
 """
 
-from .backends import HAS_NUMBA, active_backend, set_backend
+from .backends import HAS_NUMBA, active_backend
 from .core import (
     LatticeState,
     TruncationTooSmallError,
@@ -128,7 +125,6 @@ __all__ = [
     "resolvent_ode_residual",
     "run_suite",
     "scalar_polys",
-    "set_backend",
     "shift_coeffs",
     "stacked_eigen_residual",
     "vector_polys",

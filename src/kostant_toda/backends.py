@@ -1,12 +1,9 @@
-"""Integration kernels: numba-jitted hot loop with a pure numpy twin.
+"""Integration kernel: fixed-step RK4 over the packed lattice state.
 
-The only hot path in the package is fixed-step RK4 over the packed lattice
-state, so that loop exists twice: `_rk4_numba` (compiled, default) and
-`_rk4_numpy` (vectorized fallback). Selection order:
-
-  1. environment variable KOSTANT_TODA_BACKEND = "numba" | "numpy"
-     (read once at import; "auto"/unset picks numba when importable),
-  2. `set_backend(...)` at runtime (tests and benchmarks use this).
+The only hot path in the package is this loop. `_rhs` holds the one copy
+of the flow formulas and of the corruption modes; `dynamics.kostant_rhs`
+and `rk4_trajectory` both evaluate it. It stays out of `__all__` so that
+tracers wrapping the public functions leave the RK4 stages alone.
 
 Packed state layout, length 3m + 4*nz complex entries:
 
@@ -28,55 +25,25 @@ Corruption modes (negative controls for the verification harness):
 
 from __future__ import annotations
 
-import os
+import importlib.util
 
 import numpy as np
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-free installs
-    numba = None
-    HAS_NUMBA = False
-
-_ENV_VAR = "KOSTANT_TODA_BACKEND"
+# Run records report this flag; the package never imports the module.
+HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 __all__ = [
     "HAS_NUMBA",
     "active_backend",
     "pack_state",
     "rk4_trajectory",
-    "set_backend",
     "unpack_bands",
 ]
 
 
-def _resolve(choice: str) -> str:
-    choice = (choice or "auto").strip().lower()
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(
-            f"{_ENV_VAR} must be 'numba', 'numpy' or 'auto', got {choice!r}"
-        )
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError(f"{_ENV_VAR}=numba requested but numba is not importable")
-    return choice
-
-
-_ACTIVE = _resolve(os.environ.get(_ENV_VAR, "auto"))
-
-
 def active_backend() -> str:
-    return _ACTIVE
-
-
-def set_backend(choice: str) -> str:
-    """Override the backend at runtime; returns the resolved name."""
-    global _ACTIVE
-    _ACTIVE = _resolve(choice)
-    return _ACTIVE
+    """Name of the integration kernel recorded in reports: always "numpy"."""
+    return "numpy"
 
 
 def pack_state(a, b, c, q=(0.0, 0.0, 0.0), x_blocks=None) -> np.ndarray:
@@ -96,11 +63,8 @@ def unpack_bands(y: np.ndarray, m: int):
     )
 
 
-# ----------------------------------------------------------------------
-# pure numpy path
-
-
-def _rhs_numpy(t, y, dy, m, zs, mode, mag):
+def _rhs(t, y, dy, m, zs, mode, mag):
+    """Write the derivative of packed row y at time t into dy."""
     a = y[:m]
     b = y[m : 2 * m - 1]
     c = y[2 * m - 1 : 3 * m - 3]
@@ -144,7 +108,7 @@ def _rhs_numpy(t, y, dy, m, zs, mode, mag):
         dy[3 * m :] = (w[:, None] * cn[None, :]).ravel()
 
 
-def _rk4_numpy(y0, m, n_steps, h, t0, zs, c_floor, mode, mag):
+def _rk4(y0, m, n_steps, h, t0, zs, c_floor, mode, mag):
     L = y0.size
     out = np.empty((n_steps + 1, L), dtype=np.complex128)
     out[0] = y0
@@ -155,102 +119,16 @@ def _rk4_numpy(y0, m, n_steps, h, t0, zs, c_floor, mode, mag):
     k4 = np.empty(L, dtype=np.complex128)
     for k in range(n_steps):
         t = t0 + k * h
-        _rhs_numpy(t, y, k1, m, zs, mode, mag)
-        _rhs_numpy(t + 0.5 * h, y + (0.5 * h) * k1, k2, m, zs, mode, mag)
-        _rhs_numpy(t + 0.5 * h, y + (0.5 * h) * k2, k3, m, zs, mode, mag)
-        _rhs_numpy(t + h, y + h * k3, k4, m, zs, mode, mag)
+        _rhs(t, y, k1, m, zs, mode, mag)
+        _rhs(t + 0.5 * h, y + (0.5 * h) * k1, k2, m, zs, mode, mag)
+        _rhs(t + 0.5 * h, y + (0.5 * h) * k2, k3, m, zs, mode, mag)
+        _rhs(t + h, y + h * k3, k4, m, zs, mode, mag)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = y
         cmin = np.min(np.abs(y[2 * m - 1 : 3 * m - 3]))
         if cmin < c_floor:
             return out, k + 1
     return out, 0
-
-
-# ----------------------------------------------------------------------
-# numba path: same formulas written as scalar loops
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _rhs_numba(t, y, dy, m, zs, mode, mag):  # pragma: no cover - jitted
-        for n in range(m):
-            bn = y[m + n] if n < m - 1 else 0.0 + 0.0j
-            bn1 = y[m + n - 1] if n >= 1 else 0.0 + 0.0j
-            dy[n] = bn - bn1
-        for n in range(m - 1):
-            cn = y[2 * m - 1 + n] if n < m - 2 else 0.0 + 0.0j
-            cn1 = y[2 * m - 1 + n - 1] if n >= 1 else 0.0 + 0.0j
-            term = y[m + n] * (y[n + 1] - y[n]) + cn - cn1
-            if mode == 1:
-                term *= 1.0 - mag
-            elif mode == 3:
-                term -= mag * (cn - cn1)
-            dy[m + n] = term
-        for n in range(m - 2):
-            term = y[2 * m - 1 + n] * (y[n + 2] - y[n])
-            if mode == 2:
-                term *= 1.0 + mag
-            dy[2 * m - 1 + n] = term
-
-        q1 = y[3 * m - 3]
-        q2 = y[3 * m - 2]
-        q3 = y[3 * m - 1]
-        dy[3 * m - 3] = y[0]
-        dy[3 * m - 2] = y[1]
-        dy[3 * m - 1] = np.exp(q2 - q1)
-
-        if zs.size:
-            e1 = np.exp(q1)
-            e2 = np.exp(q2)
-            a1 = y[0]
-            c0 = e1
-            c1 = e1 * q3
-            c2 = a1 * e1
-            c3 = a1 * e1 * q3 + e2
-            for iz in range(zs.size):
-                w = -np.exp(-zs[iz] * t)
-                base = 3 * m + 4 * iz
-                dy[base] = w * c0
-                dy[base + 1] = w * c1
-                dy[base + 2] = w * c2
-                dy[base + 3] = w * c3
-
-    @numba.njit(cache=True)
-    def _rk4_numba(y0, m, n_steps, h, t0, zs, c_floor, mode, mag):  # pragma: no cover
-        L = y0.size
-        out = np.empty((n_steps + 1, L), dtype=np.complex128)
-        for i in range(L):
-            out[0, i] = y0[i]
-        y = y0.copy()
-        ytmp = np.empty(L, dtype=np.complex128)
-        k1 = np.empty(L, dtype=np.complex128)
-        k2 = np.empty(L, dtype=np.complex128)
-        k3 = np.empty(L, dtype=np.complex128)
-        k4 = np.empty(L, dtype=np.complex128)
-        for k in range(n_steps):
-            t = t0 + k * h
-            _rhs_numba(t, y, k1, m, zs, mode, mag)
-            for i in range(L):
-                ytmp[i] = y[i] + (0.5 * h) * k1[i]
-            _rhs_numba(t + 0.5 * h, ytmp, k2, m, zs, mode, mag)
-            for i in range(L):
-                ytmp[i] = y[i] + (0.5 * h) * k2[i]
-            _rhs_numba(t + 0.5 * h, ytmp, k3, m, zs, mode, mag)
-            for i in range(L):
-                ytmp[i] = y[i] + h * k3[i]
-            _rhs_numba(t + h, ytmp, k4, m, zs, mode, mag)
-            for i in range(L):
-                y[i] = y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                out[k + 1, i] = y[i]
-            cmin = np.inf
-            for n in range(m - 2):
-                v = abs(y[2 * m - 1 + n])
-                if v < cmin:
-                    cmin = v
-            if cmin < c_floor:
-                return out, k + 1
-        return out, 0
 
 
 def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, c_floor=1e-12, mode=0, mag=0.0):
@@ -268,12 +146,7 @@ def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, c_floor=1e-12, mode=0, ma
         raise ValueError(
             f"packed state length {y0.size} != 3*m + 4*nz = {3 * m + 4 * zs.size}"
         )
-    if _ACTIVE == "numba":
-        return _rk4_numba(
-            y0, m, int(n_steps), float(h), float(t0), zs, float(c_floor),
-            int(mode), float(mag),
-        )
-    return _rk4_numpy(
+    return _rk4(
         y0, m, int(n_steps), float(h), float(t0), zs, float(c_floor),
         int(mode), float(mag),
     )

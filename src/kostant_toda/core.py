@@ -11,7 +11,7 @@ J through its 2x2 block partition, where block (i, j) covers rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,6 +93,26 @@ def block_at(M: np.ndarray, i: int, j: int) -> np.ndarray:
     if not (1 <= i <= m // 2 and 1 <= j <= m // 2):
         raise IndexError(f"block index ({i}, {j}) out of range for m={m}")
     return np.array(M[2 * i - 2 : 2 * i, 2 * j - 2 : 2 * j])
+
+
+# Kept out of __all__ like backends._rhs: it runs inside moments_from_j and
+# resolvent_block, and tracers that wrap public functions should leave it alone.
+def leading_power_blocks(state: LatticeState, n_max: int) -> np.ndarray:
+    """Blocks (J^k)_11 for k = 0 .. n_max, shape (n_max + 1, 2, 2).
+
+    The leading two rows W of J^k advance by one dense product W <- W J
+    per power.
+    """
+    J = state.dense()
+    W = np.zeros((2, state.m), dtype=np.complex128)
+    W[0, 0] = 1.0
+    W[1, 1] = 1.0
+    out = np.empty((n_max + 1, 2, 2), dtype=np.complex128)
+    out[0] = W[:, :2]
+    for k in range(1, n_max + 1):
+        W = W @ J
+        out[k] = W[:, :2]
+    return out
 
 
 def commutator(M: np.ndarray, N: np.ndarray) -> np.ndarray:

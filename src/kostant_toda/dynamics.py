@@ -117,17 +117,10 @@ class IntegratorConfig:
 
 def kostant_rhs(state: LatticeState):
     """Time derivatives (a', b', c') of the coefficient arrays."""
-    a, b, c = state.a, state.b, state.c
-    m = state.m
-    da = np.empty(m, dtype=np.complex128)
-    da[0] = b[0]
-    da[1 : m - 1] = b[1:] - b[:-1]
-    da[m - 1] = -b[m - 2]
-    db = b * (a[1:] - a[:-1])
-    db[: m - 2] += c
-    db[1:] -= c
-    dc = c * (a[2:] - a[:-2])
-    return da, db, dc
+    y = backends.pack_state(state.a, state.b, state.c)
+    dy = np.empty_like(y)
+    backends._rhs(state.t, y, dy, state.m, np.empty(0, dtype=np.complex128), 0, 0.0)
+    return backends.unpack_bands(dy, state.m)[:3]
 
 
 def lax_rhs(J: np.ndarray) -> np.ndarray:
@@ -196,6 +189,10 @@ class Trajectory:
         return np.max(rows, axis=1)
 
     def state_at(self, i: int) -> LatticeState:
+        if not 0 <= i < self.n_samples:
+            raise ValueError(
+                f"sample index {i} is not on the trajectory (0..{self.n_samples - 1})"
+            )
         m = self.m
         row = self.samples[i]
         return LatticeState(
@@ -204,6 +201,16 @@ class Trajectory:
             row[2 * m - 1 : 3 * m - 3].copy(),
             t=float(self.ts[i]),
         )
+
+    def central_diff(self, t: float, fn, halfwidth: int = 2):
+        """Grid index i of time t and the time derivative of fn there.
+
+        fn maps a sample index to an array. grid_central_diff checks the
+        stencil before fn runs, and fn runs only at i - halfwidth and
+        i + halfwidth.
+        """
+        i = self.index_of(t)
+        return i, grid_central_diff(_Sampled(fn, self.n_samples), i, self.h, halfwidth)
 
     def to_csv(self, path_or_buf) -> None:
         """Write t, Re/Im of every band entry and quadrature, one row per sample."""
@@ -283,16 +290,33 @@ def integrate(
     )
 
 
-def grid_central_diff(values: np.ndarray, i: int, h: float, halfwidth: int = 2):
+class _Sampled:
+    """Sequence of n grid samples; item j is computed as fn(j) when read."""
+
+    def __init__(self, fn, n: int):
+        self.fn = fn
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, j: int):
+        return self.fn(j)
+
+
+def grid_central_diff(values, i: int, h: float, halfwidth: int = 2):
     """Central difference along axis 0 at index i with delta = halfwidth * h.
 
-    The default halfwidth 2 gives delta = 2h, keeping the stencil on the
-    stored grid. Truncation error is delta^2/6 times the third derivative.
+    values is indexed by grid sample along its first axis; any sequence with
+    a length will do (Trajectory.central_diff passes one that computes its
+    samples on demand). The default halfwidth 2 gives delta = 2h, keeping
+    the stencil on the stored grid. Truncation error is delta^2/6 times the
+    third derivative.
     """
-    if i - halfwidth < 0 or i + halfwidth >= values.shape[0]:
+    if i - halfwidth < 0 or i + halfwidth >= len(values):
         raise ValueError(
             f"central difference stencil [{i - halfwidth}, {i + halfwidth}] "
-            f"leaves the grid (n={values.shape[0]})"
+            f"leaves the grid (n={len(values)})"
         )
     delta = halfwidth * h
     return (values[i + halfwidth] - values[i - halfwidth]) / (2.0 * delta)

@@ -32,6 +32,7 @@ from .core import (
     c0_block,
     c0_block_inv,
     c_block,
+    leading_power_blocks,
 )
 from .dynamics import Trajectory
 from .polynomials import VectorPolynomial, scalar_polys, shift_coeffs
@@ -148,18 +149,9 @@ def moments_from_j(
         raise TruncationTooSmallError(
             f"order n_max={n_max} needs m >= n_max + 2 = {n_max + 2}, got m={state.m}"
         )
-    J = state.dense()
     c0 = c0_block(state.a[0])
     c0i = c0_block_inv(state.a[0])
-    W = np.zeros((2, state.m), dtype=np.complex128)
-    W[0, 0] = 1.0
-    W[1, 1] = 1.0
-    out = np.empty((n_max + 1, 2, 2), dtype=np.complex128)
-    for k in range(n_max + 1):
-        out[k] = c0i @ W[:, :2] @ c0
-        if k < n_max:
-            W = W @ J
-    return MomentFunctional(out)
+    return MomentFunctional(c0i @ leading_power_blocks(state, n_max) @ c0)
 
 
 def moments_from_recurrence(state: LatticeState, n_max: int) -> MomentFunctional:
@@ -221,11 +213,7 @@ def moment_ode_residual(traj: Trajectory, n: int, t: float, halfwidth: int = 2) 
 def _moment_ode_residual_matrix(
     traj: Trajectory, n: int, t: float, halfwidth: int = 2
 ) -> np.ndarray:
-    i = traj.index_of(t)
-    lo = _moments_at(traj, i - halfwidth, n).moments[n]
-    hi = _moments_at(traj, i + halfwidth, n).moments[n]
-    delta = halfwidth * traj.h
-    dm = (hi - lo) / (2.0 * delta)
+    i, dm = traj.central_diff(t, lambda j: _moments_at(traj, j, n).moments[n], halfwidth)
     u = _moments_at(traj, i, n + 1)
     rhs = u.moments[n + 1] - u.moments[n] @ u.moments[1]
     return dm - rhs
@@ -237,11 +225,9 @@ def functional_derivative_residual(
     """Defect of d/dt U(Q) = U(zQ) - U(Q) moment_1 for a fixed Q at time t."""
     deg = max(q.top.size, q.bottom.size) - 1
     n_ord = deg + 1  # U(zQ) reaches one scalar order higher
-    i = traj.index_of(t)
-    lo = _moments_at(traj, i - halfwidth, n_ord).apply(q.top, q.bottom)
-    hi = _moments_at(traj, i + halfwidth, n_ord).apply(q.top, q.bottom)
-    delta = halfwidth * traj.h
-    du = (hi - lo) / (2.0 * delta)
+    i, du = traj.central_diff(
+        t, lambda j: _moments_at(traj, j, n_ord).apply(q.top, q.bottom), halfwidth
+    )
     u = _moments_at(traj, i, n_ord)
     rhs = apply_u(u, q, shift=1) - apply_u(u, q) @ u.moments[1]
     return float(np.max(np.abs(du - rhs)))

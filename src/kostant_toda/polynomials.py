@@ -112,10 +112,10 @@ def stacked_eigen_residual(state: LatticeState, z: complex) -> float:
     return float(np.max(np.abs(res[: state.m - 1])))
 
 
-def _vector_coeffs_at(traj: Trajectory, i: int, n: int):
-    st = traj.state_at(i)
-    ps = scalar_polys(st, 2 * n + 1)
-    return ps[2 * n], ps[2 * n + 1]
+def _vector_coeffs_at(traj: Trajectory, i: int, n: int) -> np.ndarray:
+    """Coefficients of P_{2n} then P_{2n+1} at sample i, in one array."""
+    ps = scalar_polys(traj.state_at(i), 2 * n + 1)
+    return np.concatenate([ps[2 * n], ps[2 * n + 1]])
 
 
 def derivative_law_residual(
@@ -127,12 +127,8 @@ def derivative_law_residual(
     coefficients on the trajectory grid (delta = halfwidth * h), so on the
     true flow the residual is limited by the delta^2 stencil error.
     """
-    i = traj.index_of(t)
-    lo_top, lo_bot = _vector_coeffs_at(traj, i - halfwidth, n)
-    hi_top, hi_bot = _vector_coeffs_at(traj, i + halfwidth, n)
-    delta = halfwidth * traj.h
-    dtop = (hi_top - lo_top) / (2.0 * delta)
-    dbot = (hi_bot - lo_bot) / (2.0 * delta)
+    i, dcoeffs = traj.central_diff(t, lambda j: _vector_coeffs_at(traj, j, n), halfwidth)
+    dtop, dbot = dcoeffs[: 2 * n + 1], dcoeffs[2 * n + 1 :]
     dval = np.array(
         [npoly.polyval(z0, dtop), npoly.polyval(z0, dbot)], dtype=np.complex128
     )

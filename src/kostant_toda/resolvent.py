@@ -36,6 +36,7 @@ from .core import (
     c0_block_inv,
     commutator,
     d_block,
+    leading_power_blocks,
     norm_bound,
 )
 from .dynamics import IntegratorConfig, Trajectory, integrate
@@ -117,16 +118,11 @@ def resolvent_block(
         raise TruncationTooSmallError(
             f"K={K} summed powers need m >= {K + 2}, got m={state.m}"
         )
-    J = state.dense()
-    W = np.zeros((2, state.m), dtype=np.complex128)
-    W[0, 0] = 1.0
-    W[1, 1] = 1.0
     S = np.zeros((2, 2), dtype=np.complex128)
     zinv = 1.0 / z
     zp = zinv
-    for _ in range(K + 1):
-        S += W[:, :2] * zp
-        W = W @ J
+    for block in leading_power_blocks(state, K):
+        S += block * zp
         zp *= zinv
     tail = (rho / abs(z)) ** (K + 1) / (abs(z) - rho)
     return ResolventBlock(S, z, rho, K + 1, float(tail))
@@ -160,28 +156,34 @@ def generating_function(
     return ResolventBlock(F, z, rb.rho, rb.terms_used, rb.tail_bound * kappa)
 
 
-def _stencil_terms(states, z: complex, tol: float) -> int:
+def _series_stencil(traj: Trajectory, z: complex, t: float, tol: float, halfwidth: int, series):
+    """State at t, series value there, and its central time derivative.
+
+    series is resolvent_block or generating_function. All three stencil
+    points sum the same number of terms, the smallest that certifies tol
+    at each of them, so the truncation error is smooth in time.
+    """
+    i = traj.index_of(t)
+    # state_at refuses indices off the trajectory, so a stencil that leaves
+    # the grid fails here, before any series is summed.
+    states = {j: traj.state_at(j) for j in (i - halfwidth, i, i + halfwidth)}
     needed = 0
-    for st in states:
+    for st in states.values():
         rho = norm_bound(st)
         _check_margin(z, rho, " along the stencil")
         needed = max(needed, neumann_terms_needed(rho, abs(z), tol))
-    return needed + 1
+
+    def value(j):
+        return series(states[j], z, terms=needed + 1).value
+
+    _, dv = traj.central_diff(t, value, halfwidth)
+    return states[i], value(i), dv
 
 
 def _resolvent_ode_residual_matrix(
     traj: Trajectory, z: complex, t: float, tol: float = 1e-12, halfwidth: int = 2
 ) -> np.ndarray:
-    i = traj.index_of(t)
-    st_lo = traj.state_at(i - halfwidth)
-    st = traj.state_at(i)
-    st_hi = traj.state_at(i + halfwidth)
-    terms = _stencil_terms((st_lo, st, st_hi), z, tol)
-    r_lo = resolvent_block(st_lo, z, terms=terms).value
-    r = resolvent_block(st, z, terms=terms).value
-    r_hi = resolvent_block(st_hi, z, terms=terms).value
-    delta = halfwidth * traj.h
-    dr = (r_hi - r_lo) / (2.0 * delta)
+    st, r, dr = _series_stencil(traj, z, t, tol, halfwidth, resolvent_block)
     eye = np.eye(2, dtype=np.complex128)
     rhs = r @ (z * eye - b_block(st, 1)) - eye + commutator(r, d_block(st, 0))
     return dr - rhs
@@ -198,16 +200,7 @@ def resolvent_ode_residual(
 def _generating_ode_residual_matrix(
     traj: Trajectory, zeta: complex, t: float, tol: float = 1e-12, halfwidth: int = 2
 ) -> np.ndarray:
-    i = traj.index_of(t)
-    st_lo = traj.state_at(i - halfwidth)
-    st = traj.state_at(i)
-    st_hi = traj.state_at(i + halfwidth)
-    terms = _stencil_terms((st_lo, st, st_hi), zeta, tol)
-    f_lo = generating_function(st_lo, zeta, terms=terms).value
-    f = generating_function(st, zeta, terms=terms).value
-    f_hi = generating_function(st_hi, zeta, terms=terms).value
-    delta = halfwidth * traj.h
-    df = (f_hi - f_lo) / (2.0 * delta)
+    st, f, df = _series_stencil(traj, zeta, t, tol, halfwidth, generating_function)
     m1 = moments_from_j(st, 1).moments[1]
     eye = np.eye(2, dtype=np.complex128)
     rhs = f @ (zeta * eye - m1) - eye

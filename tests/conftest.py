@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from kostant_toda import LatticeState, active_backend, set_backend
-
-
-@pytest.fixture
-def restore_backend():
-    """Let a test flip the backend and put the original back afterwards."""
-    before = active_backend()
-    yield
-    set_backend(before)
+from kostant_toda import LatticeState
 
 
 @pytest.fixture

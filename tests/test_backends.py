@@ -1,66 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
-import pytest
 
-import kostant_toda
-from kostant_toda import (
-    HAS_NUMBA,
-    IntegratorConfig,
-    active_backend,
-    integrate,
-    random_state,
-    set_backend,
-)
-from kostant_toda.backends import _resolve, pack_state, unpack_bands
-
-
-def test_resolve_choices():
-    assert _resolve("numpy") == "numpy"
-    assert _resolve("auto") in ("numba", "numpy")
-    with pytest.raises(ValueError):
-        _resolve("fortran")
-
-
-def test_set_backend_round_trip(restore_backend):
-    assert set_backend("numpy") == "numpy"
-    assert active_backend() == "numpy"
-
-
-def _child_env(backend):
-    """Environment for a fresh interpreter that imports this same package.
-
-    Only PATH, the parent's import path and the backend setting are passed,
-    so no other state of the parent leaks into the child.
-    """
-    package_root = str(Path(kostant_toda.__file__).resolve().parent.parent)
-    python_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": python_path, "KOSTANT_TODA_BACKEND": backend}
-
-
-def test_env_var_respected_in_fresh_interpreter():
-    out = subprocess.run(
-        [sys.executable, "-c", "import kostant_toda; print(kostant_toda.active_backend())"],
-        env=_child_env("numpy"),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_var_rejects_unknown_value():
-    out = subprocess.run(
-        [sys.executable, "-c", "import kostant_toda"],
-        env=_child_env("gpu"),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "KOSTANT_TODA_BACKEND" in out.stderr
+from kostant_toda import random_state
+from kostant_toda.backends import pack_state, unpack_bands
 
 
 def test_pack_unpack_round_trip():
@@ -72,34 +13,3 @@ def test_pack_unpack_round_trip():
     assert np.array_equal(b, st.b)
     assert np.array_equal(c, st.c)
     assert np.array_equal(q, [0, 0, 0])
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_on_trajectories(restore_backend):
-    st = random_state(0, 12)
-    cfg = IntegratorConfig(t_end=0.1, h=1e-3)
-    zs = np.array([8.0 + 0j, 8j])
-    x0 = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
-
-    set_backend("numpy")
-    ref = integrate(st, cfg, resolvent_zs=zs, x0_blocks=x0)
-    set_backend("numba")
-    jit = integrate(st, cfg, resolvent_zs=zs, x0_blocks=x0)
-
-    assert np.max(np.abs(ref.samples - jit.samples)) < 1e-13
-    assert np.max(np.abs(ref.x_blocks(1) - jit.x_blocks(1))) < 1e-13
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_under_corruption(restore_backend):
-    from kostant_toda import CorruptionSpec
-
-    st = random_state(1, 10)
-    cfg = IntegratorConfig(t_end=0.05, h=1e-3)
-    for kind in ("freeze-b", "scale-c-rhs", "drop-commutator-term"):
-        spec = CorruptionSpec(kind, 0.7)
-        set_backend("numpy")
-        ref = integrate(st, cfg, corruption=spec)
-        set_backend("numba")
-        jit = integrate(st, cfg, corruption=spec)
-        assert np.max(np.abs(ref.samples - jit.samples)) < 1e-13

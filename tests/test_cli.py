@@ -185,3 +185,8 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 def test_verify_unknown_control():
     assert run(["verify", "--quick", "--control", "bogus-kind"]) == 2
+
+
+def test_verify_jobs_zero_is_a_configuration_error(capsys):
+    assert run(["verify", "--quick", "--seeds", "0", "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err

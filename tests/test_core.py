@@ -119,3 +119,14 @@ def test_copy_is_deep():
     cp = st.copy()
     cp.a[0] = 99.0
     assert st.a[0] != 99.0
+
+
+def test_leading_power_blocks_match_dense_powers():
+    from kostant_toda.core import leading_power_blocks
+
+    st = random_state(4, 10)
+    J = st.dense()
+    blocks = leading_power_blocks(st, 6)
+    assert blocks.shape == (7, 2, 2)
+    for k in range(7):
+        assert np.allclose(blocks[k], np.linalg.matrix_power(J, k)[:2, :2], rtol=1e-13, atol=1e-13)

@@ -113,3 +113,9 @@ def test_run_control_rewrites_report():
 
 def test_control_kind_listing():
     assert CONTROL_KINDS == ("freeze-b", "scale-c-rhs", "drop-commutator-term")
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_suite(seeds=[0], jobs=jobs)
