@@ -108,8 +108,22 @@ def _rhs(t, y, dy, m, zs, mode, mag):
         dy[3 * m :] = (w[:, None] * cn[None, :]).ravel()
 
 
-def _rk4(y0, m, n_steps, h, t0, zs, c_floor, mode, mag):
+def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, c_floor=1e-12, mode=0, mag=0.0):
+    """Integrate the packed state; returns (samples, status).
+
+    samples has shape (n_steps + 1, len(y0)); status is 0 on success or the
+    1-based step index at which min |c| fell below c_floor (rows past that
+    index are unspecified).
+    """
+    y0 = np.ascontiguousarray(y0, dtype=np.complex128)
+    if zs is None:
+        zs = np.empty(0, dtype=np.complex128)
+    zs = np.ascontiguousarray(zs, dtype=np.complex128)
     L = y0.size
+    if L != 3 * m + 4 * zs.size:
+        raise ValueError(
+            f"packed state length {L} != 3*m + 4*nz = {3 * m + 4 * zs.size}"
+        )
     out = np.empty((n_steps + 1, L), dtype=np.complex128)
     out[0] = y0
     y = y0.copy()
@@ -129,24 +143,3 @@ def _rk4(y0, m, n_steps, h, t0, zs, c_floor, mode, mag):
         if cmin < c_floor:
             return out, k + 1
     return out, 0
-
-
-def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, c_floor=1e-12, mode=0, mag=0.0):
-    """Integrate the packed state; returns (samples, status).
-
-    samples has shape (n_steps + 1, len(y0)); status is 0 on success or the
-    1-based step index at which min |c| fell below c_floor (rows past that
-    index are unspecified).
-    """
-    y0 = np.ascontiguousarray(y0, dtype=np.complex128)
-    if zs is None:
-        zs = np.empty(0, dtype=np.complex128)
-    zs = np.ascontiguousarray(zs, dtype=np.complex128)
-    if y0.size != 3 * m + 4 * zs.size:
-        raise ValueError(
-            f"packed state length {y0.size} != 3*m + 4*nz = {3 * m + 4 * zs.size}"
-        )
-    return _rk4(
-        y0, m, int(n_steps), float(h), float(t0), zs, float(c_floor),
-        int(mode), float(mag),
-    )

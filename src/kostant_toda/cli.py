@@ -341,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--control", choices=CONTROL_KINDS, help="run only this negative control"
     )
-    sp.add_argument("--jobs", type=int, help="thread pool width")
+    sp.add_argument("--jobs", type=int, help="must be >= 1; checks always run serially")
     sp.add_argument("--report", help="write a deterministic JSON report here")
 
     sp = add("resolvent", "sweep the leading resolvent block over a spectral ring")

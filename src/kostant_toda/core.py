@@ -61,6 +61,8 @@ class LatticeState:
             raise ValueError(f"b must have length m-1={m - 1}, got {self.b.size}")
         if self.c.size != m - 2:
             raise ValueError(f"c must have length m-2={m - 2}, got {self.c.size}")
+        if not all(np.isfinite(x).all() for x in (self.a, self.b, self.c)):
+            raise ValueError("a, b and c entries must be finite")
         if np.any(self.c == 0):
             raise ValueError("all c entries must be nonzero")
 

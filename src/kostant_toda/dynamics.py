@@ -38,6 +38,10 @@ __all__ = [
     "lax_rhs",
 ]
 
+# Central differences span delta = STENCIL_HALFWIDTH * h on each side of the
+# sample, so the stencil stays on the stored grid.
+STENCIL_HALFWIDTH = 2
+
 _CORRUPTION_MODES = {
     "freeze-b": 1,
     "scale-c-rhs": 2,
@@ -98,10 +102,10 @@ class IntegratorConfig:
     c_floor: float = 1e-12
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("h must be > 0")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        if not (self.h > 0 and np.isfinite(self.h)):
+            raise ValueError(f"h must be finite and > 0, got {self.h}")
+        if not (self.t_end >= 0 and np.isfinite(self.t_end)):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not self.c_floor >= 0:
             raise ValueError("c_floor must be >= 0")
         n = round(self.t_end / self.h)
@@ -202,15 +206,15 @@ class Trajectory:
             t=float(self.ts[i]),
         )
 
-    def central_diff(self, t: float, fn, halfwidth: int = 2):
+    def central_diff(self, t: float, fn):
         """Grid index i of time t and the time derivative of fn there.
 
         fn maps a sample index to an array. grid_central_diff checks the
-        stencil before fn runs, and fn runs only at i - halfwidth and
-        i + halfwidth.
+        stencil before fn runs, and fn runs only at i - STENCIL_HALFWIDTH
+        and i + STENCIL_HALFWIDTH.
         """
         i = self.index_of(t)
-        return i, grid_central_diff(_Sampled(fn, self.n_samples), i, self.h, halfwidth)
+        return i, grid_central_diff(_Sampled(fn, self.n_samples), i, self.h)
 
     def to_csv(self, path_or_buf) -> None:
         """Write t, Re/Im of every band entry and quadrature, one row per sample."""
@@ -304,19 +308,18 @@ class _Sampled:
         return self.fn(j)
 
 
-def grid_central_diff(values, i: int, h: float, halfwidth: int = 2):
-    """Central difference along axis 0 at index i with delta = halfwidth * h.
+def grid_central_diff(values, i: int, h: float):
+    """Central difference along axis 0 at index i, delta = STENCIL_HALFWIDTH * h.
 
     values is indexed by grid sample along its first axis; any sequence with
     a length will do (Trajectory.central_diff passes one that computes its
-    samples on demand). The default halfwidth 2 gives delta = 2h, keeping
-    the stencil on the stored grid. Truncation error is delta^2/6 times the
-    third derivative.
+    samples on demand). Truncation error is delta^2/6 times the third
+    derivative.
     """
-    if i - halfwidth < 0 or i + halfwidth >= len(values):
+    k = STENCIL_HALFWIDTH
+    if i - k < 0 or i + k >= len(values):
         raise ValueError(
-            f"central difference stencil [{i - halfwidth}, {i + halfwidth}] "
+            f"central difference stencil [{i - k}, {i + k}] "
             f"leaves the grid (n={len(values)})"
         )
-    delta = halfwidth * h
-    return (values[i + halfwidth] - values[i - halfwidth]) / (2.0 * delta)
+    return (values[i + k] - values[i - k]) / (2.0 * (k * h))

@@ -204,29 +204,27 @@ def _moments_at(traj: Trajectory, i: int, n_max: int) -> MomentFunctional:
     return moments_from_j(traj.state_at(i), n_max)
 
 
-def moment_ode_residual(traj: Trajectory, n: int, t: float, halfwidth: int = 2) -> float:
+def moment_ode_residual(traj: Trajectory, n: int, t: float) -> float:
     """Defect of d/dt moment_n = moment_{n+1} - moment_n moment_1 at time t."""
-    res = _moment_ode_residual_matrix(traj, n, t, halfwidth)
+    res = _moment_ode_residual_matrix(traj, n, t)
     return float(np.max(np.abs(res)))
 
 
-def _moment_ode_residual_matrix(
-    traj: Trajectory, n: int, t: float, halfwidth: int = 2
-) -> np.ndarray:
-    i, dm = traj.central_diff(t, lambda j: _moments_at(traj, j, n).moments[n], halfwidth)
+def _moment_ode_residual_matrix(traj: Trajectory, n: int, t: float) -> np.ndarray:
+    i, dm = traj.central_diff(t, lambda j: _moments_at(traj, j, n).moments[n])
     u = _moments_at(traj, i, n + 1)
     rhs = u.moments[n + 1] - u.moments[n] @ u.moments[1]
     return dm - rhs
 
 
 def functional_derivative_residual(
-    traj: Trajectory, q: VectorPolynomial, t: float, halfwidth: int = 2
+    traj: Trajectory, q: VectorPolynomial, t: float
 ) -> float:
     """Defect of d/dt U(Q) = U(zQ) - U(Q) moment_1 for a fixed Q at time t."""
     deg = max(q.top.size, q.bottom.size) - 1
     n_ord = deg + 1  # U(zQ) reaches one scalar order higher
     i, du = traj.central_diff(
-        t, lambda j: _moments_at(traj, j, n_ord).apply(q.top, q.bottom), halfwidth
+        t, lambda j: _moments_at(traj, j, n_ord).apply(q.top, q.bottom)
     )
     u = _moments_at(traj, i, n_ord)
     rhs = apply_u(u, q, shift=1) - apply_u(u, q) @ u.moments[1]

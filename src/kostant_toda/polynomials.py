@@ -118,16 +118,14 @@ def _vector_coeffs_at(traj: Trajectory, i: int, n: int) -> np.ndarray:
     return np.concatenate([ps[2 * n], ps[2 * n + 1]])
 
 
-def derivative_law_residual(
-    traj: Trajectory, n: int, t: float, z0: complex, halfwidth: int = 2
-) -> float:
+def derivative_law_residual(traj: Trajectory, n: int, t: float, z0: complex) -> float:
     """Defect of d/dt Bv_n(z0) = -C_n Bv_{n-1}(z0) - D_n Bv_n(z0) at time t.
 
     The time derivative is taken by central differences of the polynomial
-    coefficients on the trajectory grid (delta = halfwidth * h), so on the
+    coefficients on the trajectory grid (delta = 2h), so on the
     true flow the residual is limited by the delta^2 stencil error.
     """
-    i, dcoeffs = traj.central_diff(t, lambda j: _vector_coeffs_at(traj, j, n), halfwidth)
+    i, dcoeffs = traj.central_diff(t, lambda j: _vector_coeffs_at(traj, j, n))
     dtop, dbot = dcoeffs[: 2 * n + 1], dcoeffs[2 * n + 1 :]
     dval = np.array(
         [npoly.polyval(z0, dtop), npoly.polyval(z0, dbot)], dtype=np.complex128

@@ -39,7 +39,7 @@ from .core import (
     leading_power_blocks,
     norm_bound,
 )
-from .dynamics import IntegratorConfig, Trajectory, integrate
+from .dynamics import STENCIL_HALFWIDTH, IntegratorConfig, Trajectory, integrate
 from .moments import moments_from_j
 
 __all__ = [
@@ -156,7 +156,7 @@ def generating_function(
     return ResolventBlock(F, z, rb.rho, rb.terms_used, rb.tail_bound * kappa)
 
 
-def _series_stencil(traj: Trajectory, z: complex, t: float, tol: float, halfwidth: int, series):
+def _series_stencil(traj: Trajectory, z: complex, t: float, tol: float, series):
     """State at t, series value there, and its central time derivative.
 
     series is resolvent_block or generating_function. All three stencil
@@ -166,7 +166,8 @@ def _series_stencil(traj: Trajectory, z: complex, t: float, tol: float, halfwidt
     i = traj.index_of(t)
     # state_at refuses indices off the trajectory, so a stencil that leaves
     # the grid fails here, before any series is summed.
-    states = {j: traj.state_at(j) for j in (i - halfwidth, i, i + halfwidth)}
+    k = STENCIL_HALFWIDTH
+    states = {j: traj.state_at(j) for j in (i - k, i, i + k)}
     needed = 0
     for st in states.values():
         rho = norm_bound(st)
@@ -176,31 +177,31 @@ def _series_stencil(traj: Trajectory, z: complex, t: float, tol: float, halfwidt
     def value(j):
         return series(states[j], z, terms=needed + 1).value
 
-    _, dv = traj.central_diff(t, value, halfwidth)
+    _, dv = traj.central_diff(t, value)
     return states[i], value(i), dv
 
 
 def _resolvent_ode_residual_matrix(
-    traj: Trajectory, z: complex, t: float, tol: float = 1e-12, halfwidth: int = 2
+    traj: Trajectory, z: complex, t: float, tol: float = 1e-12
 ) -> np.ndarray:
-    st, r, dr = _series_stencil(traj, z, t, tol, halfwidth, resolvent_block)
+    st, r, dr = _series_stencil(traj, z, t, tol, resolvent_block)
     eye = np.eye(2, dtype=np.complex128)
     rhs = r @ (z * eye - b_block(st, 1)) - eye + commutator(r, d_block(st, 0))
     return dr - rhs
 
 
 def resolvent_ode_residual(
-    traj: Trajectory, z: complex, t: float, tol: float = 1e-12, halfwidth: int = 2
+    traj: Trajectory, z: complex, t: float, tol: float = 1e-12
 ) -> float:
     """Defect of R' = R (zI - B_1) - I + [R, (J_lower)_11] at time t."""
-    res = _resolvent_ode_residual_matrix(traj, z, t, tol, halfwidth)
+    res = _resolvent_ode_residual_matrix(traj, z, t, tol)
     return float(np.max(np.abs(res)))
 
 
 def _generating_ode_residual_matrix(
-    traj: Trajectory, zeta: complex, t: float, tol: float = 1e-12, halfwidth: int = 2
+    traj: Trajectory, zeta: complex, t: float, tol: float = 1e-12
 ) -> np.ndarray:
-    st, f, df = _series_stencil(traj, zeta, t, tol, halfwidth, generating_function)
+    st, f, df = _series_stencil(traj, zeta, t, tol, generating_function)
     m1 = moments_from_j(st, 1).moments[1]
     eye = np.eye(2, dtype=np.complex128)
     rhs = f @ (zeta * eye - m1) - eye
@@ -208,10 +209,10 @@ def _generating_ode_residual_matrix(
 
 
 def generating_ode_residual(
-    traj: Trajectory, zeta: complex, t: float, tol: float = 1e-12, halfwidth: int = 2
+    traj: Trajectory, zeta: complex, t: float, tol: float = 1e-12
 ) -> float:
     """Defect of F' = F (zeta I - moment_1) - I at time t."""
-    res = _generating_ode_residual_matrix(traj, zeta, t, tol, halfwidth)
+    res = _generating_ode_residual_matrix(traj, zeta, t, tol)
     return float(np.max(np.abs(res)))
 
 

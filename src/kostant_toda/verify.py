@@ -4,14 +4,14 @@ Each check integrates seeded random instances and measures the worst
 residual of one identity. Positive checks must come in under their
 threshold; negative controls rerun a paired check on a deliberately
 corrupted flow and must detect it (residual at least CONTROL_FLOOR).
-All checks are deterministic given the seeds.
+A NaN residual, or none at all, fails either kind. All checks are
+deterministic given the seeds.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -90,18 +90,30 @@ class CheckReport:
     control: bool = False
 
 
-def _report(check_id, instance, residual, threshold, t0, control=False):
-    residual = float(residual)
-    passed = residual >= threshold if control else residual <= threshold
-    return CheckReport(
-        id=check_id,
-        instance=instance,
-        max_residual=residual,
-        threshold=threshold,
-        passed=passed,
-        runtime_s=time.perf_counter() - t0,
-        control=control,
-    )
+class _Worst:
+    """Worst |residual| seen by one check, and the check's wall clock.
+
+    add() folds with np.maximum, so a NaN, once seen, stays. A fold that saw
+    no residual reports NaN. Either way the check cannot pass.
+    """
+
+    def __init__(self):
+        self.t0 = time.perf_counter()
+        self.value = -np.inf
+
+    def add(self, residual):
+        self.value = np.maximum(self.value, np.max(np.abs(residual)))
+
+    def report(self, check_id, instance, threshold):
+        worst = float(self.value) if self.value >= 0 else float("nan")
+        return CheckReport(
+            id=check_id,
+            instance=instance,
+            max_residual=worst,
+            threshold=threshold,
+            passed=worst <= threshold,
+            runtime_s=time.perf_counter() - self.t0,
+        )
 
 
 def _flow_traj(seed, corruption=None, h=None, t_end=None):
@@ -122,36 +134,25 @@ def _ring(traj, n_angles, mult=2.0):
 
 
 def check_rhs_equivalence(seeds):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         st = random_state(seed, 10)
         K = lax_rhs(st.dense())
         da, db, dc = kostant_rhs(st)
-        worst = max(
-            worst,
-            float(np.max(np.abs(np.diagonal(K) - da))),
-            float(np.max(np.abs(np.diagonal(K, -1) - db))),
-            float(np.max(np.abs(np.diagonal(K, -2) - dc))),
-        )
+        worst.add(np.diagonal(K) - da)
+        worst.add(np.diagonal(K, -1) - db)
+        worst.add(np.diagonal(K, -2) - dc)
         mask = np.ones_like(K, dtype=bool)
         idx = np.arange(10)
         mask[idx, idx] = False
         mask[idx[1:], idx[:-1]] = False
         mask[idx[2:], idx[:-2]] = False
-        worst = max(worst, float(np.max(np.abs(K[mask]))))
-    return _report(
-        "lax_vs_coefficient_rhs",
-        {"seeds": list(seeds), "m": 10},
-        worst,
-        1e-14,
-        t0,
-    )
+        worst.add(K[mask])
+    return worst.report("lax_vs_coefficient_rhs", {"seeds": list(seeds), "m": 10}, 1e-14)
 
 
 def check_isospectrality(seeds):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         state = random_state(seed, 8)
         traj = integrate(state, IntegratorConfig(t_end=1.0, h=1e-3))
@@ -164,19 +165,16 @@ def check_isospectrality(seeds):
             d[used] = np.inf
             j = int(np.argmin(d))
             used[j] = True
-            worst = max(worst, float(d[j]) / scale)
-    return _report(
+            worst.add(float(d[j]) / scale)
+    return worst.report(
         "isospectrality",
         {"seeds": list(seeds), "m": 8, "h": 1e-3, "t_range": [0.0, 1.0]},
-        worst,
         1e-6,
-        t0,
     )
 
 
 def check_block_power_ode(seeds):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         traj = _flow_traj(seed)
         for t in _T_SAMPLES:
@@ -188,93 +186,70 @@ def check_block_power_ode(seeds):
             d0 = d_block(st, 0)
             p = leading_power_blocks(st, 5)
             for n in range(1, 5):
-                rhs = p[n + 1] - p[n] @ b1 + commutator(p[n], d0)
-                worst = max(worst, float(np.max(np.abs(dp[n] - rhs))))
-    return _report(
+                worst.add(dp[n] - (p[n + 1] - p[n] @ b1 + commutator(p[n], d0)))
+    return worst.report(
         "block_power_ode",
         {"seeds": list(seeds), **_FLOW, "orders": [1, 4], "t_samples": list(_T_SAMPLES)},
-        worst,
         1e-5,
-        t0,
     )
 
 
 def check_resolvent_ode(seeds, corruption=None, n_angles=4):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         traj = _flow_traj(seed, corruption=corruption)
         for z in _ring(traj, n_angles):
             for t in (0.1, 0.4):
-                worst = max(worst, resolvent_ode_residual(traj, z, t))
-    return _report(
+                worst.add(resolvent_ode_residual(traj, z, t))
+    return worst.report(
         "resolvent_ode",
         {"seeds": list(seeds), **_FLOW, "n_angles": n_angles, "z": "2 rho ring"},
-        worst,
         1e-5,
-        t0,
-        control=corruption is not None,
     )
 
 
 def check_polynomial_derivative_law(seeds, corruption=None):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     z0s = np.exp(2j * np.pi * np.array([0.0, 1 / 3, 2 / 3]))
     for seed in seeds:
         traj = _flow_traj(seed, corruption=corruption)
         for t in _T_SAMPLES:
             for n in range(5):
                 for z0 in z0s:
-                    worst = max(worst, derivative_law_residual(traj, n, t, z0))
-    return _report(
+                    worst.add(derivative_law_residual(traj, n, t, z0))
+    return worst.report(
         "polynomial_derivative_law",
         {"seeds": list(seeds), **_FLOW, "orders": [0, 4], "z0": "unit ring"},
-        worst,
         1e-5,
-        t0,
-        control=corruption is not None,
     )
 
 
 def check_moment_ode(seeds, corruption=None):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         traj = _flow_traj(seed, corruption=corruption)
         for t in _T_SAMPLES:
             for n in range(5):
-                worst = max(worst, moment_ode_residual(traj, n, t))
-    return _report(
-        "moment_ode",
-        {"seeds": list(seeds), **_FLOW, "orders": [0, 4]},
-        worst,
-        1e-5,
-        t0,
-        control=corruption is not None,
+                worst.add(moment_ode_residual(traj, n, t))
+    return worst.report(
+        "moment_ode", {"seeds": list(seeds), **_FLOW, "orders": [0, 4]}, 1e-5
     )
 
 
 def check_generating_ode(seeds, n_angles=4):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         traj = _flow_traj(seed)
         for zeta in _ring(traj, n_angles):
             for t in (0.1, 0.4):
-                worst = max(worst, generating_ode_residual(traj, zeta, t))
-    return _report(
-        "generating_ode",
-        {"seeds": list(seeds), **_FLOW, "n_angles": n_angles},
-        worst,
-        1e-5,
-        t0,
+                worst.add(generating_ode_residual(traj, zeta, t))
+    return worst.report(
+        "generating_ode", {"seeds": list(seeds), **_FLOW, "n_angles": n_angles}, 1e-5
     )
 
 
 def check_functional_derivative(seeds):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         traj = _flow_traj(seed)
         rng = np.random.default_rng(1000 + seed)
@@ -282,21 +257,18 @@ def check_functional_derivative(seeds):
         bottom = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         q = VectorPolynomial(0, top, bottom)
         for t in _T_SAMPLES:
-            worst = max(worst, functional_derivative_residual(traj, q, t))
-    return _report(
+            worst.add(functional_derivative_residual(traj, q, t))
+    return worst.report(
         "functional_derivative",
         {"seeds": list(seeds), **_FLOW, "q_degrees": [3, 4]},
-        worst,
         1e-5,
-        t0,
     )
 
 
 def check_laurent_consistency(seeds, n_orders=4, n_ring=32):
     """Ring-sampled expansion coefficients of the generating-function ODE
     defect must match the per-order moment ODE defects."""
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     t = 0.25
     for seed in seeds:
         traj = _flow_traj(seed)
@@ -309,51 +281,37 @@ def check_laurent_consistency(seeds, n_orders=4, n_ring=32):
         for n in range(n_orders):
             phase = np.exp(1j * (n + 1) * thetas)
             coeff = R ** (n + 1) * np.tensordot(phase, samples, axes=(0, 0)) / n_ring
-            direct = _moment_ode_residual_matrix(traj, n, t)
-            worst = max(worst, float(np.max(np.abs(coeff - direct))))
-    return _report(
+            worst.add(coeff - _moment_ode_residual_matrix(traj, n, t))
+    return worst.report(
         "laurent_consistency",
         {"seeds": list(seeds), **_FLOW, "orders": [0, n_orders - 1], "ring": n_ring},
-        worst,
         1e-8,
-        t0,
     )
 
 
 def check_orthogonality(seeds):
     """U(z^j Bv_n) vanishes for j < n and equals C_n ... C_0 at j = n."""
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         st = random_state(seed, 14)
         u = moments_from_j(st, 12)
         polys = vector_polys(st, 4)
-        eye = np.eye(2, dtype=np.complex128)
-        worst = max(worst, float(np.max(np.abs(u.apply([1.0], [0.0, 1.0]) - eye))))
+        worst.add(u.apply([1.0], [0.0, 1.0]) - np.eye(2, dtype=np.complex128))
         cprod = c0_block(st.a[0])
-        worst = max(
-            worst, float(np.max(np.abs(apply_u(u, polys[0]) - cprod)))
-        )
+        worst.add(apply_u(u, polys[0]) - cprod)
         for n in range(1, 5):
             for j in range(n):
-                worst = max(worst, float(np.max(np.abs(apply_u(u, polys[n], shift=j)))))
+                worst.add(apply_u(u, polys[n], shift=j))
             cprod = c_block(st, n) @ cprod
-            worst = max(
-                worst, float(np.max(np.abs(apply_u(u, polys[n], shift=n) - cprod)))
-            )
-    return _report(
-        "orthogonality",
-        {"seeds": list(seeds), "m": 14, "orders": [0, 4]},
-        worst,
-        1e-10,
-        t0,
+            worst.add(apply_u(u, polys[n], shift=n) - cprod)
+    return worst.report(
+        "orthogonality", {"seeds": list(seeds), "m": 14, "orders": [0, 4]}, 1e-10
     )
 
 
 def check_chain_identity(seeds):
     """U(z^n Bv_n) = C_n U(z^{n-1} Bv_{n-1}) for n = 1..4."""
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         st = random_state(seed, 14)
         u = moments_from_j(st, 12)
@@ -361,59 +319,46 @@ def check_chain_identity(seeds):
         for n in range(1, 5):
             lhs = apply_u(u, polys[n], shift=n)
             rhs = c_block(st, n) @ apply_u(u, polys[n - 1], shift=n - 1)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _report(
-        "chain_identity",
-        {"seeds": list(seeds), "m": 14, "orders": [1, 4]},
-        worst,
-        1e-10,
-        t0,
+            worst.add(lhs - rhs)
+    return worst.report(
+        "chain_identity", {"seeds": list(seeds), "m": 14, "orders": [1, 4]}, 1e-10
     )
 
 
 def check_block_reconstruction(seeds):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         st = random_state(seed, 14)
         u = moments_from_j(st, 12)
         polys = vector_polys(st, 4)
         b_rec, c_rec = reconstruct_blocks(u, polys)
-        worst = max(worst, float(np.max(np.abs(c_rec[0] - c0_block(st.a[0])))))
+        worst.add(c_rec[0] - c0_block(st.a[0]))
         for n in range(1, 5):
-            worst = max(worst, float(np.max(np.abs(b_rec[n] - b_block(st, n)))))
-            worst = max(worst, float(np.max(np.abs(c_rec[n] - c_block(st, n)))))
-    return _report(
+            worst.add(b_rec[n] - b_block(st, n))
+            worst.add(c_rec[n] - c_block(st, n))
+    return worst.report(
         "block_reconstruction",
         {"seeds": list(seeds), "m": 14, "orders": [1, 4]},
-        worst,
         1e-10,
-        t0,
     )
 
 
 def check_moment_uniqueness(seeds):
     """The J-power and recurrence-condition constructions must agree."""
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         st = random_state(seed, 12)
         ua = moments_from_j(st, 6)
         ub = moments_from_recurrence(st, 6)
-        worst = max(worst, float(np.max(np.abs(ua.moments - ub.moments))))
-        worst = max(worst, ua.overlap_defect())
-    return _report(
-        "moment_uniqueness",
-        {"seeds": list(seeds), "m": 12, "n_max": 6},
-        worst,
-        1e-10,
-        t0,
+        worst.add(ua.moments - ub.moments)
+        worst.add(ua.overlap_defect())
+    return worst.report(
+        "moment_uniqueness", {"seeds": list(seeds), "m": 12, "n_max": 6}, 1e-10
     )
 
 
 def check_closed_form_initial(seeds, n_angles=16):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         state = random_state(seed, _FLOW["m"])
         rho0 = norm_bound(state)
@@ -423,22 +368,16 @@ def check_closed_form_initial(seeds, n_angles=16):
         )
         for z in zs:
             path = closed_form_resolvent(traj, z)
-            worst = max(
-                worst,
-                float(np.max(np.abs(path[0] - dense_resolvent_block(state, z)))),
-            )
-    return _report(
+            worst.add(path[0] - dense_resolvent_block(state, z))
+    return worst.report(
         "closed_form_initial",
         {"seeds": list(seeds), "m": _FLOW["m"], "n_angles": n_angles, "t": 0.0},
-        worst,
         1e-12,
-        t0,
     )
 
 
 def check_closed_form_resolvent(seeds, n_angles=16, t=0.5):
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     for seed in seeds:
         state = random_state(seed, _FLOW["m"])
         probe = integrate(state, IntegratorConfig(t_end=t, h=_FLOW["h"]))
@@ -450,23 +389,16 @@ def check_closed_form_resolvent(seeds, n_angles=16, t=0.5):
         end = traj.state_at(traj.n_samples - 1)
         for z in zs:
             path = closed_form_resolvent(traj, z)
-            worst = max(
-                worst,
-                float(np.max(np.abs(path[-1] - dense_resolvent_block(end, z)))),
-            )
-    return _report(
+            worst.add(path[-1] - dense_resolvent_block(end, z))
+    return worst.report(
         "closed_form_resolvent",
         {"seeds": list(seeds), "m": _FLOW["m"], "n_angles": n_angles, "t": t},
-        worst,
         1e-4,
-        t0,
     )
 
 
 def check_exponential_moments(seeds, n_max=5, ts=(0.25, 1.0)):
-    t0 = time.perf_counter()
-    worst = 0.0
-    worst_tail = 0.0
+    worst, tail = _Worst(), _Worst()
     for seed in seeds:
         state = random_state(seed, _FLOW["m"])
         rho = norm_bound(state)
@@ -476,52 +408,38 @@ def check_exponential_moments(seeds, n_max=5, ts=(0.25, 1.0)):
         for t in ts:
             em = exponential_moments(u0, t, n_max, rho, entry_coeff=entry)
             direct = moments_from_j(traj.state_at(traj.index_of(t)), n_max)
-            worst = max(
-                worst, float(np.max(np.abs(em.functional.moments - direct.moments)))
-            )
-            worst_tail = max(worst_tail, em.tail_bound)
-    rep = _report(
-        "exponential_moments",
-        {"seeds": list(seeds), "m": _FLOW["m"], "orders": [0, n_max], "ts": list(ts)},
-        worst,
-        1e-5,
-        t0,
-    )
-    tail_rep = _report(
-        "exponential_tail_certificate",
-        {"seeds": list(seeds), "m": _FLOW["m"], "orders": [0, n_max], "ts": list(ts)},
-        worst_tail,
-        1e-12,
-        t0,
-    )
-    return [rep, tail_rep]
+            worst.add(em.functional.moments - direct.moments)
+            tail.add(em.tail_bound)
+    instance = {
+        "seeds": list(seeds), "m": _FLOW["m"], "orders": [0, n_max], "ts": list(ts)
+    }
+    return [
+        worst.report("exponential_moments", instance, 1e-5),
+        tail.report("exponential_tail_certificate", dict(instance), 1e-12),
+    ]
 
 
 def check_neumann_tail(seeds, multipliers=(1.5, 2.0, 4.0, 10.0), tol=1e-8):
     """Dense-solve oracle must sit inside the reported tail bound."""
-    t0 = time.perf_counter()
-    worst_ratio = 0.0
+    worst = _Worst()
     for seed in seeds:
         st = random_state(seed, 32)
         rho = norm_bound(st)
         for mult in multipliers:
             for z in (mult * rho, mult * rho * np.exp(1.7j)):
                 rb = resolvent_block(st, z, tol=tol)
-                err = float(np.max(np.abs(rb.value - dense_resolvent_block(st, z))))
-                worst_ratio = max(worst_ratio, err / rb.tail_bound)
-    return _report(
+                err = np.max(np.abs(rb.value - dense_resolvent_block(st, z)))
+                worst.add(err / rb.tail_bound)
+    return worst.report(
         "neumann_tail_certificate",
         {"seeds": list(seeds), "m": 32, "multipliers": list(multipliers), "tol": tol},
-        worst_ratio,
         1.0,
-        t0,
     )
 
 
 def check_fd_convergence(seeds):
     """Halving h must cut the stencil-limited residuals by about 4."""
-    t0 = time.perf_counter()
-    worst = 0.0
+    worst = _Worst()
     ratios = []
     for seed in seeds:
         coarse = _flow_traj(seed)
@@ -533,13 +451,12 @@ def check_fd_convergence(seeds):
         ):
             ratio = fn(coarse) / fn(fine)
             ratios.append(float(ratio))
-            worst = max(worst, max(2.5 - ratio, ratio - 6.0, 0.0))
-    return _report(
+            # distance outside the window [2.5, 6]; np.max keeps a NaN ratio
+            worst.add(np.max([2.5 - ratio, ratio - 6.0, 0.0]))
+    return worst.report(
         "fd_convergence_order",
         {"seeds": list(seeds), **_FLOW, "ratios": ratios, "window": [2.5, 6.0]},
-        worst,
         0.0,
-        t0,
     )
 
 
@@ -577,50 +494,43 @@ def run_suite(seeds=None, quick=False, control=None, jobs=1):
 
     control restricts the negative controls to one kind (default all).
     Controls always run on fixed probe seeds so their detection margin
-    does not depend on the seed list. jobs > 1 runs checks in a thread
-    pool; the report order is unchanged.
+    does not depend on the seed list. seeds must not be empty. jobs must
+    be >= 1 and is otherwise ignored: checks run serially, because numpy's
+    small operations hold the GIL and a thread pool made the suite no
+    faster.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if seeds is None:
         seeds = list(range(3 if quick else 10))
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     control_kinds = CONTROL_KINDS if control is None else (control,)
     if any(k not in CONTROL_KINDS for k in control_kinds):
         raise ValueError(f"unknown control kind {control!r}")
 
-    tasks = [
-        lambda: check_rhs_equivalence(seeds),
-        lambda: check_isospectrality(seeds),
-        lambda: check_block_power_ode(seeds),
-        lambda: check_resolvent_ode(seeds),
-        lambda: check_polynomial_derivative_law(seeds),
-        lambda: check_moment_ode(seeds),
-        lambda: check_generating_ode(seeds),
-        lambda: check_functional_derivative(seeds),
-        lambda: check_laurent_consistency(seeds[:3]),
-        lambda: check_orthogonality(seeds),
-        lambda: check_chain_identity(seeds),
-        lambda: check_block_reconstruction(seeds),
-        lambda: check_moment_uniqueness(seeds),
-        lambda: check_closed_form_initial(seeds),
-        lambda: check_closed_form_resolvent(seeds),
-        lambda: check_exponential_moments(seeds),
-        lambda: check_neumann_tail(seeds[:3]),
-        lambda: check_fd_convergence(seeds[:2]),
+    return [
+        check_rhs_equivalence(seeds),
+        check_isospectrality(seeds),
+        check_block_power_ode(seeds),
+        check_resolvent_ode(seeds),
+        check_polynomial_derivative_law(seeds),
+        check_moment_ode(seeds),
+        check_generating_ode(seeds),
+        check_functional_derivative(seeds),
+        check_laurent_consistency(seeds[:3]),
+        check_orthogonality(seeds),
+        check_chain_identity(seeds),
+        check_block_reconstruction(seeds),
+        check_moment_uniqueness(seeds),
+        check_closed_form_initial(seeds),
+        check_closed_form_resolvent(seeds),
+        *check_exponential_moments(seeds),
+        check_neumann_tail(seeds[:3]),
+        check_fd_convergence(seeds[:2]),
+        *(run_control(kind) for kind in control_kinds),
     ]
-    tasks += [(lambda kind=kind: run_control(kind)) for kind in control_kinds]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda fn: fn(), tasks))
-    else:
-        results = [fn() for fn in tasks]
-
-    reports: list[CheckReport] = []
-    for r in results:
-        reports.extend(r if isinstance(r, list) else [r])
-    return reports
 
 
 def reports_to_json(reports, include_runtime: bool = False) -> str:

@@ -151,5 +151,5 @@ def test_criterion_10_deterministic_reports():
     _verdict(
         doc1 == doc2,
         "criterion 10 byte-identical reports for identical configuration",
-        f"{len(doc1)} bytes, thread pool and serial runs agree",
+        f"{len(doc1)} bytes, jobs=4 and jobs=1 runs agree",
     )

@@ -190,3 +190,27 @@ def test_verify_unknown_control():
 def test_verify_jobs_zero_is_a_configuration_error(capsys):
     assert run(["verify", "--quick", "--seeds", "0", "--jobs", "0"]) == 2
     assert "jobs" in capsys.readouterr().err
+
+
+def test_verify_empty_seed_list_is_a_configuration_error(capsys):
+    assert run(["verify", "--seeds", ""]) == 2
+    assert "seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,bad", [("a", float("nan")), ("b", float("inf")),
+                                       ("c", float("-inf"))])
+def test_nonfinite_state_file_is_a_configuration_error(tmp_path, capsys, field, bad):
+    state = {"a": [0.0] * 4, "b": [1.0] * 3, "c": [1.0] * 2}
+    state[field][1] = bad
+    sf = tmp_path / "state.json"
+    sf.write_text(json.dumps(state))  # json writes NaN / Infinity and reads them back
+    assert run(["simulate", "--state", str(sf), "--t-end", "0.01",
+                "--h", "0.001"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--t-end", "nan"],
+                                   ["--h", "inf"], ["--h", "nan"]])
+def test_nonfinite_horizon_or_step_is_a_configuration_error(capsys, flags):
+    assert run(["simulate", "--seed", "0", "--m", "8", *flags]) == 2
+    assert "finite" in capsys.readouterr().err

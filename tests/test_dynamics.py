@@ -174,3 +174,10 @@ def test_central_diff_on_cubic():
     t = ts[50]
     # exact for the 2h stencil applied to t^3 up to the delta^2 term
     assert d == pytest.approx(3 * t**2 + (2 * h) ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("t_end,h", [(np.inf, 1e-3), (np.nan, 1e-3),
+                                     (1.0, np.inf), (1.0, np.nan)])
+def test_integrator_config_rejects_nonfinite(t_end, h):
+    with pytest.raises(ValueError, match="finite"):
+        IntegratorConfig(t_end=t_end, h=h)

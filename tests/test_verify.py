@@ -1,7 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from kostant_toda import verify
+from kostant_toda.moments import MomentFunctional, moments_from_recurrence
 from kostant_toda.verify import (
     CONTROL_FLOOR,
     CONTROL_KINDS,
@@ -119,3 +123,43 @@ def test_control_kind_listing():
 def test_jobs_below_one_rejected(jobs):
     with pytest.raises(ValueError, match="jobs"):
         run_suite(seeds=[0], jobs=jobs)
+
+
+def test_empty_seed_list_rejected():
+    with pytest.raises(ValueError, match="seeds"):
+        run_suite(seeds=[])
+
+
+def test_check_with_no_residual_fails():
+    rep = verify.check_moment_uniqueness([])
+    assert rep.passed is False
+    assert math.isnan(rep.max_residual)
+
+
+def _nan_residual(*args, **kwargs):
+    return float("nan")
+
+
+def _nan_recurrence(state, n_max):
+    u = moments_from_recurrence(state, n_max)
+    return MomentFunctional(np.full_like(u.moments, np.nan))
+
+
+@pytest.mark.parametrize(
+    "attr,fake,check",
+    [
+        pytest.param("moment_ode_residual", _nan_residual,
+                     lambda: verify.check_moment_ode([0]), id="moment_ode"),
+        pytest.param("moment_ode_residual", _nan_residual,
+                     lambda: verify.check_fd_convergence([0]), id="fd_convergence"),
+        pytest.param("moments_from_recurrence", _nan_recurrence,
+                     lambda: verify.check_moment_uniqueness([0]), id="moment_uniqueness"),
+        pytest.param("moment_ode_residual", _nan_residual,
+                     lambda: run_control("scale-c-rhs", [0]), id="control_scale_c_rhs"),
+    ],
+)
+def test_nan_residual_fails_the_check(monkeypatch, attr, fake, check):
+    monkeypatch.setattr(verify, attr, fake)
+    rep = check()
+    assert rep.passed is False
+    assert math.isnan(rep.max_residual)
