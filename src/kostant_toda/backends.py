@@ -112,8 +112,8 @@ def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, c_floor=1e-12, mode=0, ma
     """Integrate the packed state; returns (samples, status).
 
     samples has shape (n_steps + 1, len(y0)); status is 0 on success or the
-    1-based step index at which min |c| fell below c_floor (rows past that
-    index are unspecified).
+    1-based step index at which min |c| fell below c_floor or turned NaN, as
+    it does when the bands overflow (rows past that index are unspecified).
     """
     y0 = np.ascontiguousarray(y0, dtype=np.complex128)
     if zs is None:
@@ -140,6 +140,6 @@ def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, c_floor=1e-12, mode=0, ma
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = y
         cmin = np.min(np.abs(y[2 * m - 1 : 3 * m - 3]))
-        if cmin < c_floor:
+        if not cmin >= c_floor:
             return out, k + 1
     return out, 0

@@ -7,11 +7,13 @@ Subcommands:
   moments    dump moment blocks as JSON (power, conditions, or series method)
   polys      dump scalar and vector polynomial coefficients as JSON
 
-Options may come from a JSON file via --config; explicit flags win.
-Complex values in JSON are [re, im] pairs; floats in CSV use %.17g.
+Options may come from a JSON file via --config, checked like their flags;
+explicit flags win. Complex values in JSON are [re, im] pairs; floats in
+CSV use %.17g.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical abort (subdiagonal underflow, series cap, margin violation).
+3 numerical abort (subdiagonal underflow or overflow, series cap, margin
+violation).
 """
 
 from __future__ import annotations
@@ -19,12 +21,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
 from .core import LatticeState, norm_bound, random_state
-from .dynamics import CNearZeroError, CorruptionSpec, IntegratorConfig, integrate
+from .dynamics import (
+    CNearZeroError,
+    CorruptionSpec,
+    IntegratorConfig,
+    integrate,
+    write_csv,
+)
 from .moments import (
     SeriesCapError,
     exponential_moments,
@@ -37,60 +44,59 @@ from .resolvent import (
     closed_form_resolvent,
     integrate_with_closed_form,
     resolvent_block,
+    spectral_ring,
 )
 from .verify import CONTROL_KINDS, reports_to_json, run_suite
 
 __all__ = ["main"]
 
-_SPECS = {
-    "simulate": {
-        "seed": 0,
-        "m": 12,
-        "t_end": 1.0,
-        "h": 1e-3,
-        "state": None,
-        "corruption": None,
-        "magnitude": 0.1,
-        "out": None,
-    },
-    "verify": {
-        "quick": False,
-        "seeds": None,
-        "control": None,
-        "jobs": 1,
-        "report": None,
-    },
-    "resolvent": {
-        "seed": 0,
-        "m": 12,
-        "state": None,
-        "t_end": 1.0,
-        "h": 1e-3,
-        "angles": 8,
-        "radius_mult": 2.0,
-        "tol": 1e-10,
-        "stride": None,
-        "closed_form": False,
-        "out": None,
-    },
-    "moments": {
-        "seed": 0,
-        "m": 12,
-        "state": None,
-        "n_max": 6,
-        "method": "power",
-        "t": 0.0,
-        "h": 1e-3,
-        "out": None,
-    },
-    "polys": {
-        "seed": 0,
-        "m": 12,
-        "state": None,
-        "count": 4,
-        "out": None,
-    },
-}
+_INSTANCE = "simulate resolvent moments polys"
+_METHODS = ("power", "conditions", "series")
+
+
+def _seed_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s.strip()]
+
+
+def _at_least_one(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+# One row per option: name, the subcommands that take it, its type (bool
+# means an on/off flag, a tuple lists the choices), default and help. The
+# flag is --name with "-" for "_"; a --config key is the name and goes
+# through the same conversion as the flag.
+_OPTIONS = (
+    ("seed", _INSTANCE, int, 0, "seed for the random instance"),
+    ("m", _INSTANCE, int, 12, "truncation size (even, >= 4)"),
+    ("state", _INSTANCE, str, None, "JSON state file (overrides --seed/--m)"),
+    ("t_end", "simulate resolvent", float, 1.0, "integration horizon"),
+    ("h", "simulate resolvent moments", float, 1e-3, "RK4 step size"),
+    ("corruption", "simulate", CONTROL_KINDS, None, "corrupt the flow on purpose"),
+    ("magnitude", "simulate", float, 0.1, "corruption magnitude"),
+    ("quick", "verify", bool, False, "3 seeds"),
+    ("seeds", "verify", _seed_list, None, "comma separated seed list, e.g. 0,1,2"),
+    ("control", "verify", CONTROL_KINDS, None, "run only this negative control"),
+    ("jobs", "verify", int, 1, "must be >= 1; checks always run serially"),
+    ("report", "verify", str, None, "write a deterministic JSON report here"),
+    ("angles", "resolvent", _at_least_one, 8, "ring points per time sample"),
+    ("radius_mult", "resolvent", float, 2.0, "ring radius over the largest norm bound"),
+    ("tol", "resolvent", float, 1e-10, "series tail target"),
+    ("stride", "resolvent", _at_least_one, None, "write every Nth time sample"),
+    ("closed_form", "resolvent", bool, False, "also tabulate the closed form"),
+    ("n_max", "moments", int, 6, "highest block order"),
+    ("method", "moments", _METHODS, "power", "matrix powers, recurrence, or series"),
+    ("t", "moments", float, 0.0, "report at this time (grid aligned)"),
+    ("count", "polys", int, 4, "highest vector block index"),
+    ("out", _INSTANCE, str, None, "output file (default stdout)"),
+)
+
+
+def _options_of(command: str) -> list[tuple]:
+    return [row for row in _OPTIONS if command in row[1].split()]
 
 
 def _pair(z) -> list[float]:
@@ -134,7 +140,7 @@ def _load_state(path: str) -> LatticeState:
 
 
 def _instance(ns) -> LatticeState:
-    if getattr(ns, "state", None):
+    if ns.state:
         return _load_state(ns.state)
     return random_state(ns.seed, ns.m)
 
@@ -150,22 +156,37 @@ def _emit(text: str, out: str | None, what: str) -> None:
         print(f"wrote {what} to {out}")
 
 
-def _merged(args: argparse.Namespace, command: str) -> SimpleNamespace:
-    spec = _SPECS[command]
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key in cfg:
-            if key not in spec:
-                raise ValueError(f"unknown config field {key!r} for {command}")
-    merged = {}
-    for key, default in spec.items():
-        cli_val = getattr(args, key)
-        merged[key] = cli_val if cli_val is not None else cfg.get(key, default)
-    return SimpleNamespace(**merged)
+def _emit_csv(out: str | None, what: str, write, *args) -> None:
+    """write(out, *args), or write(stdout, *args) when out is None or "-"."""
+    if out is None or out == "-":
+        write(sys.stdout, *args)
+    else:
+        write(out, *args)
+        print(f"wrote {what} to {out}")
+
+
+def _config_flags(path: str, command: str) -> list[str]:
+    """The options in JSON file path, spelled as flags of command."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    kinds = {name: kind for name, _, kind, _, _ in _options_of(command)}
+    flags = []
+    for key, value in cfg.items():
+        if key not in kinds:
+            raise ValueError(f"unknown config field {key!r} for {command}")
+        if value is None:
+            continue
+        if kinds[key] is _seed_list and isinstance(value, list):
+            value = ",".join(map(str, value))
+        is_bool = isinstance(value, bool)
+        if is_bool != (kinds[key] is bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config field {key!r} cannot be {value!r}")
+        flag = "--" + key.replace("_", "-")
+        if value is not False:
+            flags.append(flag if value is True else f"{flag}={value}")
+    return flags
 
 
 # ----------------------------------------------------------------------
@@ -174,26 +195,15 @@ def _merged(args: argparse.Namespace, command: str) -> SimpleNamespace:
 
 def _cmd_simulate(ns) -> int:
     state = _instance(ns)
-    corruption = (
-        CorruptionSpec(ns.corruption, float(ns.magnitude)) if ns.corruption else None
-    )
-    traj = integrate(
-        state, IntegratorConfig(t_end=float(ns.t_end), h=float(ns.h)), corruption
-    )
-    _emit(traj.to_csv_string(), ns.out, f"{traj.n_samples} samples")
+    corruption = CorruptionSpec(ns.corruption, ns.magnitude) if ns.corruption else None
+    traj = integrate(state, IntegratorConfig(t_end=ns.t_end, h=ns.h), corruption)
+    _emit_csv(ns.out, f"{traj.n_samples} samples", traj.to_csv)
     return 0
 
 
 def _cmd_verify(ns) -> int:
-    seeds = ns.seeds
-    if isinstance(seeds, str):
-        seeds = [int(s) for s in seeds.split(",") if s.strip()]
-    if ns.control is not None and ns.control not in CONTROL_KINDS:
-        raise ValueError(
-            f"unknown control {ns.control!r}; pick one of {', '.join(CONTROL_KINDS)}"
-        )
     reports = run_suite(
-        seeds=seeds, quick=bool(ns.quick), control=ns.control, jobs=int(ns.jobs)
+        seeds=ns.seeds, quick=ns.quick, control=ns.control, jobs=ns.jobs
     )
     for r in reports:
         tag = "PASS" if r.passed else "FAIL"
@@ -205,97 +215,67 @@ def _cmd_verify(ns) -> int:
     n_fail = sum(not r.passed for r in reports)
     print(f"{len(reports)} checks: {len(reports) - n_fail} passed, {n_fail} failed")
     if ns.report:
-        with open(ns.report, "w") as fh:
-            fh.write(reports_to_json(reports))
-        print(f"wrote report to {ns.report}")
+        _emit(reports_to_json(reports), ns.report, "report")
     return 1 if n_fail else 0
 
 
 def _cmd_resolvent(ns) -> int:
     state = _instance(ns)
-    cfg = IntegratorConfig(t_end=float(ns.t_end), h=float(ns.h))
+    cfg = IntegratorConfig(t_end=ns.t_end, h=ns.h)
     probe = integrate(state, cfg)
-    rho_max = float(np.max(probe.norm_bounds()))
-    n_angles = int(ns.angles)
-    zs = (
-        float(ns.radius_mult)
-        * rho_max
-        * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    )
-    traj = (
-        integrate_with_closed_form(state, cfg, zs) if ns.closed_form else probe
-    )
-    closed = {z: closed_form_resolvent(traj, z) for z in zs} if ns.closed_form else {}
-    stride = int(ns.stride) if ns.stride else max(1, traj.n_samples // 10)
+    zs = spectral_ring(probe, ns.angles, ns.radius_mult)
+    traj = integrate_with_closed_form(state, cfg, zs) if ns.closed_form else probe
+    closed = [closed_form_resolvent(traj, z) for z in zs] if ns.closed_form else []
+    stride = ns.stride or max(1, traj.n_samples // 10)
     rows = list(range(0, traj.n_samples, stride))
     if rows[-1] != traj.n_samples - 1:
         rows.append(traj.n_samples - 1)
 
-    cols = ["t", "z_re", "z_im"]
-    for i in (1, 2):
-        for j in (1, 2):
-            cols += [f"r{i}{j}_re", f"r{i}{j}_im"]
-    cols.append("tail_bound")
+    block = [f"{i}{j}_{x}" for i in (1, 2) for j in (1, 2) for x in ("re", "im")]
+    cols = ["t", "z_re", "z_im", *("r" + c for c in block), "tail_bound"]
     if ns.closed_form:
-        for i in (1, 2):
-            for j in (1, 2):
-                cols += [f"cf{i}{j}_re", f"cf{i}{j}_im"]
-        cols.append("max_diff")
-
-    lines = [",".join(cols)]
-    g = "{:.17g}".format
+        cols += ["cf" + c for c in block] + ["max_diff"]
+    table = []
     for k in rows:
         st = traj.state_at(k)
         for iz, z in enumerate(zs):
-            rb = resolvent_block(st, complex(z), tol=float(ns.tol))
-            vals = [g(traj.ts[k]), g(z.real), g(z.imag)]
-            vals += [g(x) for entry in rb.value.ravel() for x in (entry.real, entry.imag)]
-            vals.append(g(rb.tail_bound))
+            rb = resolvent_block(st, complex(z), tol=ns.tol)
+            row = [traj.ts[k], z.real, z.imag, *rb.value.ravel().view(np.float64)]
+            row.append(rb.tail_bound)
             if ns.closed_form:
-                cf = closed[z][k]
-                vals += [g(x) for entry in cf.ravel() for x in (entry.real, entry.imag)]
-                vals.append(g(float(np.max(np.abs(cf - rb.value)))))
-            lines.append(",".join(vals))
-    _emit("\n".join(lines) + "\n", ns.out, f"{len(lines) - 1} resolvent rows")
+                cf = closed[iz][k]
+                row += [*cf.ravel().view(np.float64), np.max(np.abs(cf - rb.value))]
+            table.append(row)
+    _emit_csv(ns.out, f"{len(table)} resolvent rows", write_csv, cols, np.array(table))
     return 0
 
 
 def _cmd_moments(ns) -> int:
     state = _instance(ns)
-    n_max = int(ns.n_max)
-    t = float(ns.t)
-    doc = {"m": state.m, "n_max": n_max, "method": ns.method, "t": t}
+    doc = {"m": state.m, "n_max": ns.n_max, "method": ns.method, "t": ns.t}
     if ns.method == "series":
         u0 = moments_from_j(state, 60, require_locality=False)
-        em = exponential_moments(u0, t, n_max, norm_bound(state))
+        em = exponential_moments(u0, ns.t, ns.n_max, norm_bound(state))
         doc["moments"] = _pairs(em.functional.moments)
         doc["tail_bound"] = em.tail_bound
         doc["terms_used"] = em.terms_used
     else:
-        if t != 0.0:
-            traj = integrate(state, IntegratorConfig(t_end=t, h=float(ns.h)))
+        if ns.t != 0.0:
+            traj = integrate(state, IntegratorConfig(t_end=ns.t, h=ns.h))
             state = traj.state_at(traj.n_samples - 1)
-        if ns.method == "power":
-            u = moments_from_j(state, n_max)
-        elif ns.method == "conditions":
-            u = moments_from_recurrence(state, n_max)
-        else:
-            raise ValueError(
-                f"unknown method {ns.method!r}; pick power, conditions, or series"
-            )
-        doc["moments"] = _pairs(u.moments)
+        solve = moments_from_j if ns.method == "power" else moments_from_recurrence
+        doc["moments"] = _pairs(solve(state, ns.n_max).moments)
     _emit(json.dumps(doc, indent=2), ns.out, "moment blocks")
     return 0
 
 
 def _cmd_polys(ns) -> int:
     state = _instance(ns)
-    count = int(ns.count)
-    vps = vector_polys(state, count)
-    scalars = scalar_polys(state, 2 * count + 1)
+    vps = vector_polys(state, ns.count)
+    scalars = scalar_polys(state, 2 * ns.count + 1)
     doc = {
         "m": state.m,
-        "count": count,
+        "count": ns.count,
         "scalar": [_pairs(p) for p in scalars],
         "vector": [
             {"n": vp.n, "top": _pairs(vp.top), "bottom": _pairs(vp.bottom)}
@@ -309,6 +289,14 @@ def _cmd_polys(ns) -> int:
 # ----------------------------------------------------------------------
 # parser
 
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "integrate an instance, write the trajectory as CSV"),
+    "verify": (_cmd_verify, "run the cross-verification suite"),
+    "resolvent": (_cmd_resolvent, "sweep the leading resolvent block over a ring"),
+    "moments": (_cmd_moments, "dump moment blocks as JSON"),
+    "polys": (_cmd_polys, "dump scalar and vector polynomial coefficients as JSON"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -317,99 +305,38 @@ def _build_parser() -> argparse.ArgumentParser:
         "the moment, resolvent, and polynomial laws they satisfy.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="JSON file of option defaults; flags win")
-        return sp
-
-    sp = add("simulate", "integrate an instance and write the trajectory as CSV")
-    sp.add_argument("--seed", type=int, help="seed for the random instance")
-    sp.add_argument("--m", type=int, help="truncation size (even, >= 4)")
-    sp.add_argument("--t-end", type=float, dest="t_end", help="integration horizon")
-    sp.add_argument("--h", type=float, help="RK4 step size")
-    sp.add_argument("--state", help="JSON state file (overrides --seed/--m)")
-    sp.add_argument(
-        "--corruption", choices=CONTROL_KINDS, help="corrupt the flow on purpose"
-    )
-    sp.add_argument("--magnitude", type=float, help="corruption magnitude")
-    sp.add_argument("--out", help="CSV path (default stdout)")
-
-    sp = add("verify", "run the cross-verification suite")
-    sp.add_argument("--quick", action="store_true", default=None, help="3 seeds")
-    sp.add_argument("--seeds", help="comma separated seed list, e.g. 0,1,2")
-    sp.add_argument(
-        "--control", choices=CONTROL_KINDS, help="run only this negative control"
-    )
-    sp.add_argument("--jobs", type=int, help="must be >= 1; checks always run serially")
-    sp.add_argument("--report", help="write a deterministic JSON report here")
-
-    sp = add("resolvent", "sweep the leading resolvent block over a spectral ring")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--state", help="JSON state file (overrides --seed/--m)")
-    sp.add_argument("--t-end", type=float, dest="t_end")
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--angles", type=int, help="ring points per time sample")
-    sp.add_argument(
-        "--radius-mult",
-        type=float,
-        dest="radius_mult",
-        help="ring radius as a multiple of the worst-case norm bound",
-    )
-    sp.add_argument("--tol", type=float, help="series tail target")
-    sp.add_argument("--stride", type=int, help="write every Nth time sample")
-    sp.add_argument(
-        "--closed-form",
-        action="store_true",
-        default=None,
-        dest="closed_form",
-        help="also tabulate the quadrature closed form and the difference",
-    )
-    sp.add_argument("--out", help="CSV path (default stdout)")
-
-    sp = add("moments", "dump moment blocks as JSON")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--state", help="JSON state file (overrides --seed/--m)")
-    sp.add_argument("--n-max", type=int, dest="n_max", help="highest block order")
-    sp.add_argument(
-        "--method",
-        choices=("power", "conditions", "series"),
-        help="power: matrix powers; conditions: solved from the recurrence "
-        "conditions; series: exponential series evolved to --t",
-    )
-    sp.add_argument("--t", type=float, help="report at this time (grid aligned)")
-    sp.add_argument("--h", type=float, help="step size when --t > 0")
-    sp.add_argument("--out", help="JSON path (default stdout)")
-
-    sp = add("polys", "dump scalar and vector polynomial coefficients as JSON")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--state", help="JSON state file (overrides --seed/--m)")
-    sp.add_argument("--count", type=int, help="highest vector block index")
-    sp.add_argument("--out", help="JSON path (default stdout)")
-
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", help="JSON file of option values; flags win")
+        for name, _, kind, default, help_text in _options_of(command):
+            if kind is bool:
+                how = {"action": "store_true"}
+            else:
+                how = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            flag = "--" + name.replace("_", "-")
+            sp.add_argument(flag, dest=name, default=default, help=help_text, **how)
     return p
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "resolvent": _cmd_resolvent,
-    "moments": _cmd_moments,
-    "polys": _cmd_polys,
-}
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Options of argv; --config values go in before the flags, so flags win."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        i = argv.index(args.command) + 1
+        args = parser.parse_args(
+            argv[:i] + _config_flags(args.config, args.command) + argv[i:]
+        )
+    return args
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
+        return _COMMANDS[args.command][0](args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else (0 if e.code is None else 2)
-    try:
-        ns = _merged(args, args.command)
-        return _HANDLERS[args.command](ns)
     except (CNearZeroError, SeriesCapError, ZTooSmallError, np.linalg.LinAlgError) as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return 3

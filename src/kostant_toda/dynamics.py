@@ -50,10 +50,11 @@ _CORRUPTION_MODES = {
 
 
 class CNearZeroError(RuntimeError):
-    """Raised when some |c_n| falls below the configured floor.
+    """Raised when some |c_n| falls below the configured floor or turns NaN.
 
     The c band must stay away from zero for the block partition to remain
-    invertible; the integrator refuses to continue past that point.
+    invertible; the integrator refuses to continue past that point. A NaN
+    c_min means the bands overflowed: the flow left the finite range.
     """
 
     def __init__(self, t: float, step: int, c_min: float, c_floor: float):
@@ -61,10 +62,12 @@ class CNearZeroError(RuntimeError):
         self.step = step
         self.c_min = c_min
         self.c_floor = c_floor
-        super().__init__(
-            f"min |c| = {c_min:.3e} fell below floor {c_floor:.3e} "
-            f"at t = {t:.6g} (step {step})"
+        what = (
+            f"min |c| = {c_min:.3e} fell below floor {c_floor:.3e}"
+            if np.isfinite(c_min)
+            else "the flow left the finite range"
         )
+        super().__init__(f"{what} at t = {t:.6g} (step {step})")
 
 
 @dataclass(frozen=True)
@@ -220,32 +223,28 @@ class Trajectory:
         """Write t, Re/Im of every band entry and quadrature, one row per sample."""
         m = self.m
         cols = ["t"]
-        for name, count in (("a", m), ("b", m - 1), ("c", m - 2)):
+        for name, count in (("a", m), ("b", m - 1), ("c", m - 2), ("q", 3)):
             for n in range(1, count + 1):
                 cols += [f"{name}{n}_re", f"{name}{n}_im"]
-        for n in (1, 2, 3):
-            cols += [f"q{n}_re", f"q{n}_im"]
-
-        def write(buf):
-            buf.write(",".join(cols) + "\n")
-            band = self.samples[:, : 3 * m]
-            for k in range(self.n_samples):
-                vals = [f"{self.ts[k]:.17g}"]
-                for v in band[k]:
-                    vals.append(f"{v.real:.17g}")
-                    vals.append(f"{v.imag:.17g}")
-                buf.write(",".join(vals) + "\n")
-
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w", newline="\n") as f:
-                write(f)
-        else:
-            write(path_or_buf)
+        bands = self.samples[:, : 3 * m].view(np.float64)  # re, im interleaved
+        write_csv(path_or_buf, cols, np.column_stack([self.ts, bands]))
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
+
+
+def write_csv(path_or_buf, columns, table) -> None:
+    """Write a float table as CSV: a header line, then %.17g per field.
+
+    %.17g round-trips every double exactly. Kept out of __all__ so that
+    tracers time it as part of its caller.
+    """
+    header = ",".join(columns)
+    np.savetxt(
+        path_or_buf, table, fmt="%.17g", delimiter=",", header=header, comments=""
+    )
 
 
 def integrate(
@@ -260,7 +259,7 @@ def integrate(
     resolvent_zs / x0_blocks attach per-z quadrature blocks with the given
     initial 2x2 values; they are integrated jointly so that every RK4 stage
     sees stage-consistent band values. Raises CNearZeroError if any |c_n|
-    reaches the configured floor.
+    reaches the configured floor or the bands overflow.
     """
     c_min0 = float(np.min(np.abs(state.c)))
     if c_min0 < cfg.c_floor:

@@ -216,6 +216,17 @@ def generating_ode_residual(
     return float(np.max(np.abs(res)))
 
 
+def spectral_ring(traj: Trajectory, n_angles: int, mult: float = 2.0) -> np.ndarray:
+    """Points z = mult * rho_max * exp(2 pi i k / n_angles), k = 0..n_angles-1.
+
+    rho_max is the largest norm bound along traj, so with mult >= MARGIN every
+    z respects the margin at every sample. Kept out of __all__ so that
+    tracers time it as part of its caller.
+    """
+    rho_max = float(np.max(traj.norm_bounds()))
+    return mult * rho_max * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+
+
 def integrate_with_closed_form(
     state: LatticeState, cfg: IntegratorConfig, zs
 ) -> Trajectory:

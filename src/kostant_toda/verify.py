@@ -53,6 +53,7 @@ from .resolvent import (
     integrate_with_closed_form,
     resolvent_block,
     resolvent_ode_residual,
+    spectral_ring,
 )
 
 __all__ = [
@@ -121,12 +122,6 @@ def _flow_traj(seed, corruption=None, h=None, t_end=None):
     t_end = t_end if t_end is not None else _FLOW["t_end"]
     state = random_state(seed, _FLOW["m"])
     return integrate(state, IntegratorConfig(t_end=t_end, h=h), corruption=corruption)
-
-
-def _ring(traj, n_angles, mult=2.0):
-    """Points z = mult * rho_max * exp(2 pi i k / n) for the whole path."""
-    rho = float(np.max(traj.norm_bounds()))
-    return mult * rho * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +193,7 @@ def check_resolvent_ode(seeds, corruption=None, n_angles=4):
     worst = _Worst()
     for seed in seeds:
         traj = _flow_traj(seed, corruption=corruption)
-        for z in _ring(traj, n_angles):
+        for z in spectral_ring(traj, n_angles):
             for t in (0.1, 0.4):
                 worst.add(resolvent_ode_residual(traj, z, t))
     return worst.report(
@@ -240,7 +235,7 @@ def check_generating_ode(seeds, n_angles=4):
     worst = _Worst()
     for seed in seeds:
         traj = _flow_traj(seed)
-        for zeta in _ring(traj, n_angles):
+        for zeta in spectral_ring(traj, n_angles):
             for t in (0.1, 0.4):
                 worst.add(generating_ode_residual(traj, zeta, t))
     return worst.report(
@@ -381,8 +376,7 @@ def check_closed_form_resolvent(seeds, n_angles=16, t=0.5):
     for seed in seeds:
         state = random_state(seed, _FLOW["m"])
         probe = integrate(state, IntegratorConfig(t_end=t, h=_FLOW["h"]))
-        rho = float(np.max(probe.norm_bounds()))
-        zs = 2.0 * rho * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+        zs = spectral_ring(probe, n_angles)
         traj = integrate_with_closed_form(
             state, IntegratorConfig(t_end=t, h=_FLOW["h"]), zs
         )

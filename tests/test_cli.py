@@ -5,6 +5,15 @@ import numpy as np
 import pytest
 
 import kostant_toda.cli as cli
+from kostant_toda import (
+    IntegratorConfig,
+    closed_form_resolvent,
+    integrate,
+    integrate_with_closed_form,
+    random_state,
+    resolvent_block,
+)
+from kostant_toda.resolvent import spectral_ring
 from kostant_toda.verify import CheckReport
 
 
@@ -214,3 +223,118 @@ def test_nonfinite_state_file_is_a_configuration_error(tmp_path, capsys, field, 
 def test_nonfinite_horizon_or_step_is_a_configuration_error(capsys, flags):
     assert run(["simulate", "--seed", "0", "--m", "8", *flags]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("simulate", {"seed": 1.5}),  # int
+    ("simulate", {"m": 6.0}),  # int
+    ("simulate", {"t_end": True}),  # float
+    ("verify", {"quick": "false"}),  # bool
+    ("resolvent", {"closed_form": 1}),  # bool
+    ("moments", {"method": "bogus"}),  # choices
+    ("verify", {"seeds": [0, 1.5]}),  # seed list
+])
+def test_config_value_of_wrong_type_is_a_configuration_error(tmp_path, capsys,
+                                                             command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([command, "--config", str(cfg)]) == 2
+    (key,) = doc
+    assert key in capsys.readouterr().err.replace("-", "_")
+
+
+def test_config_seeds_as_list_or_comma_string(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for seeds in ([0, 3], "0,3"):
+        cfg.write_text(json.dumps({"seeds": seeds, "quick": True}))
+        args = cli._parse(["verify", "--config", str(cfg)])
+        assert args.seeds == [0, 3] and args.quick is True
+
+
+_SAMPLES = {int: ("3", 3), float: ("0.5", 0.5), str: ("x.json", "x.json"),
+            cli._seed_list: ("1,2", [1, 2]), cli._at_least_one: ("3", 3)}
+
+
+def _option_cases():
+    for name, commands, kind, _default, _help in cli._OPTIONS:
+        for command in commands.split():
+            yield command, name, kind
+
+
+@pytest.mark.parametrize("command,name,kind", list(_option_cases()))
+def test_every_option_is_a_flag_and_a_config_key(tmp_path, command, name, kind):
+    flag = ["--" + name.replace("_", "-")]
+    if kind is bool:
+        value = config_value = True
+    elif isinstance(kind, tuple):
+        value = config_value = kind[-1]
+        flag.append(value)
+    else:
+        text, value = _SAMPLES[kind]
+        config_value = value
+        flag.append(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: config_value}))
+    assert getattr(cli._parse([command]), name) != value
+    assert getattr(cli._parse([command, *flag]), name) == value
+    assert getattr(cli._parse([command, "--config", str(cfg)]), name) == value
+
+
+def test_simulate_stdout_matches_out_file(tmp_path, capsys):
+    argv = ["simulate", "--seed", "2", "--m", "8", "--t-end", "0.02", "--h", "0.001"]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "t.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("closed_form", [False, True])
+def test_resolvent_csv_parses_back_bit_identical(tmp_path, closed_form):
+    out = tmp_path / "r.csv"
+    argv = ["resolvent", "--seed", "3", "--m", "8", "--t-end", "0.02", "--h", "0.001",
+            "--angles", "3", "--stride", "7", "--out", str(out)]
+    assert run(argv + ["--closed-form"] * closed_form) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    state, cfg = random_state(3, 8), IntegratorConfig(t_end=0.02, h=0.001)
+    traj = integrate(state, cfg)
+    zs = spectral_ring(traj, 3)
+    if closed_form:
+        traj = integrate_with_closed_form(state, cfg, zs)
+    assert table.shape == (4 * 3, 12 + 9 * closed_form)
+    rows = iter(table)
+    for k in (0, 7, 14, 20):
+        for z in zs:
+            row = next(rows)
+            rb = resolvent_block(traj.state_at(k), complex(z), tol=1e-10)
+            expect = [traj.ts[k], z.real, z.imag]
+            expect += [x for e in rb.value.ravel() for x in (e.real, e.imag)]
+            expect.append(rb.tail_bound)
+            if closed_form:
+                cf = closed_form_resolvent(traj, z)[k]
+                expect += [x for e in cf.ravel() for x in (e.real, e.imag)]
+                expect.append(np.max(np.abs(cf - rb.value)))
+            assert row.tobytes() == np.array(expect).tobytes()
+
+
+@pytest.mark.parametrize("flags", [["--stride", "0"], ["--stride", "-1"],
+                                   ["--angles", "0"], ["--angles", "-2"]])
+def test_resolvent_stride_and_angles_below_one_are_configuration_errors(capsys,
+                                                                        flags):
+    assert run(["resolvent", "--seed", "0", "--m", "8", "--t-end", "0.01",
+                *flags]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "32", "--m", "32", "--t-end", "2", "--h", "1e-3"],
+    ["resolvent", "--seed", "32", "--m", "32", "--t-end", "2", "--h", "1e-3",
+     "--angles", "2"],
+    ["moments", "--seed", "32", "--m", "32", "--t", "2"],
+])
+def test_overflowing_flow_is_a_numerical_abort(capsys, argv):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert "left the finite range" in captured.err
+    assert captured.out == ""

@@ -16,6 +16,7 @@ from kostant_toda import (
     norm_bound,
     random_state,
 )
+from kostant_toda.dynamics import write_csv
 
 
 def test_rhs_hand_value(unit_instance):
@@ -130,6 +131,16 @@ def test_c_floor_abort():
     assert abs(exc.value.t - np.log(1.1) / 4) < 2e-3
 
 
+@pytest.mark.parametrize("seed,step", [(32, 1673), (33, 1556), (52, 1739)])
+def test_overflowing_flow_aborts(seed, step):
+    # the bands overflow and c turns NaN, which never compares below the floor
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CNearZeroError, match="left the finite range") as exc:
+            integrate(random_state(seed, 32), IntegratorConfig(t_end=2.0, h=1e-3))
+    assert exc.value.step == step
+    assert np.isnan(exc.value.c_min)
+
+
 def test_corrupted_flow_diverges_from_clean():
     st = random_state(0, 8)
     cfg = IntegratorConfig(t_end=0.5, h=1e-3)
@@ -181,3 +192,12 @@ def test_central_diff_on_cubic():
 def test_integrator_config_rejects_nonfinite(t_end, h):
     with pytest.raises(ValueError, match="finite"):
         IntegratorConfig(t_end=t_end, h=h)
+
+
+def test_write_csv_formats_every_double_like_17g():
+    vals = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1 / 3]
+    table = np.array(vals).reshape(4, 2)
+    buf = io.StringIO()
+    write_csv(buf, ["x", "y"], table)
+    expected = "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in table.tolist())
+    assert buf.getvalue() == expected

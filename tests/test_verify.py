@@ -86,7 +86,7 @@ def test_report_json_shape(quick_reports):
     doc = json.loads(reports_to_json(quick_reports))
     assert doc["schema"] == "kostant-toda-verify/1"
     assert doc["all_passed"] is True
-    assert doc["backend"] in ("numba", "numpy")
+    assert doc["backend"] == "numpy"
     assert len(doc["checks"]) == len(EXPECTED_IDS)
     for row in doc["checks"]:
         assert "runtime_s" not in row
