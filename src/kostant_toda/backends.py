@@ -18,9 +18,8 @@ Packed state layout, length 3m + 4*nz complex entries:
 The quadratures feed the closed-form resolvent: N(t) is the upper
 triangular matrix with entries exp(q1), exp(q1)*q3 / 0, exp(q2).
 
-Corruption modes (negative controls for the verification harness):
-  0 none, 1 scale b' by (1-mag), 2 scale c' by (1+mag),
-  3 remove mag*(c_n - c_{n-1}) from b_n'.
+A corruption (dynamics.CorruptionSpec, or None) bends the flow on purpose
+for the negative controls of the verification harness.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ import numpy as np
 
 # Run records report this flag; the package never imports the module.
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
+
+C_FLOOR = 1e-12  # the integrator aborts once some |c_n| falls below this
 
 __all__ = [
     "HAS_NUMBA",
@@ -46,8 +47,9 @@ def active_backend() -> str:
     return "numpy"
 
 
-def pack_state(a, b, c, q=(0.0, 0.0, 0.0), x_blocks=None) -> np.ndarray:
-    parts = [a, b, c, q]
+def pack_state(a, b, c, x_blocks=None) -> np.ndarray:
+    """Packed row with the quadratures q1, q2, q3 at zero."""
+    parts = [a, b, c, np.zeros(3)]
     if x_blocks is not None:
         parts.append(np.asarray(x_blocks, dtype=np.complex128).ravel())
     return np.concatenate([np.asarray(p, dtype=np.complex128).ravel() for p in parts])
@@ -63,7 +65,7 @@ def unpack_bands(y: np.ndarray, m: int):
     )
 
 
-def _rhs(t, y, dy, m, zs, mode, mag):
+def _rhs(t, y, dy, m, zs, corruption):
     """Write the derivative of packed row y at time t into dy."""
     a = y[:m]
     b = y[m : 2 * m - 1]
@@ -82,13 +84,15 @@ def _rhs(t, y, dy, m, zs, mode, mag):
 
     dc[:] = c * (a[2:] - a[:-2])
 
-    if mode == 1:
-        db *= 1.0 - mag
-    elif mode == 2:
-        dc *= 1.0 + mag
-    elif mode == 3:
-        db[: m - 2] -= mag * c
-        db[1:] += mag * c
+    if corruption is not None:
+        mag = corruption.magnitude
+        if corruption.kind == "freeze-b":
+            db *= 1.0 - mag
+        elif corruption.kind == "scale-c-rhs":
+            dc *= 1.0 + mag
+        else:  # drop-commutator-term
+            db[: m - 2] -= mag * c
+            db[1:] += mag * c
 
     q1 = y[3 * m - 3]
     q2 = y[3 * m - 2]
@@ -108,12 +112,13 @@ def _rhs(t, y, dy, m, zs, mode, mag):
         dy[3 * m :] = (w[:, None] * cn[None, :]).ravel()
 
 
-def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, c_floor=1e-12, mode=0, mag=0.0):
+def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, corruption=None):
     """Integrate the packed state; returns (samples, status).
 
     samples has shape (n_steps + 1, len(y0)); status is 0 on success or the
-    1-based step index at which min |c| fell below c_floor or turned NaN, as
+    1-based step index at which min |c| fell below C_FLOOR or turned NaN, as
     it does when the bands overflow (rows past that index are unspecified).
+    Overflow is reported by status alone: numpy's warnings are silenced.
     """
     y0 = np.ascontiguousarray(y0, dtype=np.complex128)
     if zs is None:
@@ -131,15 +136,16 @@ def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, c_floor=1e-12, mode=0, ma
     k2 = np.empty(L, dtype=np.complex128)
     k3 = np.empty(L, dtype=np.complex128)
     k4 = np.empty(L, dtype=np.complex128)
-    for k in range(n_steps):
-        t = t0 + k * h
-        _rhs(t, y, k1, m, zs, mode, mag)
-        _rhs(t + 0.5 * h, y + (0.5 * h) * k1, k2, m, zs, mode, mag)
-        _rhs(t + 0.5 * h, y + (0.5 * h) * k2, k3, m, zs, mode, mag)
-        _rhs(t + h, y + h * k3, k4, m, zs, mode, mag)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y
-        cmin = np.min(np.abs(y[2 * m - 1 : 3 * m - 3]))
-        if not cmin >= c_floor:
-            return out, k + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = t0 + k * h
+            _rhs(t, y, k1, m, zs, corruption)
+            _rhs(t + 0.5 * h, y + (0.5 * h) * k1, k2, m, zs, corruption)
+            _rhs(t + 0.5 * h, y + (0.5 * h) * k2, k3, m, zs, corruption)
+            _rhs(t + h, y + h * k3, k4, m, zs, corruption)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[k + 1] = y
+            cmin = np.min(np.abs(y[2 * m - 1 : 3 * m - 3]))
+            if not cmin >= C_FLOOR:
+                return out, k + 1
     return out, 0

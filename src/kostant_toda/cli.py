@@ -65,6 +65,13 @@ def _at_least_one(text: str) -> int:
     return n
 
 
+def _finite_positive(text: str) -> float:
+    x = float(text)
+    if not (np.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {x}")
+    return x
+
+
 # One row per option: name, the subcommands that take it, its type (bool
 # means an on/off flag, a tuple lists the choices), default and help. The
 # flag is --name with "-" for "_"; a --config key is the name and goes
@@ -83,8 +90,9 @@ _OPTIONS = (
     ("jobs", "verify", int, 1, "must be >= 1; checks always run serially"),
     ("report", "verify", str, None, "write a deterministic JSON report here"),
     ("angles", "resolvent", _at_least_one, 8, "ring points per time sample"),
-    ("radius_mult", "resolvent", float, 2.0, "ring radius over the largest norm bound"),
-    ("tol", "resolvent", float, 1e-10, "series tail target"),
+    ("radius_mult", "resolvent", _finite_positive, 2.0,
+     "ring radius over the largest norm bound"),
+    ("tol", "resolvent", _finite_positive, 1e-10, "series tail target"),
     ("stride", "resolvent", _at_least_one, None, "write every Nth time sample"),
     ("closed_form", "resolvent", bool, False, "also tabulate the closed form"),
     ("n_max", "moments", int, 6, "highest block order"),
@@ -145,24 +153,18 @@ def _instance(ns) -> LatticeState:
     return random_state(ns.seed, ns.m)
 
 
-def _emit(text: str, out: str | None, what: str) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {what} to {out}")
-
-
-def _emit_csv(out: str | None, what: str, write, *args) -> None:
-    """write(out, *args), or write(stdout, *args) when out is None or "-"."""
+def _emit(out: str | None, what: str, write, *args) -> None:
+    """write(stream, *args) to stdout when out is None or "-", else to file out."""
     if out is None or out == "-":
         write(sys.stdout, *args)
-    else:
-        write(out, *args)
-        print(f"wrote {what} to {out}")
+        return
+    with open(out, "w") as fh:
+        write(fh, *args)
+    print(f"wrote {what} to {out}")
+
+
+def _write_json(stream, text: str) -> None:
+    stream.write(text + "\n")
 
 
 def _config_flags(path: str, command: str) -> list[str]:
@@ -197,7 +199,7 @@ def _cmd_simulate(ns) -> int:
     state = _instance(ns)
     corruption = CorruptionSpec(ns.corruption, ns.magnitude) if ns.corruption else None
     traj = integrate(state, IntegratorConfig(t_end=ns.t_end, h=ns.h), corruption)
-    _emit_csv(ns.out, f"{traj.n_samples} samples", traj.to_csv)
+    _emit(ns.out, f"{traj.n_samples} samples", traj.to_csv)
     return 0
 
 
@@ -215,7 +217,7 @@ def _cmd_verify(ns) -> int:
     n_fail = sum(not r.passed for r in reports)
     print(f"{len(reports)} checks: {len(reports) - n_fail} passed, {n_fail} failed")
     if ns.report:
-        _emit(reports_to_json(reports), ns.report, "report")
+        _emit(ns.report, "report", _write_json, reports_to_json(reports))
     return 1 if n_fail else 0
 
 
@@ -246,7 +248,7 @@ def _cmd_resolvent(ns) -> int:
                 cf = closed[iz][k]
                 row += [*cf.ravel().view(np.float64), np.max(np.abs(cf - rb.value))]
             table.append(row)
-    _emit_csv(ns.out, f"{len(table)} resolvent rows", write_csv, cols, np.array(table))
+    _emit(ns.out, f"{len(table)} resolvent rows", write_csv, cols, np.array(table))
     return 0
 
 
@@ -265,7 +267,7 @@ def _cmd_moments(ns) -> int:
             state = traj.state_at(traj.n_samples - 1)
         solve = moments_from_j if ns.method == "power" else moments_from_recurrence
         doc["moments"] = _pairs(solve(state, ns.n_max).moments)
-    _emit(json.dumps(doc, indent=2), ns.out, "moment blocks")
+    _emit(ns.out, "moment blocks", _write_json, json.dumps(doc, indent=2))
     return 0
 
 
@@ -282,7 +284,7 @@ def _cmd_polys(ns) -> int:
             for vp in vps
         ],
     }
-    _emit(json.dumps(doc, indent=2), ns.out, "polynomial coefficients")
+    _emit(ns.out, "polynomial coefficients", _write_json, json.dumps(doc, indent=2))
     return 0
 
 

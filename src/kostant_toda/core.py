@@ -129,7 +129,6 @@ def norm_bound(state: LatticeState) -> float:
     kept for every row, which keeps the bound independent of where the
     truncation cuts off.
     """
-    m = state.m
     cpad = np.concatenate([[0.0], [0.0], np.abs(state.c)])
     bpad = np.concatenate([[0.0], np.abs(state.b)])
     rows = cpad + bpad + np.abs(state.a) + 1.0
@@ -186,8 +185,8 @@ def d_block(state: LatticeState, n: int) -> np.ndarray:
     return np.array([[0.0, 0.0], [state.b[2 * n], 0.0]], dtype=np.complex128)
 
 
-def random_state(seed: int, m: int = 12, c_min: float = 0.2) -> LatticeState:
-    """Random instance: entries uniform in the unit disk, |c| >= c_min.
+def random_state(seed: int, m: int = 12) -> LatticeState:
+    """Random instance: entries uniform in the unit disk, |c| >= 0.2.
 
     Draw order is fixed (a, then b, then c, rejection sampling per entry)
     so a seed pins the instance bit-for-bit.
@@ -206,5 +205,5 @@ def random_state(seed: int, m: int = 12, c_min: float = 0.2) -> LatticeState:
 
     a = draw(m)
     b = draw(m - 1)
-    c = draw(m - 2, r_min=c_min)
+    c = draw(m - 2, r_min=0.2)
     return LatticeState(a, b, c)

@@ -42,28 +42,24 @@ __all__ = [
 # sample, so the stencil stays on the stored grid.
 STENCIL_HALFWIDTH = 2
 
-_CORRUPTION_MODES = {
-    "freeze-b": 1,
-    "scale-c-rhs": 2,
-    "drop-commutator-term": 3,
-}
+# The deliberate defects CorruptionSpec can inject, in report order.
+CORRUPTION_KINDS = ("freeze-b", "scale-c-rhs", "drop-commutator-term")
 
 
 class CNearZeroError(RuntimeError):
-    """Raised when some |c_n| falls below the configured floor or turns NaN.
+    """Raised when some |c_n| falls below the floor backends.C_FLOOR or turns NaN.
 
     The c band must stay away from zero for the block partition to remain
     invertible; the integrator refuses to continue past that point. A NaN
     c_min means the bands overflowed: the flow left the finite range.
     """
 
-    def __init__(self, t: float, step: int, c_min: float, c_floor: float):
+    def __init__(self, t: float, step: int, c_min: float):
         self.t = t
         self.step = step
         self.c_min = c_min
-        self.c_floor = c_floor
         what = (
-            f"min |c| = {c_min:.3e} fell below floor {c_floor:.3e}"
+            f"min |c| = {c_min:.3e} fell below floor {backends.C_FLOOR:.3e}"
             if np.isfinite(c_min)
             else "the flow left the finite range"
         )
@@ -83,17 +79,13 @@ class CorruptionSpec:
     magnitude: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _CORRUPTION_MODES:
+        if self.kind not in CORRUPTION_KINDS:
             raise ValueError(
                 f"unknown corruption kind {self.kind!r}; "
-                f"expected one of {sorted(_CORRUPTION_MODES)}"
+                f"expected one of {sorted(CORRUPTION_KINDS)}"
             )
         if not self.magnitude > 0:
             raise ValueError("corruption magnitude must be > 0")
-
-    @property
-    def mode(self) -> int:
-        return _CORRUPTION_MODES[self.kind]
 
 
 @dataclass(frozen=True)
@@ -102,15 +94,12 @@ class IntegratorConfig:
 
     t_end: float = 1.0
     h: float = 1e-3
-    c_floor: float = 1e-12
 
     def __post_init__(self):
         if not (self.h > 0 and np.isfinite(self.h)):
             raise ValueError(f"h must be finite and > 0, got {self.h}")
         if not (self.t_end >= 0 and np.isfinite(self.t_end)):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
-        if not self.c_floor >= 0:
-            raise ValueError("c_floor must be >= 0")
         n = round(self.t_end / self.h)
         if abs(n * self.h - self.t_end) > 1e-9 * max(1.0, abs(self.t_end)):
             raise ValueError(
@@ -126,7 +115,7 @@ def kostant_rhs(state: LatticeState):
     """Time derivatives (a', b', c') of the coefficient arrays."""
     y = backends.pack_state(state.a, state.b, state.c)
     dy = np.empty_like(y)
-    backends._rhs(state.t, y, dy, state.m, np.empty(0, dtype=np.complex128), 0, 0.0)
+    backends._rhs(state.t, y, dy, state.m, np.empty(0, dtype=np.complex128), None)
     return backends.unpack_bands(dy, state.m)[:3]
 
 
@@ -142,13 +131,12 @@ class Trajectory:
     quadrature accessors return views into it.
     """
 
-    def __init__(self, samples, m, h, t0=0.0, zs=None, corruption=None):
+    def __init__(self, samples, m, h, t0=0.0, zs=None):
         self.samples = samples
         self.m = m
         self.h = h
         self.t0 = t0
         self.zs = np.empty(0, dtype=np.complex128) if zs is None else zs
-        self.corruption = corruption
         self.ts = t0 + h * np.arange(samples.shape[0])
 
     @property
@@ -189,7 +177,6 @@ class Trajectory:
 
     def norm_bounds(self) -> np.ndarray:
         """norm_bound of the operator at every sample (float array)."""
-        m = self.m
         rows = np.abs(self.a) + 1.0
         rows[:, 1:] += np.abs(self.b)
         rows[:, 2:] += np.abs(self.c)
@@ -259,11 +246,11 @@ def integrate(
     resolvent_zs / x0_blocks attach per-z quadrature blocks with the given
     initial 2x2 values; they are integrated jointly so that every RK4 stage
     sees stage-consistent band values. Raises CNearZeroError if any |c_n|
-    reaches the configured floor or the bands overflow.
+    falls below backends.C_FLOOR or the bands overflow.
     """
     c_min0 = float(np.min(np.abs(state.c)))
-    if c_min0 < cfg.c_floor:
-        raise CNearZeroError(state.t, 0, c_min0, cfg.c_floor)
+    if c_min0 < backends.C_FLOOR:
+        raise CNearZeroError(state.t, 0, c_min0)
 
     zs = None
     if resolvent_zs is not None:
@@ -274,23 +261,15 @@ def integrate(
                 f"x0_blocks must have shape ({zs.size}, 2, 2), got {x0_blocks.shape}"
             )
 
-    y0 = backends.pack_state(state.a, state.b, state.c, (0.0, 0.0, 0.0), x0_blocks)
-    mode, mag = (corruption.mode, corruption.magnitude) if corruption else (0, 0.0)
+    y0 = backends.pack_state(state.a, state.b, state.c, x0_blocks)
     samples, status = backends.rk4_trajectory(
-        y0, state.m, cfg.n_steps, cfg.h, state.t, zs, cfg.c_floor, mode, mag
+        y0, state.m, cfg.n_steps, cfg.h, state.t, zs, corruption
     )
     if status:
         m = state.m
         c_min = float(np.min(np.abs(samples[status, 2 * m - 1 : 3 * m - 3])))
-        raise CNearZeroError(state.t + status * cfg.h, status, c_min, cfg.c_floor)
-    return Trajectory(
-        samples,
-        state.m,
-        cfg.h,
-        t0=state.t,
-        zs=zs,
-        corruption=corruption.kind if corruption else None,
-    )
+        raise CNearZeroError(state.t + status * cfg.h, status, c_min)
+    return Trajectory(samples, state.m, cfg.h, t0=state.t, zs=zs)
 
 
 class _Sampled:

@@ -247,9 +247,7 @@ def exponential_moments(
     t: float,
     n_max: int,
     rho: float,
-    tol: float = 1e-12,
     entry_coeff: float | None = None,
-    max_terms: int = 200,
 ) -> ExponentialMoments:
     """Moments at time t from the initial functional alone.
 
@@ -259,12 +257,15 @@ def exponential_moments(
 
         entry_coeff * rho^n_max * sum_{l > K} (|t| rho)^l / l!
 
-    falls below tol; entry_coeff must dominate |moment0_q| / rho^q for all
-    q (for blocks built from a lattice state this holds with
-    (1 + |a_1|)^2). When omitted it is estimated from the stored orders.
+    falls below 1e-12 within 200 terms, else SeriesCapError; entry_coeff
+    must dominate |moment0_q| / rho^q for all q (for blocks built from a
+    lattice state this holds with (1 + |a_1|)^2). When omitted it is
+    estimated from the stored orders.
     """
     if rho <= 0:
         raise ValueError("rho must be > 0")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     x = abs(t) * rho
     if entry_coeff is None:
         orders = np.arange(u0.n_max + 1, dtype=float)
@@ -275,17 +276,17 @@ def exponential_moments(
     nt = x  # x^{K+1} / (K+1)! for K = 0
     K = 0
     tail = np.inf
-    while K <= max_terms:
+    while K <= 200:
         if K + 2 > x:
             tail = lead * nt / (1.0 - x / (K + 2))
-            if tail < tol:
+            if tail < 1e-12:
                 break
         K += 1
         nt *= x / (K + 1)
     else:
         raise SeriesCapError(
-            f"no certified truncation within {max_terms} terms "
-            f"(|t| rho = {x:.3g}, last bound {tail:.3g}, tol {tol:.3g})"
+            "no certified truncation within 200 terms "
+            f"(|t| rho = {x:.3g}, last bound {tail:.3g}, tol 1e-12)"
         )
 
     if u0.n_max < K + n_max:

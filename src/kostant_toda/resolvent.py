@@ -30,7 +30,6 @@ import numpy as np
 
 from .core import (
     LatticeState,
-    TruncationTooSmallError,
     b_block,
     c0_block,
     c0_block_inv,
@@ -74,15 +73,17 @@ class ResolventBlock:
 
 
 def _check_margin(z: complex, rho: float, where: str = "") -> None:
-    if abs(z) < MARGIN * rho:
+    if not abs(z) >= MARGIN * rho:
         raise ZTooSmallError(
             f"|z| = {abs(z):.6g} is below the safety margin "
             f"{MARGIN} * rho = {MARGIN * rho:.6g}{where}"
         )
 
 
-def neumann_terms_needed(rho: float, z_abs: float, tol: float, cap: int = 100000) -> int:
-    """Smallest K with (rho/z_abs)^{K+1} / (z_abs - rho) < tol."""
+def neumann_terms_needed(rho: float, z_abs: float, tol: float) -> int:
+    """Smallest K with (rho/z_abs)^{K+1} / (z_abs - rho) < tol; tol must be > 0."""
+    if not tol > 0:
+        raise ValueError(f"series tolerance must be > 0, got {tol}")
     if z_abs <= rho:
         raise ZTooSmallError(f"|z| = {z_abs:.6g} <= rho = {rho:.6g}")
     r = rho / z_abs
@@ -91,8 +92,8 @@ def neumann_terms_needed(rho: float, z_abs: float, tol: float, cap: int = 100000
     while bound >= tol:
         K += 1
         bound *= r
-        if K > cap:
-            raise RuntimeError(f"series needs more than {cap} terms for tol={tol}")
+        if K > 100000:
+            raise RuntimeError(f"series needs more than 100000 terms for tol={tol}")
     return max(K, 0)
 
 
@@ -100,7 +101,6 @@ def resolvent_block(
     state: LatticeState,
     z: complex,
     tol: float = 1e-10,
-    require_locality: bool = False,
     terms: int | None = None,
 ) -> ResolventBlock:
     """Partial Neumann sum of the (1,1) resolvent block with tail certificate.
@@ -108,16 +108,10 @@ def resolvent_block(
     terms pins the number of summed powers (K + 1 with exponents 0..K),
     which residual stencils use to keep the truncation error a smooth
     function of time; by default K is the smallest index certified by tol.
-    require_locality additionally demands m >= K + 2 so the value agrees
-    with every larger truncation.
     """
     rho = norm_bound(state)
     _check_margin(z, rho)
     K = terms - 1 if terms is not None else neumann_terms_needed(rho, abs(z), tol)
-    if require_locality and state.m < K + 2:
-        raise TruncationTooSmallError(
-            f"K={K} summed powers need m >= {K + 2}, got m={state.m}"
-        )
     S = np.zeros((2, 2), dtype=np.complex128)
     zinv = 1.0 / z
     zp = zinv

@@ -28,6 +28,7 @@ from .core import (
     random_state,
 )
 from .dynamics import (
+    CORRUPTION_KINDS,
     CorruptionSpec,
     IntegratorConfig,
     integrate,
@@ -46,6 +47,7 @@ from .moments import (
 )
 from .polynomials import VectorPolynomial, derivative_law_residual, vector_polys
 from .resolvent import (
+    MARGIN,
     _generating_ode_residual_matrix,
     closed_form_resolvent,
     dense_resolvent_block,
@@ -65,7 +67,7 @@ __all__ = [
 ]
 
 CONTROL_FLOOR = 1e-2
-CONTROL_KINDS = ("freeze-b", "scale-c-rhs", "drop-commutator-term")
+CONTROL_KINDS = CORRUPTION_KINDS
 CONTROL_MAGNITUDE = 2.0
 _CONTROL_SEEDS = (0, 1)
 
@@ -117,11 +119,9 @@ class _Worst:
         )
 
 
-def _flow_traj(seed, corruption=None, h=None, t_end=None):
-    h = h if h is not None else _FLOW["h"]
-    t_end = t_end if t_end is not None else _FLOW["t_end"]
-    state = random_state(seed, _FLOW["m"])
-    return integrate(state, IntegratorConfig(t_end=t_end, h=h), corruption=corruption)
+def _flow_traj(seed, corruption=None, h=_FLOW["h"]):
+    cfg = IntegratorConfig(t_end=_FLOW["t_end"], h=h)
+    return integrate(random_state(seed, _FLOW["m"]), cfg, corruption=corruption)
 
 
 # ----------------------------------------------------------------------
@@ -189,8 +189,9 @@ def check_block_power_ode(seeds):
     )
 
 
-def check_resolvent_ode(seeds, corruption=None, n_angles=4):
+def check_resolvent_ode(seeds, corruption=None):
     worst = _Worst()
+    n_angles = 4
     for seed in seeds:
         traj = _flow_traj(seed, corruption=corruption)
         for z in spectral_ring(traj, n_angles):
@@ -231,8 +232,9 @@ def check_moment_ode(seeds, corruption=None):
     )
 
 
-def check_generating_ode(seeds, n_angles=4):
+def check_generating_ode(seeds):
     worst = _Worst()
+    n_angles = 4
     for seed in seeds:
         traj = _flow_traj(seed)
         for zeta in spectral_ring(traj, n_angles):
@@ -260,11 +262,11 @@ def check_functional_derivative(seeds):
     )
 
 
-def check_laurent_consistency(seeds, n_orders=4, n_ring=32):
+def check_laurent_consistency(seeds):
     """Ring-sampled expansion coefficients of the generating-function ODE
     defect must match the per-order moment ODE defects."""
     worst = _Worst()
-    t = 0.25
+    t, n_orders, n_ring = 0.25, 4, 32
     for seed in seeds:
         traj = _flow_traj(seed)
         R = float(np.max(traj.norm_bounds())) * 2.0
@@ -352,8 +354,9 @@ def check_moment_uniqueness(seeds):
     )
 
 
-def check_closed_form_initial(seeds, n_angles=16):
+def check_closed_form_initial(seeds):
     worst = _Worst()
+    n_angles = 16
     for seed in seeds:
         state = random_state(seed, _FLOW["m"])
         rho0 = norm_bound(state)
@@ -371,15 +374,14 @@ def check_closed_form_initial(seeds, n_angles=16):
     )
 
 
-def check_closed_form_resolvent(seeds, n_angles=16, t=0.5):
+def check_closed_form_resolvent(seeds):
     worst = _Worst()
+    n_angles, t = 16, 0.5
+    cfg = IntegratorConfig(t_end=t, h=_FLOW["h"])
     for seed in seeds:
         state = random_state(seed, _FLOW["m"])
-        probe = integrate(state, IntegratorConfig(t_end=t, h=_FLOW["h"]))
-        zs = spectral_ring(probe, n_angles)
-        traj = integrate_with_closed_form(
-            state, IntegratorConfig(t_end=t, h=_FLOW["h"]), zs
-        )
+        zs = spectral_ring(integrate(state, cfg), n_angles)
+        traj = integrate_with_closed_form(state, cfg, zs)
         end = traj.state_at(traj.n_samples - 1)
         for z in zs:
             path = closed_form_resolvent(traj, z)
@@ -391,8 +393,9 @@ def check_closed_form_resolvent(seeds, n_angles=16, t=0.5):
     )
 
 
-def check_exponential_moments(seeds, n_max=5, ts=(0.25, 1.0)):
+def check_exponential_moments(seeds):
     worst, tail = _Worst(), _Worst()
+    n_max, ts = 5, (0.25, 1.0)
     for seed in seeds:
         state = random_state(seed, _FLOW["m"])
         rho = norm_bound(state)
@@ -413,14 +416,20 @@ def check_exponential_moments(seeds, n_max=5, ts=(0.25, 1.0)):
     ]
 
 
-def check_neumann_tail(seeds, multipliers=(1.5, 2.0, 4.0, 10.0), tol=1e-8):
-    """Dense-solve oracle must sit inside the reported tail bound."""
+def check_neumann_tail(seeds):
+    """Dense-solve oracle must sit inside the reported tail bound. Probes
+    at |z| = mult * rho rounded inside MARGIN * rho step |z| up to clear it."""
     worst = _Worst()
+    multipliers, tol = (1.5, 2.0, 4.0, 10.0), 1e-8
     for seed in seeds:
         st = random_state(seed, 32)
         rho = norm_bound(st)
         for mult in multipliers:
-            for z in (mult * rho, mult * rho * np.exp(1.7j)):
+            for phase in (1.0, np.exp(1.7j)):
+                r = mult * rho
+                while abs(r * phase) < MARGIN * rho:
+                    r = np.nextafter(r, np.inf)
+                z = r * phase
                 rb = resolvent_block(st, z, tol=tol)
                 err = np.max(np.abs(rb.value - dense_resolvent_block(st, z)))
                 worst.add(err / rb.tail_bound)

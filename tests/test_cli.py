@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -252,7 +256,8 @@ def test_config_seeds_as_list_or_comma_string(tmp_path):
 
 
 _SAMPLES = {int: ("3", 3), float: ("0.5", 0.5), str: ("x.json", "x.json"),
-            cli._seed_list: ("1,2", [1, 2]), cli._at_least_one: ("3", 3)}
+            cli._seed_list: ("1,2", [1, 2]), cli._at_least_one: ("3", 3),
+            cli._finite_positive: ("0.5", 0.5)}
 
 
 def _option_cases():
@@ -338,3 +343,59 @@ def test_overflowing_flow_is_a_numerical_abort(capsys, argv):
     captured = capsys.readouterr()
     assert "left the finite range" in captured.err
     assert captured.out == ""
+
+
+def test_verify_seed_three_writes_a_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run(["verify", "--seeds", "3", "--report", str(report)]) == 0
+    text = report.read_text()
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    doc = json.loads(text)
+    assert doc["all_passed"] is True and len(doc["checks"]) == 22
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--method", "series", "--t", "0.5"],
+    ["moments", "--method", "power"],
+    ["polys"],
+])
+def test_json_stdout_matches_out_file(tmp_path, capsys, argv):
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("}\n")
+    out = tmp_path / "doc.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+
+
+def test_overflow_prints_only_the_abort_line():
+    # a fresh interpreter, so that numpy's warnings reach stderr as they
+    # would on the command line
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["simulate", "--seed", "32", "--m", "32", "--t-end", "2", "--h", "1e-3"]
+    proc = subprocess.run([sys.executable, "-m", "kostant_toda.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("numerical abort: the flow left the finite range")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--radius-mult", "nan"], ["--radius-mult", "inf"], ["--radius-mult", "0"],
+])
+def test_resolvent_series_inputs_must_be_finite_and_positive(capsys, flags):
+    assert run(["resolvent", "--seed", "0", "--m", "8", "--t-end", "0.01",
+                *flags]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite and > 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_series_moments_at_nonfinite_time_are_a_configuration_error(capsys, t):
+    assert run(["moments", "--method", "series", "--t", t]) == 2
+    assert "t must be finite" in capsys.readouterr().err

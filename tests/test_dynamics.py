@@ -55,10 +55,6 @@ def test_integrator_config_validation():
 
 
 def test_corruption_spec_validation():
-    spec = CorruptionSpec("freeze-b", 0.5)
-    assert spec.mode == 1
-    assert CorruptionSpec("scale-c-rhs", 1.0).mode == 2
-    assert CorruptionSpec("drop-commutator-term", 1.0).mode == 3
     with pytest.raises(ValueError):
         CorruptionSpec("no-such-kind", 1.0)
     with pytest.raises(ValueError):
@@ -131,12 +127,13 @@ def test_c_floor_abort():
     assert abs(exc.value.t - np.log(1.1) / 4) < 2e-3
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed,step", [(32, 1673), (33, 1556), (52, 1739)])
 def test_overflowing_flow_aborts(seed, step):
-    # the bands overflow and c turns NaN, which never compares below the floor
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(CNearZeroError, match="left the finite range") as exc:
-            integrate(random_state(seed, 32), IntegratorConfig(t_end=2.0, h=1e-3))
+    # the bands overflow and c turns NaN, which never compares below the
+    # floor; the abort is the only signal, numpy warns about nothing
+    with pytest.raises(CNearZeroError, match="left the finite range") as exc:
+        integrate(random_state(seed, 32), IntegratorConfig(t_end=2.0, h=1e-3))
     assert exc.value.step == step
     assert np.isnan(exc.value.c_min)
 

@@ -153,10 +153,11 @@ def test_exponential_moments_need_depth():
 
 
 def test_exponential_series_cap():
+    # |t| rho far beyond the term cap: no truncation can be certified
     st = random_state(2, 12)
     u0 = moments_from_j(st, 60, require_locality=False)
     with pytest.raises(SeriesCapError):
-        exponential_moments(u0, 1.0, 5, norm_bound(st), max_terms=3)
+        exponential_moments(u0, 100.0, 5, norm_bound(st))
 
 
 def test_exponential_moments_at_zero_time():
@@ -164,3 +165,11 @@ def test_exponential_moments_at_zero_time():
     u0 = moments_from_j(st, 30, require_locality=False)
     em = exponential_moments(u0, 0.0, 4, norm_bound(st))
     assert np.max(np.abs(em.functional.moments - u0.moments[:5])) < 1e-14
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_exponential_moments_need_a_finite_time(t):
+    st = random_state(2, 12)
+    u0 = moments_from_j(st, 60, require_locality=False)
+    with pytest.raises(ValueError, match="t must be finite"):
+        exponential_moments(u0, t, 5, norm_bound(st))

@@ -4,7 +4,6 @@ import pytest
 from kostant_toda import (
     MARGIN,
     IntegratorConfig,
-    TruncationTooSmallError,
     ZTooSmallError,
     c0_block,
     c0_block_inv,
@@ -59,12 +58,6 @@ def test_terms_needed_monotone():
     assert n_far < n_tight
     # the advertised count really reaches the tolerance
     assert (2.0 / 5.0) ** (n_tight + 1) / (5.0 - 2.0) < 1e-12
-
-
-def test_locality_requirement():
-    st = random_state(0, 10)
-    with pytest.raises(TruncationTooSmallError):
-        resolvent_block(st, MARGIN * norm_bound(st) * 1.01, tol=1e-12, require_locality=True)
 
 
 def test_generating_function_conjugation():
@@ -126,3 +119,15 @@ def test_closed_form_margin_at_start():
         integrate_with_closed_form(
             st, IntegratorConfig(t_end=0.01, h=1e-3), [0.5 * norm_bound(st)]
         )
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_neumann_terms_need_a_positive_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be > 0"):
+        neumann_terms_needed(2.0, 5.0, tol)
+
+
+def test_nan_z_is_refused_by_the_margin():
+    st = random_state(0, 10)
+    with pytest.raises(ZTooSmallError):
+        resolvent_block(st, complex(float("nan"), 0.0))

@@ -77,11 +77,6 @@ def test_single_control_selection():
         run_suite(seeds=[0], control="coffee")
 
 
-def test_jobs_do_not_change_results(quick_reports):
-    parallel = run_suite(seeds=[0, 1], jobs=4)
-    assert reports_to_json(parallel) == reports_to_json(quick_reports)
-
-
 def test_report_json_shape(quick_reports):
     doc = json.loads(reports_to_json(quick_reports))
     assert doc["schema"] == "kostant-toda-verify/1"
@@ -163,3 +158,12 @@ def test_nan_residual_fails_the_check(monkeypatch, attr, fake, check):
     rep = check()
     assert rep.passed is False
     assert math.isnan(rep.max_residual)
+
+
+def test_neumann_tail_probes_clear_the_margin_on_every_seed():
+    # rounding put |z| = 1.5 rho e^{1.7i} one ulp inside the margin on 38
+    # of these seeds, and the check raised ZTooSmallError
+    r = verify.check_neumann_tail(range(100))
+    assert r.passed, r.max_residual
+    assert r.instance["multipliers"] == [1.5, 2.0, 4.0, 10.0]
+    assert r.instance["tol"] == 1e-8
