@@ -27,7 +27,7 @@ from .dynamics import (
     CorruptionSpec,
     IntegratorConfig,
     Trajectory,
-    grid_central_diff,
+    central_diff,
     integrate,
     kostant_rhs,
     lax_rhs,
@@ -99,6 +99,7 @@ __all__ = [
     "c0_block",
     "c0_block_inv",
     "c_block",
+    "central_diff",
     "closed_form_resolvent",
     "commutator",
     "d_block",
@@ -108,7 +109,6 @@ __all__ = [
     "functional_derivative_residual",
     "generating_function",
     "generating_ode_residual",
-    "grid_central_diff",
     "integrate",
     "integrate_with_closed_form",
     "kostant_rhs",

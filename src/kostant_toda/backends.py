@@ -119,6 +119,7 @@ def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, corruption=None):
     1-based step index at which min |c| fell below C_FLOOR or turned NaN, as
     it does when the bands overflow (rows past that index are unspecified).
     Overflow is reported by status alone: numpy's warnings are silenced.
+    A samples array too big to allocate raises ValueError naming its size.
     """
     y0 = np.ascontiguousarray(y0, dtype=np.complex128)
     if zs is None:
@@ -129,7 +130,10 @@ def rk4_trajectory(y0, m, n_steps, h, t0=0.0, zs=None, corruption=None):
         raise ValueError(
             f"packed state length {L} != 3*m + 4*nz = {3 * m + 4 * zs.size}"
         )
-    out = np.empty((n_steps + 1, L), dtype=np.complex128)
+    try:
+        out = np.empty((n_steps + 1, L), dtype=np.complex128)
+    except MemoryError as exc:  # numpy's message names the shape and the size
+        raise ValueError(f"cannot store the trajectory: {exc}") from None
     out[0] = y0
     y = y0.copy()
     k1 = np.empty(L, dtype=np.complex128)

@@ -63,6 +63,8 @@ class LatticeState:
             raise ValueError(f"c must have length m-2={m - 2}, got {self.c.size}")
         if not all(np.isfinite(x).all() for x in (self.a, self.b, self.c)):
             raise ValueError("a, b and c entries must be finite")
+        if not np.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         if np.any(self.c == 0):
             raise ValueError("all c entries must be nonzero")
 

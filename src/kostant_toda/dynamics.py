@@ -32,7 +32,7 @@ __all__ = [
     "CorruptionSpec",
     "IntegratorConfig",
     "Trajectory",
-    "grid_central_diff",
+    "central_diff",
     "integrate",
     "kostant_rhs",
     "lax_rhs",
@@ -196,15 +196,16 @@ class Trajectory:
             t=float(self.ts[i]),
         )
 
-    def central_diff(self, t: float, fn):
-        """Grid index i of time t and the time derivative of fn there.
+    def stencil(self, t: float):
+        """State at grid time t, and the states at the central_diff points.
 
-        fn maps a sample index to an array. grid_central_diff checks the
-        stencil before fn runs, and fn runs only at i - STENCIL_HALFWIDTH
-        and i + STENCIL_HALFWIDTH.
+        The points are t - delta and t + delta, delta = STENCIL_HALFWIDTH * h.
+        A stencil that leaves the grid raises ValueError from state_at.
         """
         i = self.index_of(t)
-        return i, grid_central_diff(_Sampled(fn, self.n_samples), i, self.h)
+        k = STENCIL_HALFWIDTH
+        before, state, after = (self.state_at(j) for j in (i - k, i, i + k))
+        return state, (before, after)
 
     def to_csv(self, path_or_buf) -> None:
         """Write t, Re/Im of every band entry and quadrature, one row per sample."""
@@ -272,32 +273,11 @@ def integrate(
     return Trajectory(samples, state.m, cfg.h, t0=state.t, zs=zs)
 
 
-class _Sampled:
-    """Sequence of n grid samples; item j is computed as fn(j) when read."""
+def central_diff(values, h: float):
+    """Time derivative from the values at the points of Trajectory.stencil.
 
-    def __init__(self, fn, n: int):
-        self.fn = fn
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, j: int):
-        return self.fn(j)
-
-
-def grid_central_diff(values, i: int, h: float):
-    """Central difference along axis 0 at index i, delta = STENCIL_HALFWIDTH * h.
-
-    values is indexed by grid sample along its first axis; any sequence with
-    a length will do (Trajectory.central_diff passes one that computes its
-    samples on demand). Truncation error is delta^2/6 times the third
-    derivative.
+    values holds f(t - delta) and f(t + delta), delta = STENCIL_HALFWIDTH * h.
+    Truncation error is delta^2/6 times the third derivative.
     """
     k = STENCIL_HALFWIDTH
-    if i - k < 0 or i + k >= len(values):
-        raise ValueError(
-            f"central difference stencil [{i - k}, {i + k}] "
-            f"leaves the grid (n={len(values)})"
-        )
-    return (values[i + k] - values[i - k]) / (2.0 * (k * h))
+    return (values[1] - values[0]) / (2.0 * (k * h))

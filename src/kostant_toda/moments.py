@@ -34,7 +34,7 @@ from .core import (
     c_block,
     leading_power_blocks,
 )
-from .dynamics import Trajectory
+from .dynamics import Trajectory, central_diff
 from .polynomials import VectorPolynomial, scalar_polys, shift_coeffs
 
 __all__ = [
@@ -200,10 +200,6 @@ def moments_from_recurrence(state: LatticeState, n_max: int) -> MomentFunctional
     return MomentFunctional(out)
 
 
-def _moments_at(traj: Trajectory, i: int, n_max: int) -> MomentFunctional:
-    return moments_from_j(traj.state_at(i), n_max)
-
-
 def moment_ode_residual(traj: Trajectory, n: int, t: float) -> float:
     """Defect of d/dt moment_n = moment_{n+1} - moment_n moment_1 at time t."""
     res = _moment_ode_residual_matrix(traj, n, t)
@@ -211,8 +207,9 @@ def moment_ode_residual(traj: Trajectory, n: int, t: float) -> float:
 
 
 def _moment_ode_residual_matrix(traj: Trajectory, n: int, t: float) -> np.ndarray:
-    i, dm = traj.central_diff(t, lambda j: _moments_at(traj, j, n).moments[n])
-    u = _moments_at(traj, i, n + 1)
+    st, points = traj.stencil(t)
+    dm = central_diff([moments_from_j(s, n).moments[n] for s in points], traj.h)
+    u = moments_from_j(st, n + 1)
     rhs = u.moments[n + 1] - u.moments[n] @ u.moments[1]
     return dm - rhs
 
@@ -223,10 +220,11 @@ def functional_derivative_residual(
     """Defect of d/dt U(Q) = U(zQ) - U(Q) moment_1 for a fixed Q at time t."""
     deg = max(q.top.size, q.bottom.size) - 1
     n_ord = deg + 1  # U(zQ) reaches one scalar order higher
-    i, du = traj.central_diff(
-        t, lambda j: _moments_at(traj, j, n_ord).apply(q.top, q.bottom)
+    st, points = traj.stencil(t)
+    du = central_diff(
+        [moments_from_j(s, n_ord).apply(q.top, q.bottom) for s in points], traj.h
     )
-    u = _moments_at(traj, i, n_ord)
+    u = moments_from_j(st, n_ord)
     rhs = apply_u(u, q, shift=1) - apply_u(u, q) @ u.moments[1]
     return float(np.max(np.abs(du - rhs)))
 
@@ -275,7 +273,7 @@ def exponential_moments(
     lead = entry_coeff * rho**n_max
     nt = x  # x^{K+1} / (K+1)! for K = 0
     K = 0
-    tail = np.inf
+    tail = None  # the bound holds only once the terms shrink, at K + 2 > x
     while K <= 200:
         if K + 2 > x:
             tail = lead * nt / (1.0 - x / (K + 2))
@@ -284,9 +282,13 @@ def exponential_moments(
         K += 1
         nt *= x / (K + 1)
     else:
+        why = (
+            "the terms were still growing at the cap"
+            if tail is None
+            else f"last bound {tail:.3g}, tol 1e-12"
+        )
         raise SeriesCapError(
-            "no certified truncation within 200 terms "
-            f"(|t| rho = {x:.3g}, last bound {tail:.3g}, tol 1e-12)"
+            f"no certified truncation within 200 terms (|t| rho = {x:.3g}, {why})"
         )
 
     if u0.n_max < K + n_max:

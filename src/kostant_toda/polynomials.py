@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .core import LatticeState, a_block, b_block, c_block, d_block
-from .dynamics import Trajectory
+from .dynamics import Trajectory, central_diff
 
 __all__ = [
     "VectorPolynomial",
@@ -112,12 +112,6 @@ def stacked_eigen_residual(state: LatticeState, z: complex) -> float:
     return float(np.max(np.abs(res[: state.m - 1])))
 
 
-def _vector_coeffs_at(traj: Trajectory, i: int, n: int) -> np.ndarray:
-    """Coefficients of P_{2n} then P_{2n+1} at sample i, in one array."""
-    ps = scalar_polys(traj.state_at(i), 2 * n + 1)
-    return np.concatenate([ps[2 * n], ps[2 * n + 1]])
-
-
 def derivative_law_residual(traj: Trajectory, n: int, t: float, z0: complex) -> float:
     """Defect of d/dt Bv_n(z0) = -C_n Bv_{n-1}(z0) - D_n Bv_n(z0) at time t.
 
@@ -125,13 +119,15 @@ def derivative_law_residual(traj: Trajectory, n: int, t: float, z0: complex) -> 
     coefficients on the trajectory grid (delta = 2h), so on the
     true flow the residual is limited by the delta^2 stencil error.
     """
-    i, dcoeffs = traj.central_diff(t, lambda j: _vector_coeffs_at(traj, j, n))
+    st, points = traj.stencil(t)
+    # coefficients of P_{2n} then P_{2n+1}, in one array per stencil point
+    coeffs = [np.concatenate(scalar_polys(s, 2 * n + 1)[2 * n :]) for s in points]
+    dcoeffs = central_diff(coeffs, traj.h)
     dtop, dbot = dcoeffs[: 2 * n + 1], dcoeffs[2 * n + 1 :]
     dval = np.array(
         [npoly.polyval(z0, dtop), npoly.polyval(z0, dbot)], dtype=np.complex128
     )
 
-    st = traj.state_at(i)
     polys = vector_polys(st, n)
     cur = polys[n].eval(z0)
     prev = np.zeros(2, dtype=np.complex128) if n == 0 else polys[n - 1].eval(z0)

@@ -38,7 +38,7 @@ from .core import (
     leading_power_blocks,
     norm_bound,
 )
-from .dynamics import STENCIL_HALFWIDTH, IntegratorConfig, Trajectory, integrate
+from .dynamics import IntegratorConfig, Trajectory, central_diff, integrate
 from .moments import moments_from_j
 
 __all__ = [
@@ -157,39 +157,26 @@ def _series_stencil(traj: Trajectory, z: complex, t: float, tol: float, series):
     points sum the same number of terms, the smallest that certifies tol
     at each of them, so the truncation error is smooth in time.
     """
-    i = traj.index_of(t)
-    # state_at refuses indices off the trajectory, so a stencil that leaves
-    # the grid fails here, before any series is summed.
-    k = STENCIL_HALFWIDTH
-    states = {j: traj.state_at(j) for j in (i - k, i, i + k)}
+    st, (before, after) = traj.stencil(t)
     needed = 0
-    for st in states.values():
-        rho = norm_bound(st)
+    for s in (before, st, after):
+        rho = norm_bound(s)
         _check_margin(z, rho, " along the stencil")
         needed = max(needed, neumann_terms_needed(rho, abs(z), tol))
-
-    def value(j):
-        return series(states[j], z, terms=needed + 1).value
-
-    _, dv = traj.central_diff(t, value)
-    return states[i], value(i), dv
-
-
-def _resolvent_ode_residual_matrix(
-    traj: Trajectory, z: complex, t: float, tol: float = 1e-12
-) -> np.ndarray:
-    st, r, dr = _series_stencil(traj, z, t, tol, resolvent_block)
-    eye = np.eye(2, dtype=np.complex128)
-    rhs = r @ (z * eye - b_block(st, 1)) - eye + commutator(r, d_block(st, 0))
-    return dr - rhs
+    dv = central_diff(
+        [series(s, z, terms=needed + 1).value for s in (before, after)], traj.h
+    )
+    return st, series(st, z, terms=needed + 1).value, dv
 
 
 def resolvent_ode_residual(
     traj: Trajectory, z: complex, t: float, tol: float = 1e-12
 ) -> float:
     """Defect of R' = R (zI - B_1) - I + [R, (J_lower)_11] at time t."""
-    res = _resolvent_ode_residual_matrix(traj, z, t, tol)
-    return float(np.max(np.abs(res)))
+    st, r, dr = _series_stencil(traj, z, t, tol, resolvent_block)
+    eye = np.eye(2, dtype=np.complex128)
+    rhs = r @ (z * eye - b_block(st, 1)) - eye + commutator(r, d_block(st, 0))
+    return float(np.max(np.abs(dr - rhs)))
 
 
 def _generating_ode_residual_matrix(
@@ -226,16 +213,19 @@ def integrate_with_closed_form(
 ) -> Trajectory:
     """Integrate the flow with per-z closed-form quadrature blocks attached.
 
-    Initial blocks are X(0) = C0(0)^{-1} R(0, z) with R(0, z) from the
-    dense solve; each requested z must respect the margin at t = 0.
+    The flow starts at t0 = state.t, where N(t0) = I, so the initial blocks
+    are X(t0) = exp(-z t0) C0(t0)^{-1} R(t0, z) with R(t0, z) from the
+    dense solve; each requested z must respect the margin at t0.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     rho0 = norm_bound(state)
     x0 = np.empty((zs.size, 2, 2), dtype=np.complex128)
     c0i = c0_block_inv(state.a[0])
     for k, z in enumerate(zs):
-        _check_margin(z, rho0, " at t = 0")
+        _check_margin(z, rho0, f" at t = {state.t:.6g}")
         x0[k] = c0i @ dense_resolvent_block(state, z)
+    if state.t != 0:  # at t0 = 0 the factor is 1; skipping it keeps signed zeros
+        x0 *= np.exp(-zs * state.t)[:, None, None]
     return integrate(state, cfg, resolvent_zs=zs, x0_blocks=x0)
 
 

@@ -1,15 +1,18 @@
 """Cross-verification harness: every law the flow must satisfy, plus controls.
 
-Each check integrates seeded random instances and measures the worst
-residual of one identity. Positive checks must come in under their
-threshold; negative controls rerun a paired check on a deliberately
-corrupted flow and must detect it (residual at least CONTROL_FLOOR).
+Each check measures the worst residual of one identity on seeded random
+instances. A check that reads the m = 12 flow takes it as flow(seed), so
+run_suite integrates each seed's flow once for all of them. Positive
+checks must come in under their threshold; negative controls rerun a
+paired check on a deliberately corrupted flow and must detect it
+(residual at least CONTROL_FLOOR).
 A NaN residual, or none at all, fails either kind. All checks are
 deterministic given the seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -31,6 +34,7 @@ from .dynamics import (
     CORRUPTION_KINDS,
     CorruptionSpec,
     IntegratorConfig,
+    central_diff,
     integrate,
     kostant_rhs,
     lax_rhs,
@@ -168,15 +172,13 @@ def check_isospectrality(seeds):
     )
 
 
-def check_block_power_ode(seeds):
+def check_block_power_ode(seeds, flow):
     worst = _Worst()
     for seed in seeds:
-        traj = _flow_traj(seed)
+        traj = flow(seed)
         for t in _T_SAMPLES:
-            i, dp = traj.central_diff(
-                t, lambda j: leading_power_blocks(traj.state_at(j), 4)
-            )
-            st = traj.state_at(i)
+            st, points = traj.stencil(t)
+            dp = central_diff([leading_power_blocks(s, 4) for s in points], traj.h)
             b1 = b_block(st, 1)
             d0 = d_block(st, 0)
             p = leading_power_blocks(st, 5)
@@ -189,11 +191,11 @@ def check_block_power_ode(seeds):
     )
 
 
-def check_resolvent_ode(seeds, corruption=None):
+def check_resolvent_ode(seeds, flow):
     worst = _Worst()
     n_angles = 4
     for seed in seeds:
-        traj = _flow_traj(seed, corruption=corruption)
+        traj = flow(seed)
         for z in spectral_ring(traj, n_angles):
             for t in (0.1, 0.4):
                 worst.add(resolvent_ode_residual(traj, z, t))
@@ -204,11 +206,11 @@ def check_resolvent_ode(seeds, corruption=None):
     )
 
 
-def check_polynomial_derivative_law(seeds, corruption=None):
+def check_polynomial_derivative_law(seeds, flow):
     worst = _Worst()
     z0s = np.exp(2j * np.pi * np.array([0.0, 1 / 3, 2 / 3]))
     for seed in seeds:
-        traj = _flow_traj(seed, corruption=corruption)
+        traj = flow(seed)
         for t in _T_SAMPLES:
             for n in range(5):
                 for z0 in z0s:
@@ -220,10 +222,10 @@ def check_polynomial_derivative_law(seeds, corruption=None):
     )
 
 
-def check_moment_ode(seeds, corruption=None):
+def check_moment_ode(seeds, flow):
     worst = _Worst()
     for seed in seeds:
-        traj = _flow_traj(seed, corruption=corruption)
+        traj = flow(seed)
         for t in _T_SAMPLES:
             for n in range(5):
                 worst.add(moment_ode_residual(traj, n, t))
@@ -232,11 +234,11 @@ def check_moment_ode(seeds, corruption=None):
     )
 
 
-def check_generating_ode(seeds):
+def check_generating_ode(seeds, flow):
     worst = _Worst()
     n_angles = 4
     for seed in seeds:
-        traj = _flow_traj(seed)
+        traj = flow(seed)
         for zeta in spectral_ring(traj, n_angles):
             for t in (0.1, 0.4):
                 worst.add(generating_ode_residual(traj, zeta, t))
@@ -245,10 +247,10 @@ def check_generating_ode(seeds):
     )
 
 
-def check_functional_derivative(seeds):
+def check_functional_derivative(seeds, flow):
     worst = _Worst()
     for seed in seeds:
-        traj = _flow_traj(seed)
+        traj = flow(seed)
         rng = np.random.default_rng(1000 + seed)
         top = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         bottom = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -262,13 +264,13 @@ def check_functional_derivative(seeds):
     )
 
 
-def check_laurent_consistency(seeds):
+def check_laurent_consistency(seeds, flow):
     """Ring-sampled expansion coefficients of the generating-function ODE
     defect must match the per-order moment ODE defects."""
     worst = _Worst()
     t, n_orders, n_ring = 0.25, 4, 32
     for seed in seeds:
-        traj = _flow_traj(seed)
+        traj = flow(seed)
         R = float(np.max(traj.norm_bounds())) * 2.0
         thetas = 2.0 * np.pi * np.arange(n_ring) / n_ring
         samples = np.empty((n_ring, 2, 2), dtype=np.complex128)
@@ -374,14 +376,13 @@ def check_closed_form_initial(seeds):
     )
 
 
-def check_closed_form_resolvent(seeds):
+def check_closed_form_resolvent(seeds, flow):
     worst = _Worst()
-    n_angles, t = 16, 0.5
+    n_angles, t = 16, _FLOW["t_end"]
     cfg = IntegratorConfig(t_end=t, h=_FLOW["h"])
     for seed in seeds:
-        state = random_state(seed, _FLOW["m"])
-        zs = spectral_ring(integrate(state, cfg), n_angles)
-        traj = integrate_with_closed_form(state, cfg, zs)
+        zs = spectral_ring(flow(seed), n_angles)
+        traj = integrate_with_closed_form(random_state(seed, _FLOW["m"]), cfg, zs)
         end = traj.state_at(traj.n_samples - 1)
         for z in zs:
             path = closed_form_resolvent(traj, z)
@@ -440,12 +441,12 @@ def check_neumann_tail(seeds):
     )
 
 
-def check_fd_convergence(seeds):
+def check_fd_convergence(seeds, flow):
     """Halving h must cut the stencil-limited residuals by about 4."""
     worst = _Worst()
     ratios = []
     for seed in seeds:
-        coarse = _flow_traj(seed)
+        coarse = flow(seed)
         fine = _flow_traj(seed, h=_FLOW["h"] / 2)
         t = 0.25
         for fn in (
@@ -476,7 +477,7 @@ _CONTROL_PAIRING = {
 def run_control(kind, seeds=_CONTROL_SEEDS):
     check_id, fn = _CONTROL_PAIRING[kind]
     spec = CorruptionSpec(kind, CONTROL_MAGNITUDE)
-    rep = fn(list(seeds), corruption=spec)
+    rep = fn(list(seeds), functools.partial(_flow_traj, corruption=spec))
     rep.id = check_id
     rep.threshold = CONTROL_FLOOR
     rep.passed = rep.max_residual >= CONTROL_FLOOR
@@ -513,25 +514,28 @@ def run_suite(seeds=None, quick=False, control=None, jobs=1):
     if any(k not in CONTROL_KINDS for k in control_kinds):
         raise ValueError(f"unknown control kind {control!r}")
 
+    # each seed's flow is integrated by the first check that reads it and
+    # freed when the suite returns; checks only read it
+    flow = functools.cache(_flow_traj)
     return [
         check_rhs_equivalence(seeds),
         check_isospectrality(seeds),
-        check_block_power_ode(seeds),
-        check_resolvent_ode(seeds),
-        check_polynomial_derivative_law(seeds),
-        check_moment_ode(seeds),
-        check_generating_ode(seeds),
-        check_functional_derivative(seeds),
-        check_laurent_consistency(seeds[:3]),
+        check_block_power_ode(seeds, flow),
+        check_resolvent_ode(seeds, flow),
+        check_polynomial_derivative_law(seeds, flow),
+        check_moment_ode(seeds, flow),
+        check_generating_ode(seeds, flow),
+        check_functional_derivative(seeds, flow),
+        check_laurent_consistency(seeds[:3], flow),
         check_orthogonality(seeds),
         check_chain_identity(seeds),
         check_block_reconstruction(seeds),
         check_moment_uniqueness(seeds),
         check_closed_form_initial(seeds),
-        check_closed_form_resolvent(seeds),
+        check_closed_form_resolvent(seeds, flow),
         *check_exponential_moments(seeds),
         check_neumann_tail(seeds[:3]),
-        check_fd_convergence(seeds[:2]),
+        check_fd_convergence(seeds[:2], flow),
         *(run_control(kind) for kind in control_kinds),
     ]
 

@@ -99,6 +99,15 @@ def test_config_error_exit_codes():
                 "--h", "0.0003"]) == 2  # horizon off the step grid
 
 
+def test_sample_array_too_big_for_memory_is_a_configuration_error(capsys):
+    # 10^12 steps of 36 complex entries, 524 TiB: more than any address
+    # space, so the allocation fails at once and touches no memory
+    assert run(["simulate", "--m", "12", "--t-end", "1e9", "--h", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "(1000000000001, 36)" in err
+
+
 def test_numerical_abort_exit_code(tmp_path):
     state = {
         "a": [[2, 0], [0, 0], [-2, 0], [0, 0]],
@@ -211,10 +220,14 @@ def test_verify_empty_seed_list_is_a_configuration_error(capsys):
 
 
 @pytest.mark.parametrize("field,bad", [("a", float("nan")), ("b", float("inf")),
-                                       ("c", float("-inf"))])
+                                       ("c", float("-inf")), ("t", float("nan")),
+                                       ("t", float("inf"))])
 def test_nonfinite_state_file_is_a_configuration_error(tmp_path, capsys, field, bad):
     state = {"a": [0.0] * 4, "b": [1.0] * 3, "c": [1.0] * 2}
-    state[field][1] = bad
+    if field == "t":
+        state["t"] = bad
+    else:
+        state[field][1] = bad
     sf = tmp_path / "state.json"
     sf.write_text(json.dumps(state))  # json writes NaN / Infinity and reads them back
     assert run(["simulate", "--state", str(sf), "--t-end", "0.01",

@@ -132,11 +132,14 @@ def test_leading_power_blocks_match_dense_powers():
         assert np.allclose(blocks[k], np.linalg.matrix_power(J, k)[:2, :2], rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("field", ["a", "b", "c"])
+@pytest.mark.parametrize("field", ["a", "b", "c", "t"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_state_rejects_nonfinite_entries(field, bad):
     bands = {"a": np.zeros(6, dtype=complex), "b": np.ones(5, dtype=complex),
              "c": np.ones(4, dtype=complex)}
-    bands[field][2] = bad
+    if field == "t":
+        bands["t"] = bad
+    else:
+        bands[field][2] = bad
     with pytest.raises(ValueError, match="finite"):
         LatticeState(**bands)

@@ -9,7 +9,7 @@ from kostant_toda import (
     IntegratorConfig,
     LatticeState,
     Trajectory,
-    grid_central_diff,
+    central_diff,
     integrate,
     kostant_rhs,
     lax_rhs,
@@ -107,7 +107,7 @@ def test_quadrature_states():
     st = random_state(6, 8)
     traj = integrate(st, IntegratorConfig(t_end=0.3, h=1e-3))
     i = traj.index_of(0.2)
-    dq = grid_central_diff(traj.q, i, traj.h)
+    dq = central_diff((traj.q[i - 2], traj.q[i + 2]), traj.h)
     assert abs(dq[0] - traj.a[i, 0]) < 1e-4
     assert abs(dq[1] - traj.a[i, 1]) < 1e-4
     assert abs(dq[2] - np.exp(traj.q[i, 1] - traj.q[i, 0])) < 1e-4
@@ -178,7 +178,7 @@ def test_central_diff_on_cubic():
     h = 1e-2
     ts = h * np.arange(101)
     vals = ts**3
-    d = grid_central_diff(vals, 50, h)
+    d = central_diff((vals[48], vals[52]), h)
     t = ts[50]
     # exact for the 2h stencil applied to t^3 up to the delta^2 term
     assert d == pytest.approx(3 * t**2 + (2 * h) ** 2, rel=1e-10)

@@ -4,6 +4,7 @@ import pytest
 from kostant_toda import (
     MARGIN,
     IntegratorConfig,
+    LatticeState,
     ZTooSmallError,
     c0_block,
     c0_block_inv,
@@ -20,6 +21,7 @@ from kostant_toda import (
     resolvent_block,
     resolvent_ode_residual,
 )
+from kostant_toda.resolvent import spectral_ring
 
 
 def test_series_matches_dense_solve():
@@ -111,6 +113,21 @@ def test_closed_form_matches_dense_along_path():
         for i in (0, 250, 500):
             ref = dense_resolvent_block(traj.state_at(i), z)
             assert np.max(np.abs(path[i] - ref)) < 1e-9
+
+
+def test_closed_form_from_a_later_start_time():
+    # X starts at exp(-z t0) C0^{-1} R(t0): the kernel integrates X' in
+    # absolute time, and closed_form_resolvent multiplies by exp(z t)
+    st0 = random_state(0, 12)
+    st = LatticeState(st0.a, st0.b, st0.c, t=0.5)
+    cfg = IntegratorConfig(t_end=0.5, h=1.25e-4)
+    zs = spectral_ring(integrate(st, cfg), 4)
+    traj = integrate_with_closed_form(st, cfg, zs)
+    end = traj.state_at(traj.n_samples - 1)
+    for z in zs:
+        path = closed_form_resolvent(traj, z)
+        assert np.max(np.abs(path[0] - dense_resolvent_block(st, z))) < 1e-12
+        assert np.max(np.abs(path[-1] - dense_resolvent_block(end, z))) < 1e-4
 
 
 def test_closed_form_margin_at_start():

@@ -1,10 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from kostant_toda import verify
+from kostant_toda import resolvent, verify
 from kostant_toda.moments import MomentFunctional, moments_from_recurrence
 from kostant_toda.verify import (
     CONTROL_FLOOR,
@@ -144,9 +145,11 @@ def _nan_recurrence(state, n_max):
     "attr,fake,check",
     [
         pytest.param("moment_ode_residual", _nan_residual,
-                     lambda: verify.check_moment_ode([0]), id="moment_ode"),
+                     lambda: verify.check_moment_ode([0], verify._flow_traj),
+                     id="moment_ode"),
         pytest.param("moment_ode_residual", _nan_residual,
-                     lambda: verify.check_fd_convergence([0]), id="fd_convergence"),
+                     lambda: verify.check_fd_convergence([0], verify._flow_traj),
+                     id="fd_convergence"),
         pytest.param("moments_from_recurrence", _nan_recurrence,
                      lambda: verify.check_moment_uniqueness([0]), id="moment_uniqueness"),
         pytest.param("moment_ode_residual", _nan_residual,
@@ -167,3 +170,23 @@ def test_neumann_tail_probes_clear_the_margin_on_every_seed():
     assert r.passed, r.max_residual
     assert r.instance["multipliers"] == [1.5, 2.0, 4.0, 10.0]
     assert r.instance["tol"] == 1e-8
+
+
+def test_suite_integrates_each_flow_once(monkeypatch):
+    # every check that reads a seed's m = 12 flow shares one integration
+    calls = Counter()
+
+    def counting(integrate):
+        def call(state, cfg, corruption=None, resolvent_zs=None, x0_blocks=None):
+            zs = None if resolvent_zs is None else np.asarray(resolvent_zs).tobytes()
+            key = (state.a.tobytes(), state.b.tobytes(), state.c.tobytes(), state.t,
+                   cfg, corruption, zs)
+            calls[key] += 1
+            return integrate(state, cfg, corruption, resolvent_zs, x0_blocks)
+
+        return call
+
+    monkeypatch.setattr(verify, "integrate", counting(verify.integrate))
+    monkeypatch.setattr(resolvent, "integrate", counting(resolvent.integrate))
+    run_suite(seeds=[0, 1], control="freeze-b")
+    assert calls and max(calls.values()) == 1, [n for n in calls.values() if n > 1]
