@@ -63,7 +63,6 @@ from .resolvent import (
     dense_resolvent_block,
     generating_function,
     generating_ode_residual,
-    integrate_with_closed_form,
     neumann_terms_needed,
     resolvent_block,
     resolvent_ode_residual,
@@ -110,7 +109,6 @@ __all__ = [
     "generating_function",
     "generating_ode_residual",
     "integrate",
-    "integrate_with_closed_form",
     "kostant_rhs",
     "lax_rhs",
     "moment_ode_residual",

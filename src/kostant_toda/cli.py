@@ -42,7 +42,6 @@ from .polynomials import scalar_polys, vector_polys
 from .resolvent import (
     ZTooSmallError,
     closed_form_resolvent,
-    integrate_with_closed_form,
     resolvent_block,
     spectral_ring,
 )
@@ -87,7 +86,6 @@ _OPTIONS = (
     ("quick", "verify", bool, False, "3 seeds"),
     ("seeds", "verify", _seed_list, None, "comma separated seed list, e.g. 0,1,2"),
     ("control", "verify", CONTROL_KINDS, None, "run only this negative control"),
-    ("jobs", "verify", int, 1, "must be >= 1; checks always run serially"),
     ("report", "verify", str, None, "write a deterministic JSON report here"),
     ("angles", "resolvent", _at_least_one, 8, "ring points per time sample"),
     ("radius_mult", "resolvent", _finite_positive, 2.0,
@@ -204,9 +202,7 @@ def _cmd_simulate(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    reports = run_suite(
-        seeds=ns.seeds, quick=ns.quick, control=ns.control, jobs=ns.jobs
-    )
+    reports = run_suite(seeds=ns.seeds, quick=ns.quick, control=ns.control)
     for r in reports:
         tag = "PASS" if r.passed else "FAIL"
         kind = "  [control]" if r.control else ""
@@ -223,11 +219,9 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_resolvent(ns) -> int:
     state = _instance(ns)
-    cfg = IntegratorConfig(t_end=ns.t_end, h=ns.h)
-    probe = integrate(state, cfg)
-    zs = spectral_ring(probe, ns.angles, ns.radius_mult)
-    traj = integrate_with_closed_form(state, cfg, zs) if ns.closed_form else probe
-    closed = [closed_form_resolvent(traj, z) for z in zs] if ns.closed_form else []
+    traj = integrate(state, IntegratorConfig(t_end=ns.t_end, h=ns.h))
+    zs = spectral_ring(traj, ns.angles, ns.radius_mult)
+    closed = closed_form_resolvent(traj, zs) if ns.closed_form else None
     stride = ns.stride or max(1, traj.n_samples // 10)
     rows = list(range(0, traj.n_samples, stride))
     if rows[-1] != traj.n_samples - 1:
@@ -245,7 +239,7 @@ def _cmd_resolvent(ns) -> int:
             row = [traj.ts[k], z.real, z.imag, *rb.value.ravel().view(np.float64)]
             row.append(rb.tail_bound)
             if ns.closed_form:
-                cf = closed[iz][k]
+                cf = closed[k, iz]
                 row += [*cf.ravel().view(np.float64), np.max(np.abs(cf - rb.value))]
             table.append(row)
     _emit(ns.out, f"{len(table)} resolvent rows", write_csv, cols, np.array(table))

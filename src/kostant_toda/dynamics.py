@@ -12,9 +12,10 @@ truncated flow is an honest Lax pair and the spectrum of J is conserved.
 
 Alongside the bands, every trajectory carries three scalar quadratures
 q1 = int a_1, q2 = int a_2 and q3 = int exp(q2 - q1), which assemble the
-upper triangular normalization N(t) used by the closed-form resolvent.
-Optionally, per-z 2x2 quadrature blocks X_z for that closed form are
-integrated jointly on the same grid (see resolvent.closed_form_resolvent).
+upper triangular normalization N(t) used by the closed-form resolvent. The
+per-z quadrature block X of that closed form is not integrated here:
+resolvent.closed_form_resolvent replays the RK4 stages from the stored
+samples, so a trajectory keeps the corruption its flow was run with.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def kostant_rhs(state: LatticeState):
     """Time derivatives (a', b', c') of the coefficient arrays."""
     y = backends.pack_state(state.a, state.b, state.c)
     dy = np.empty_like(y)
-    backends._rhs(state.t, y, dy, state.m, np.empty(0, dtype=np.complex128), None)
+    backends._rhs(y, dy, state.m, None)
     return backends.unpack_bands(dy, state.m)[:3]
 
 
@@ -128,15 +129,16 @@ class Trajectory:
     """Sampled solution on the uniform grid t0 + k h, k = 0..n_steps.
 
     samples holds the packed rows described in backends; band and
-    quadrature accessors return views into it.
+    quadrature accessors return views into it. corruption is the
+    CorruptionSpec (or None) the flow was integrated with.
     """
 
-    def __init__(self, samples, m, h, t0=0.0, zs=None):
+    def __init__(self, samples, m, h, t0, corruption):
         self.samples = samples
         self.m = m
         self.h = h
         self.t0 = t0
-        self.zs = np.empty(0, dtype=np.complex128) if zs is None else zs
+        self.corruption = corruption
         self.ts = t0 + h * np.arange(samples.shape[0])
 
     @property
@@ -158,13 +160,6 @@ class Trajectory:
     @property
     def q(self) -> np.ndarray:
         return self.samples[:, 3 * self.m - 3 : 3 * self.m]
-
-    def x_blocks(self, iz: int) -> np.ndarray:
-        """Per-sample 2x2 quadrature blocks for requested z index iz."""
-        if not 0 <= iz < self.zs.size:
-            raise IndexError(f"no resolvent quadrature at index {iz}")
-        base = 3 * self.m + 4 * iz
-        return self.samples[:, base : base + 4].reshape(-1, 2, 2)
 
     def index_of(self, t: float) -> int:
         """Grid index of time t; t must lie on the grid."""
@@ -239,38 +234,25 @@ def integrate(
     state: LatticeState,
     cfg: IntegratorConfig,
     corruption: CorruptionSpec | None = None,
-    resolvent_zs=None,
-    x0_blocks=None,
 ) -> Trajectory:
     """Run fixed-step RK4 from state.t over [t, t + t_end].
 
-    resolvent_zs / x0_blocks attach per-z quadrature blocks with the given
-    initial 2x2 values; they are integrated jointly so that every RK4 stage
-    sees stage-consistent band values. Raises CNearZeroError if any |c_n|
-    falls below backends.C_FLOOR or the bands overflow.
+    Raises CNearZeroError if any |c_n| falls below backends.C_FLOOR or the
+    bands overflow.
     """
     c_min0 = float(np.min(np.abs(state.c)))
     if c_min0 < backends.C_FLOOR:
         raise CNearZeroError(state.t, 0, c_min0)
 
-    zs = None
-    if resolvent_zs is not None:
-        zs = np.ascontiguousarray(resolvent_zs, dtype=np.complex128)
-        x0_blocks = np.asarray(x0_blocks, dtype=np.complex128)
-        if x0_blocks.shape != (zs.size, 2, 2):
-            raise ValueError(
-                f"x0_blocks must have shape ({zs.size}, 2, 2), got {x0_blocks.shape}"
-            )
-
-    y0 = backends.pack_state(state.a, state.b, state.c, x0_blocks)
+    y0 = backends.pack_state(state.a, state.b, state.c)
     samples, status = backends.rk4_trajectory(
-        y0, state.m, cfg.n_steps, cfg.h, state.t, zs, corruption
+        y0, state.m, cfg.n_steps, cfg.h, corruption
     )
     if status:
         m = state.m
         c_min = float(np.min(np.abs(samples[status, 2 * m - 1 : 3 * m - 3])))
         raise CNearZeroError(state.t + status * cfg.h, status, c_min)
-    return Trajectory(samples, state.m, cfg.h, t0=state.t, zs=zs)
+    return Trajectory(samples, state.m, cfg.h, state.t, corruption)
 
 
 def central_diff(values, h: float):

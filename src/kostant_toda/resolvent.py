@@ -16,9 +16,11 @@ the closed form
     R(t, z) = exp(z t) C0(t) X(t, z) N(t)^{-1},
 
 where N is the upper triangular matrix built from the trajectory
-quadratures q1, q2, q3 and X is the per-z quadrature block integrated
-jointly with the flow (see dynamics.integrate). `closed_form_resolvent`
-assembles that product; on the true flow it reproduces the directly
+quadratures q1, q2, q3 and X is the per-z quadrature of
+X' = -exp(-z t) C0^{-1} N. X' does not depend on X, so
+`closed_form_resolvent` integrates it after the flow: it replays the RK4
+stages of every step from the stored samples and sums them as the RK4
+loop would have. On the true flow the product reproduces the directly
 computed resolvent to integrator accuracy.
 """
 
@@ -38,7 +40,11 @@ from .core import (
     leading_power_blocks,
     norm_bound,
 )
-from .dynamics import IntegratorConfig, Trajectory, central_diff, integrate
+from . import backends
+
+# integrate is not called here; perfbench's tracer wraps it in every package
+# namespace that holds it, and its tests assert resolvent.integrate is it.
+from .dynamics import Trajectory, central_diff, integrate  # noqa: F401
 from .moments import moments_from_j
 
 __all__ = [
@@ -48,13 +54,15 @@ __all__ = [
     "dense_resolvent_block",
     "generating_function",
     "generating_ode_residual",
-    "integrate_with_closed_form",
     "neumann_terms_needed",
     "resolvent_block",
     "resolvent_ode_residual",
 ]
 
 MARGIN = 1.5
+# Steps of X replayed side by side: bounds the replay's scratch arrays to
+# a few times 3m * REPLAY_STEPS entries, whatever the trajectory's length.
+REPLAY_STEPS = 256
 
 
 class ZTooSmallError(ValueError):
@@ -208,57 +216,93 @@ def spectral_ring(traj: Trajectory, n_angles: int, mult: float = 2.0) -> np.ndar
     return mult * rho_max * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
 
 
-def integrate_with_closed_form(
-    state: LatticeState, cfg: IntegratorConfig, zs
-) -> Trajectory:
-    """Integrate the flow with per-z closed-form quadrature blocks attached.
+def _scalar_mul(x, y):
+    """x * y elementwise, rounded as numpy's complex scalars round it.
 
-    The flow starts at t0 = state.t, where N(t0) = I, so the initial blocks
-    are X(t0) = exp(-z t0) C0(t0)^{-1} R(t0, z) with R(t0, z) from the
-    dense solve; each requested z must respect the margin at t0.
+    numpy's array loop may fuse a product into the sum that follows it;
+    its scalars round the four real products and the two sums one by one.
+    X' keeps the bits of the RK4 loop that formed it on scalars (the
+    reference in tests/test_resolvent.py).
     """
-    zs = np.ascontiguousarray(zs, dtype=np.complex128)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _x_rhs(y, m, zs, t):
+    """X' = -exp(-z t) C0^{-1} N, (nz, 4, n), at rows y (3m, n) and times t.
+
+    C0^{-1} N is [[e1, e1 q3], [a1 e1, a1 e1 q3 + e2]] with e_k = exp(q_k).
+    """
+    a1, q1, q2, q3 = y[0], y[3 * m - 3], y[3 * m - 2], y[3 * m - 1]
+    e1 = np.exp(q1)
+    a1e1 = _scalar_mul(a1, e1)
+    cn = np.stack([e1, _scalar_mul(e1, q3), a1e1, _scalar_mul(a1e1, q3) + np.exp(q2)])
+    return -np.exp(-zs[:, None] * t)[:, None, :] * cn[None, :, :]
+
+
+def _x_blocks(traj: Trajectory, zs: np.ndarray) -> np.ndarray:
+    """X(t, z) at every sample, (n_samples, nz, 4), each block row-major.
+
+    X(t0) = exp(-z t0) C0(t0)^{-1} R(t0, z), R(t0, z) by the dense solve, so
+    each z must respect the margin at t0. A step's RK4 stages depend on its
+    stored row alone, so REPLAY_STEPS steps at a time are replayed side by
+    side, each stage folded into the increment (h/6)(((k1 + 2 k2) + 2 k3) + k4)
+    in the RK4 loop's order; np.cumsum adds the increments in sequence.
+    """
+    state = traj.state_at(0)
     rho0 = norm_bound(state)
-    x0 = np.empty((zs.size, 2, 2), dtype=np.complex128)
+    x = np.empty((traj.n_samples, zs.size, 4), dtype=np.complex128)
     c0i = c0_block_inv(state.a[0])
     for k, z in enumerate(zs):
         _check_margin(z, rho0, f" at t = {state.t:.6g}")
-        x0[k] = c0i @ dense_resolvent_block(state, z)
+        x[0, k] = (c0i @ dense_resolvent_block(state, z)).ravel()
     if state.t != 0:  # at t0 = 0 the factor is 1; skipping it keeps signed zeros
-        x0 *= np.exp(-zs * state.t)[:, None, None]
-    return integrate(state, cfg, resolvent_zs=zs, x0_blocks=x0)
+        x[0] *= np.exp(-zs * state.t)[:, None]
+
+    m, h, starts, ts = traj.m, traj.h, traj.samples[:-1], traj.ts[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the RK4 loop
+        for lo in range(0, ts.size, REPLAY_STEPS):
+            rows = slice(lo, lo + REPLAY_STEPS)
+            y, t = np.ascontiguousarray(starts[rows].T), ts[rows]  # a step per column
+            dy = np.empty_like(y)
+            incr, stage = _x_rhs(y, m, zs, t), y
+            for advance, weight in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, 1.0)):
+                backends._rhs(stage, dy, m, traj.corruption)
+                stage = y + advance * dy
+                k = _x_rhs(stage, m, zs, t + advance)
+                if weight != 1.0:
+                    k *= weight
+                incr += k
+            x[1 + lo : 1 + lo + t.size] = ((h / 6.0) * incr).transpose(2, 0, 1)
+    return np.cumsum(x, axis=0, out=x)
 
 
-def closed_form_resolvent(traj: Trajectory, z: complex) -> np.ndarray:
-    """R(t, z) = exp(zt) C0(t) X(t, z) N(t)^{-1} at every sample, (k, 2, 2).
+def closed_form_resolvent(traj: Trajectory, zs) -> np.ndarray:
+    """R(t, z) = exp(zt) C0(t) X(t, z) N(t)^{-1}, (n_samples, nz, 2, 2).
 
-    The trajectory must carry the quadrature block for z (see
-    integrate_with_closed_form). N is assembled from q1, q2, q3; its
+    X is integrated on the trajectory's grid with its RK4 rule and its
+    corruption (see _x_blocks). N is assembled from q1, q2, q3; its
     determinant exp(q1 + q2) never vanishes, so the explicit triangular
     inverse is used.
     """
-    matches = np.nonzero(np.abs(traj.zs - z) <= 1e-12 * max(1.0, abs(z)))[0]
-    if matches.size == 0:
-        raise ValueError(
-            f"trajectory carries no closed-form quadrature for z = {z}; "
-            "integrate with integrate_with_closed_form"
-        )
-    X = traj.x_blocks(int(matches[0]))
+    zs = np.ascontiguousarray(zs, dtype=np.complex128)
     n = traj.n_samples
-    a1 = traj.a[:, 0]
-    q1 = traj.q[:, 0]
-    q2 = traj.q[:, 1]
-    q3 = traj.q[:, 2]
+    q1, q2, q3 = traj.q.T
 
-    c0 = np.zeros((n, 2, 2), dtype=np.complex128)
-    c0[:, 0, 0] = 1.0
-    c0[:, 1, 0] = -a1
-    c0[:, 1, 1] = 1.0
+    c0 = np.zeros((n, 1, 2, 2), dtype=np.complex128)
+    c0[:, 0, 0, 0] = 1.0
+    c0[:, 0, 1, 0] = -traj.a[:, 0]
+    c0[:, 0, 1, 1] = 1.0
 
-    ninv = np.zeros((n, 2, 2), dtype=np.complex128)
-    ninv[:, 0, 0] = np.exp(-q1)
-    ninv[:, 0, 1] = -q3 * np.exp(-q2)
-    ninv[:, 1, 1] = np.exp(-q2)
+    ninv = np.zeros((n, 1, 2, 2), dtype=np.complex128)
+    ninv[:, 0, 0, 0] = np.exp(-q1)
+    ninv[:, 0, 0, 1] = -q3 * np.exp(-q2)
+    ninv[:, 0, 1, 1] = np.exp(-q2)
 
-    phase = np.exp(z * traj.ts)[:, None, None]
-    return phase * (c0 @ X @ ninv)
+    # at most two (n, nz, 2, 2) arrays live; phase stays the left operand,
+    # since numpy's loop rounds a broadcast operand's products by its side
+    r = c0 @ _x_blocks(traj, zs).reshape(n, zs.size, 2, 2) @ ninv
+    phase = np.exp(zs[None, :] * traj.ts[:, None])[:, :, None, None]
+    return np.multiply(phase, r, out=r)

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import kostant_toda.cli as cli
+from kostant_toda import resolvent
 from kostant_toda import (
     IntegratorConfig,
     closed_form_resolvent,
     integrate,
-    integrate_with_closed_form,
     random_state,
     resolvent_block,
 )
@@ -162,11 +162,20 @@ def test_polys_json_shape(tmp_path):
     assert v1["bottom"] == doc["scalar"][3]
 
 
-def test_resolvent_sweep(tmp_path):
+def test_resolvent_sweep(tmp_path, monkeypatch):
+    steps = []
+
+    def counting(state, cfg, corruption=None):
+        steps.append(cfg.n_steps)
+        return integrate(state, cfg, corruption)
+
+    monkeypatch.setattr(cli, "integrate", counting)
+    monkeypatch.setattr(resolvent, "integrate", counting)
     out = tmp_path / "r.csv"
     assert run(["resolvent", "--seed", "2", "--m", "8", "--t-end", "0.1",
                 "--h", "0.001", "--angles", "4", "--stride", "50",
                 "--closed-form", "--out", str(out)]) == 0
+    assert steps == [100]  # the closed form replays the sweep's one flow
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 12  # times 0, 50, 100 x 4 angles
     assert max(float(r["max_diff"]) for r in rows) < 1e-8
@@ -177,8 +186,7 @@ def test_resolvent_sweep(tmp_path):
 
 def test_verify_quick_and_report(tmp_path, capsys):
     rep1, rep2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert run(["verify", "--seeds", "0", "--jobs", "2",
-                "--report", str(rep1)]) == 0
+    assert run(["verify", "--seeds", "0", "--report", str(rep1)]) == 0
     text = capsys.readouterr().out
     assert "[PASS]" in text and "[FAIL]" not in text
     assert run(["verify", "--seeds", "0", "--report", str(rep2)]) == 0
@@ -207,11 +215,6 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 def test_verify_unknown_control():
     assert run(["verify", "--quick", "--control", "bogus-kind"]) == 2
-
-
-def test_verify_jobs_zero_is_a_configuration_error(capsys):
-    assert run(["verify", "--quick", "--seeds", "0", "--jobs", "0"]) == 2
-    assert "jobs" in capsys.readouterr().err
 
 
 def test_verify_empty_seed_list_is_a_configuration_error(capsys):
@@ -317,19 +320,18 @@ def test_resolvent_csv_parses_back_bit_identical(tmp_path, closed_form):
     state, cfg = random_state(3, 8), IntegratorConfig(t_end=0.02, h=0.001)
     traj = integrate(state, cfg)
     zs = spectral_ring(traj, 3)
-    if closed_form:
-        traj = integrate_with_closed_form(state, cfg, zs)
+    closed = closed_form_resolvent(traj, zs) if closed_form else None
     assert table.shape == (4 * 3, 12 + 9 * closed_form)
     rows = iter(table)
     for k in (0, 7, 14, 20):
-        for z in zs:
+        for iz, z in enumerate(zs):
             row = next(rows)
             rb = resolvent_block(traj.state_at(k), complex(z), tol=1e-10)
             expect = [traj.ts[k], z.real, z.imag]
             expect += [x for e in rb.value.ravel() for x in (e.real, e.imag)]
             expect.append(rb.tail_bound)
             if closed_form:
-                cf = closed_form_resolvent(traj, z)[k]
+                cf = closed[k, iz]
                 expect += [x for e in cf.ravel() for x in (e.real, e.imag)]
                 expect.append(np.max(np.abs(cf - rb.value)))
             assert row.tobytes() == np.array(expect).tobytes()

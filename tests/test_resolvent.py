@@ -3,6 +3,7 @@ import pytest
 
 from kostant_toda import (
     MARGIN,
+    CorruptionSpec,
     IntegratorConfig,
     LatticeState,
     ZTooSmallError,
@@ -13,7 +14,6 @@ from kostant_toda import (
     generating_function,
     generating_ode_residual,
     integrate,
-    integrate_with_closed_form,
     moments_from_j,
     neumann_terms_needed,
     norm_bound,
@@ -21,6 +21,7 @@ from kostant_toda import (
     resolvent_block,
     resolvent_ode_residual,
 )
+from kostant_toda import backends
 from kostant_toda.resolvent import spectral_ring
 
 
@@ -93,49 +94,106 @@ def test_resolvent_ode_residual_small():
     assert generating_ode_residual(traj, z, 0.1) < 1e-5
 
 
-def test_closed_form_requires_registered_z():
-    st = random_state(2, 10)
-    traj = integrate(st, IntegratorConfig(t_end=0.01, h=1e-3))
-    with pytest.raises(ValueError):
-        closed_form_resolvent(traj, 100.0 + 0j)
-
-
 def test_closed_form_matches_dense_along_path():
     st = random_state(2, 12)
-    cfg = IntegratorConfig(t_end=0.5, h=1e-3)
-    probe = integrate(st, cfg)
-    rho = float(np.max(probe.norm_bounds()))
+    traj = integrate(st, IntegratorConfig(t_end=0.5, h=1e-3))
+    rho = float(np.max(traj.norm_bounds()))
     zs = 2 * rho * np.exp(2j * np.pi * np.arange(4) / 4)
-    traj = integrate_with_closed_form(st, cfg, zs)
-    for z in zs:
-        path = closed_form_resolvent(traj, z)
-        assert path.shape == (traj.n_samples, 2, 2)
+    paths = closed_form_resolvent(traj, zs)
+    assert paths.shape == (traj.n_samples, 4, 2, 2)
+    for iz, z in enumerate(zs):
         for i in (0, 250, 500):
             ref = dense_resolvent_block(traj.state_at(i), z)
-            assert np.max(np.abs(path[i] - ref)) < 1e-9
+            assert np.max(np.abs(paths[i, iz] - ref)) < 1e-9
 
 
 def test_closed_form_from_a_later_start_time():
-    # X starts at exp(-z t0) C0^{-1} R(t0): the kernel integrates X' in
-    # absolute time, and closed_form_resolvent multiplies by exp(z t)
+    # X starts at exp(-z t0) C0^{-1} R(t0): X' is integrated in absolute
+    # time, and closed_form_resolvent multiplies by exp(z t)
     st0 = random_state(0, 12)
     st = LatticeState(st0.a, st0.b, st0.c, t=0.5)
-    cfg = IntegratorConfig(t_end=0.5, h=1.25e-4)
-    zs = spectral_ring(integrate(st, cfg), 4)
-    traj = integrate_with_closed_form(st, cfg, zs)
+    traj = integrate(st, IntegratorConfig(t_end=0.5, h=1.25e-4))
+    zs = spectral_ring(traj, 4)
+    paths = closed_form_resolvent(traj, zs)
     end = traj.state_at(traj.n_samples - 1)
-    for z in zs:
-        path = closed_form_resolvent(traj, z)
-        assert np.max(np.abs(path[0] - dense_resolvent_block(st, z))) < 1e-12
-        assert np.max(np.abs(path[-1] - dense_resolvent_block(end, z))) < 1e-4
+    for iz, z in enumerate(zs):
+        assert np.max(np.abs(paths[0, iz] - dense_resolvent_block(st, z))) < 1e-12
+        assert np.max(np.abs(paths[-1, iz] - dense_resolvent_block(end, z))) < 1e-4
 
 
 def test_closed_form_margin_at_start():
     st = random_state(2, 10)
+    traj = integrate(st, IntegratorConfig(t_end=0.01, h=1e-3))
     with pytest.raises(ZTooSmallError):
-        integrate_with_closed_form(
-            st, IntegratorConfig(t_end=0.01, h=1e-3), [0.5 * norm_bound(st)]
-        )
+        closed_form_resolvent(traj, [0.5 * norm_bound(st)])
+
+
+def _jointly_stepped_closed_form(traj, zs):
+    """The closed form by the RK4 loop that carried X in the packed row.
+
+    Bands and X are stepped together on one vector, X' is formed on numpy
+    complex scalars at each stage time, and R is assembled one z at a time.
+    """
+    m, h = traj.m, traj.h
+    st = traj.state_at(0)
+    x0 = np.array([c0_block_inv(st.a[0]) @ dense_resolvent_block(st, z) for z in zs])
+    if st.t != 0:
+        x0 *= np.exp(-zs * st.t)[:, None, None]
+
+    def rhs(t, y, dy):
+        backends._rhs(y[: 3 * m], dy[: 3 * m], m, traj.corruption)
+        a1, q1, q2, q3 = y[0], y[3 * m - 3], y[3 * m - 2], y[3 * m - 1]
+        e1 = np.exp(q1)
+        e2 = np.exp(q2)
+        cn = np.array([e1, e1 * q3, a1 * e1, a1 * e1 * q3 + e2], dtype=np.complex128)
+        w = -np.exp(-zs * t)
+        dy[3 * m :] = (w[:, None] * cn[None, :]).ravel()
+
+    y = np.concatenate([traj.samples[0], x0.ravel()])
+    k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
+    rows = [y]
+    for k in range(traj.n_samples - 1):
+        t = st.t + k * h
+        rhs(t, y, k1)
+        rhs(t + 0.5 * h, y + (0.5 * h) * k1, k2)
+        rhs(t + 0.5 * h, y + (0.5 * h) * k2, k3)
+        rhs(t + h, y + h * k3, k4)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rows.append(y)
+    rows = np.array(rows)
+    assert rows[:, : 3 * m].tobytes() == traj.samples.tobytes()
+
+    c0 = np.zeros((traj.n_samples, 2, 2), dtype=np.complex128)
+    c0[:, 0, 0] = 1.0
+    c0[:, 1, 0] = -traj.a[:, 0]
+    c0[:, 1, 1] = 1.0
+    q1, q2, q3 = traj.q.T
+    ninv = np.zeros((traj.n_samples, 2, 2), dtype=np.complex128)
+    ninv[:, 0, 0] = np.exp(-q1)
+    ninv[:, 0, 1] = -q3 * np.exp(-q2)
+    ninv[:, 1, 1] = np.exp(-q2)
+    out = []
+    for iz, z in enumerate(zs):
+        X = rows[:, 3 * m + 4 * iz : 3 * m + 4 * iz + 4].reshape(-1, 2, 2)
+        out.append(np.exp(z * traj.ts)[:, None, None] * (c0 @ X @ ninv))
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.5])
+@pytest.mark.parametrize("corruption", [None, CorruptionSpec("scale-c-rhs", 2.0)],
+                         ids=["clean", "scale-c-rhs"])
+def test_closed_form_is_bit_identical_to_joint_stepping(t0, corruption):
+    # 800 steps: with X' formed by numpy's array multiply in place of its
+    # scalar one, the four cases first differ in a last bit at steps 292,
+    # 716, 118 and 598
+    st0 = random_state(0, 12)
+    st = LatticeState(st0.a, st0.b, st0.c, t=t0)
+    traj = integrate(st, IntegratorConfig(t_end=0.1, h=1.25e-4), corruption)
+    assert traj.n_samples == 801
+    zs = spectral_ring(traj, 6)
+    assert closed_form_resolvent(traj, zs).tobytes() == (
+        _jointly_stepped_closed_form(traj, zs).tobytes()
+    )
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])

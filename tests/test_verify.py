@@ -172,17 +172,30 @@ def test_neumann_tail_probes_clear_the_margin_on_every_seed():
     assert r.instance["tol"] == 1e-8
 
 
+def test_closed_form_check_integrates_nothing(monkeypatch):
+    traj = verify._flow_traj(0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form integrated a flow of its own")
+
+    monkeypatch.setattr(verify, "integrate", refuse)
+    monkeypatch.setattr(resolvent, "integrate", refuse)
+    assert verify.check_closed_form_resolvent([0], lambda seed: traj).passed
+
+
 def test_suite_integrates_each_flow_once(monkeypatch):
-    # every check that reads a seed's m = 12 flow shares one integration
-    calls = Counter()
+    # every check that reads a seed's m = 12 flow shares one integration, and
+    # no flow that takes a step is begun twice from one start: a longer
+    # horizon continues the shared flow instead of repeating its prefix
+    calls, starts = Counter(), Counter()
 
     def counting(integrate):
-        def call(state, cfg, corruption=None, resolvent_zs=None, x0_blocks=None):
-            zs = None if resolvent_zs is None else np.asarray(resolvent_zs).tobytes()
-            key = (state.a.tobytes(), state.b.tobytes(), state.c.tobytes(), state.t,
-                   cfg, corruption, zs)
-            calls[key] += 1
-            return integrate(state, cfg, corruption, resolvent_zs, x0_blocks)
+        def call(state, cfg, corruption=None):
+            start = (state.a.tobytes(), state.b.tobytes(), state.c.tobytes(), state.t)
+            calls[start + (cfg, corruption)] += 1
+            if cfg.n_steps:
+                starts[start + (cfg.h, corruption)] += 1
+            return integrate(state, cfg, corruption)
 
         return call
 
@@ -190,3 +203,4 @@ def test_suite_integrates_each_flow_once(monkeypatch):
     monkeypatch.setattr(resolvent, "integrate", counting(resolvent.integrate))
     run_suite(seeds=[0, 1], control="freeze-b")
     assert calls and max(calls.values()) == 1, [n for n in calls.values() if n > 1]
+    assert max(starts.values()) == 1, [n for n in starts.values() if n > 1]
