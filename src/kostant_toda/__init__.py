@@ -66,6 +66,7 @@ from .resolvent import (
     neumann_terms_needed,
     resolvent_block,
     resolvent_ode_residual,
+    resolvent_sweep,
 )
 from .verify import CheckReport, reports_to_json, run_suite
 
@@ -121,6 +122,7 @@ __all__ = [
     "reports_to_json",
     "resolvent_block",
     "resolvent_ode_residual",
+    "resolvent_sweep",
     "run_suite",
     "scalar_polys",
     "shift_coeffs",

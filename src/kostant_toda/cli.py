@@ -42,7 +42,7 @@ from .polynomials import scalar_polys, vector_polys
 from .resolvent import (
     ZTooSmallError,
     closed_form_resolvent,
-    resolvent_block,
+    resolvent_sweep,
     spectral_ring,
 )
 from .verify import CONTROL_KINDS, reports_to_json, run_suite
@@ -231,18 +231,20 @@ def _cmd_resolvent(ns) -> int:
     cols = ["t", "z_re", "z_im", *("r" + c for c in block), "tail_bound"]
     if ns.closed_form:
         cols += ["cf" + c for c in block] + ["max_diff"]
-    table = []
-    for k in rows:
-        st = traj.state_at(k)
-        for iz, z in enumerate(zs):
-            rb = resolvent_block(st, complex(z), tol=ns.tol)
-            row = [traj.ts[k], z.real, z.imag, *rb.value.ravel().view(np.float64)]
-            row.append(rb.tail_bound)
-            if ns.closed_form:
-                cf = closed[k, iz]
-                row += [*cf.ravel().view(np.float64), np.max(np.abs(cf - rb.value))]
-            table.append(row)
-    _emit(ns.out, f"{len(table)} resolvent rows", write_csv, cols, np.array(table))
+    values, tails = resolvent_sweep([traj.state_at(k) for k in rows], zs, ns.tol)
+    cells = [
+        np.repeat(traj.ts[rows], zs.size),
+        np.tile(zs.real, len(rows)),
+        np.tile(zs.imag, len(rows)),
+        values.reshape(-1, 4).view(np.float64),
+        tails.ravel(),
+    ]
+    if ns.closed_form:
+        cf = closed[rows]
+        diff = np.max(np.abs(cf - values), axis=(2, 3))
+        cells += [cf.reshape(-1, 4).view(np.float64), diff.ravel()]
+    table = np.column_stack(cells)
+    _emit(ns.out, f"{len(table)} resolvent rows", write_csv, cols, table)
     return 0
 
 

@@ -74,14 +74,7 @@ class LatticeState:
 
     def dense(self) -> np.ndarray:
         """Dense m x m operator: unit superdiagonal, bands a, b, c."""
-        m = self.m
-        J = np.zeros((m, m), dtype=np.complex128)
-        idx = np.arange(m)
-        J[idx, idx] = self.a
-        J[idx[:-1], idx[1:]] = 1.0
-        J[idx[1:], idx[:-1]] = self.b
-        J[idx[2:], idx[:-2]] = self.c
-        return J
+        return dense_stack(self.a[None], self.b[None], self.c[None])[0]
 
     def lower_dense(self) -> np.ndarray:
         """Strictly lower part of the operator (the b and c bands)."""
@@ -99,23 +92,36 @@ def block_at(M: np.ndarray, i: int, j: int) -> np.ndarray:
     return np.array(M[2 * i - 2 : 2 * i, 2 * j - 2 : 2 * j])
 
 
-# Kept out of __all__ like backends._rhs: it runs inside moments_from_j and
-# resolvent_block, and tracers that wrap public functions should leave it alone.
-def leading_power_blocks(state: LatticeState, n_max: int) -> np.ndarray:
-    """Blocks (J^k)_11 for k = 0 .. n_max, shape (n_max + 1, 2, 2).
+# Kept out of __all__ like backends._rhs: they run inside moments_from_j and
+# the resolvent sums, and tracers that wrap public functions should leave
+# them alone.
+def dense_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Dense operators of S states, (S, m, m), from bands (S, m), (S, m-1), (S, m-2)."""
+    S, m = a.shape
+    J = np.zeros((S, m, m), dtype=np.complex128)
+    idx = np.arange(m)
+    J[:, idx, idx] = a
+    J[:, idx[:-1], idx[1:]] = 1.0
+    J[:, idx[1:], idx[:-1]] = b
+    J[:, idx[2:], idx[:-2]] = c
+    return J
 
-    The leading two rows W of J^k advance by one dense product W <- W J
-    per power.
+
+def leading_power_blocks(J: np.ndarray, n_max: int) -> np.ndarray:
+    """Blocks (J^k)_11 of a stack J (S, m, m), k = 0 .. n_max: (S, n_max + 1, 2, 2).
+
+    The leading two rows W of J^k advance by one stacked product W <- W J
+    per power. Each state's blocks are bit-identical alone and in a stack.
     """
-    J = state.dense()
-    W = np.zeros((2, state.m), dtype=np.complex128)
-    W[0, 0] = 1.0
-    W[1, 1] = 1.0
-    out = np.empty((n_max + 1, 2, 2), dtype=np.complex128)
-    out[0] = W[:, :2]
+    S, m, _ = J.shape
+    W = np.zeros((S, 2, m), dtype=np.complex128)
+    W[:, 0, 0] = 1.0
+    W[:, 1, 1] = 1.0
+    out = np.empty((S, n_max + 1, 2, 2), dtype=np.complex128)
+    out[:, 0] = W[:, :, :2]
     for k in range(1, n_max + 1):
         W = W @ J
-        out[k] = W[:, :2]
+        out[:, k] = W[:, :, :2]
     return out
 
 
@@ -131,10 +137,21 @@ def norm_bound(state: LatticeState) -> float:
     kept for every row, which keeps the bound independent of where the
     truncation cuts off.
     """
-    cpad = np.concatenate([[0.0], [0.0], np.abs(state.c)])
-    bpad = np.concatenate([[0.0], np.abs(state.b)])
-    rows = cpad + bpad + np.abs(state.a) + 1.0
-    return float(np.max(rows))
+    return float(norm_bound_stack(state.a[None], state.b[None], state.c[None])[0])
+
+
+def norm_bound_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """norm_bound of S states, (S,), from bands (S, m), (S, m-1), (S, m-2).
+
+    Each row sum adds |c|, |b|, |a| and 1 in that order, so every value is
+    norm_bound's bit for bit. Kept out of __all__ with dense_stack.
+    """
+    rows = np.zeros(a.shape)
+    rows[:, 2:] = np.abs(c)
+    rows[:, 1:] += np.abs(b)
+    rows += np.abs(a)
+    rows += 1.0
+    return np.max(rows, axis=1)
 
 
 # Fixed 2x2 blocks of the partition. A is the constant superdiagonal block;

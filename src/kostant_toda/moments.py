@@ -151,7 +151,8 @@ def moments_from_j(
         )
     c0 = c0_block(state.a[0])
     c0i = c0_block_inv(state.a[0])
-    return MomentFunctional(c0i @ leading_power_blocks(state, n_max) @ c0)
+    blocks = leading_power_blocks(state.dense()[None], n_max)[0]
+    return MomentFunctional(c0i @ blocks @ c0)
 
 
 def moments_from_recurrence(state: LatticeState, n_max: int) -> MomentFunctional:

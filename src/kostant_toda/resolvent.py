@@ -37,8 +37,10 @@ from .core import (
     c0_block_inv,
     commutator,
     d_block,
+    dense_stack,
     leading_power_blocks,
     norm_bound,
+    norm_bound_stack,
 )
 from . import backends
 
@@ -57,12 +59,16 @@ __all__ = [
     "neumann_terms_needed",
     "resolvent_block",
     "resolvent_ode_residual",
+    "resolvent_sweep",
 ]
 
 MARGIN = 1.5
 # Steps of X replayed side by side: bounds the replay's scratch arrays to
 # a few times 3m * REPLAY_STEPS entries, whatever the trajectory's length.
 REPLAY_STEPS = 256
+# Bytes of dense operators resolvent_sweep stacks for one power loop; a
+# stack holds at least one.
+STACK_BYTES = 1 << 20
 
 
 class ZTooSmallError(ValueError):
@@ -105,6 +111,37 @@ def neumann_terms_needed(rho: float, z_abs: float, tol: float) -> int:
     return max(K, 0)
 
 
+def _tail_bound(rho: float, z_abs: float, K: int) -> float:
+    """Geometric bound on the terms past power K. K is a Python int: a numpy
+    integer exponent rounds the power differently."""
+    return float((rho / z_abs) ** (K + 1) / (z_abs - rho))
+
+
+def _neumann_sums(J: np.ndarray, zs, terms: np.ndarray) -> np.ndarray:
+    """Sums of (J^k)_11 / z^{k+1} over k < terms, (S, nz, 2, 2), for a stack
+    J (S, m, m), points zs and term counts terms (S, nz).
+
+    One power loop serves the whole stack. The powers of 1/z are formed in
+    each z's own scalar type, 1.0 / z and then zp *= 1/z, and each sum adds
+    its terms in increasing k, so a sum is bit for bit that of a lone state
+    and z.
+    """
+    S, nz = terms.shape
+    n_max = int(terms.max(initial=1)) - 1
+    blocks = leading_power_blocks(J, n_max).reshape(S, n_max + 1, 1, 4)
+    sums = np.zeros((S, nz, 4), dtype=np.complex128)
+    zinv = [1.0 / z for z in zs]
+    zp = list(zinv)
+    coef = np.empty((nz, 1), dtype=np.complex128)
+    for k in range(n_max + 1):
+        # each product runs over one block's 4 entries times one scalar,
+        # whatever S and nz are, so its rounding does not depend on them
+        coef[:, 0] = zp
+        np.add(sums, blocks[:, k] * coef, out=sums, where=(k < terms)[:, :, None])
+        zp = [p * q for p, q in zip(zp, zinv)]
+    return sums.reshape(S, nz, 2, 2)
+
+
 def resolvent_block(
     state: LatticeState,
     z: complex,
@@ -120,14 +157,38 @@ def resolvent_block(
     rho = norm_bound(state)
     _check_margin(z, rho)
     K = terms - 1 if terms is not None else neumann_terms_needed(rho, abs(z), tol)
-    S = np.zeros((2, 2), dtype=np.complex128)
-    zinv = 1.0 / z
-    zp = zinv
-    for block in leading_power_blocks(state, K):
-        S += block * zp
-        zp *= zinv
-    tail = (rho / abs(z)) ** (K + 1) / (abs(z) - rho)
-    return ResolventBlock(S, z, rho, K + 1, float(tail))
+    value = _neumann_sums(state.dense()[None], [z], np.array([[K + 1]]))[0, 0]
+    return ResolventBlock(value, z, rho, K + 1, _tail_bound(rho, abs(z), K))
+
+
+def resolvent_sweep(states, zs, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """resolvent_block(state, complex(z), tol) at every state and point z.
+
+    Returns the values (S, nz, 2, 2) and tail bounds (S, nz) of those calls,
+    bit for bit. The margin is checked at every (state, z) in that order
+    before any sum, so the first violation raised is the one a loop of
+    single calls meets first. The ring's values at one state come from one
+    power sequence, and the dense operators of up to STACK_BYTES of states
+    share one stacked power loop.
+    """
+    states, zs = list(states), [complex(z) for z in zs]
+    terms = np.empty((len(states), len(zs)), dtype=np.int64)
+    tails = np.empty(terms.shape)
+    for i, state in enumerate(states):
+        rho = norm_bound(state)
+        for j, z in enumerate(zs):
+            _check_margin(z, rho)
+            K = neumann_terms_needed(rho, abs(z), tol)
+            terms[i, j], tails[i, j] = K + 1, _tail_bound(rho, abs(z), K)
+    values = np.empty(terms.shape + (2, 2), dtype=np.complex128)
+    lo = 0
+    while lo < len(states):
+        hi = lo + max(1, STACK_BYTES // (16 * states[lo].m ** 2))
+        part = states[lo:hi]
+        J = dense_stack(*(np.stack([getattr(s, x) for s in part]) for x in "abc"))
+        values[lo:hi] = _neumann_sums(J, zs, terms[lo:hi])
+        lo = hi
+    return values, tails
 
 
 def dense_resolvent_block(state: LatticeState, z: complex) -> np.ndarray:
@@ -205,15 +266,36 @@ def generating_ode_residual(
     return float(np.max(np.abs(res)))
 
 
+def outside_margin(r: float, phase, rho: float):
+    """r * phase, with r stepped up by ulps until |r * phase| >= MARGIN * rho.
+
+    A radius of exactly MARGIN * rho can round to a point just inside the
+    margin. Kept out of __all__ with spectral_ring.
+    """
+    while abs(r * phase) < MARGIN * rho:
+        r = np.nextafter(r, np.inf)
+    return r * phase
+
+
 def spectral_ring(traj: Trajectory, n_angles: int, mult: float = 2.0) -> np.ndarray:
     """Points z = mult * rho_max * exp(2 pi i k / n_angles), k = 0..n_angles-1.
 
-    rho_max is the largest norm bound along traj, so with mult >= MARGIN every
-    z respects the margin at every sample. Kept out of __all__ so that
-    tracers time it as part of its caller.
+    rho_max is the largest norm bound along traj. With mult >= MARGIN every
+    z respects the margin against norm_bound at every sample: a point that
+    rounds inside it has its radius stepped up by outside_margin, and the
+    other points keep their value. Kept out of __all__ so that tracers time
+    it as part of its caller.
     """
     rho_max = float(np.max(traj.norm_bounds()))
-    return mult * rho_max * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    phases = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    zs = mult * rho_max * phases
+    if mult >= MARGIN:
+        # norm_bound's own sums: traj.norm_bounds() adds in another order
+        rho = float(np.max(norm_bound_stack(traj.a, traj.b, traj.c)))
+        for k, z in enumerate(zs):
+            if abs(z) < MARGIN * rho:
+                zs[k] = outside_margin(mult * rho_max, phases[k], rho)
+    return zs
 
 
 def _scalar_mul(x, y):

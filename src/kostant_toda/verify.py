@@ -51,11 +51,11 @@ from .moments import (
 )
 from .polynomials import VectorPolynomial, derivative_law_residual, vector_polys
 from .resolvent import (
-    MARGIN,
     _generating_ode_residual_matrix,
     closed_form_resolvent,
     dense_resolvent_block,
     generating_ode_residual,
+    outside_margin,
     resolvent_block,
     resolvent_ode_residual,
     spectral_ring,
@@ -176,11 +176,12 @@ def check_block_power_ode(seeds, flow):
     for seed in seeds:
         traj = flow(seed)
         for t in _T_SAMPLES:
-            st, points = traj.stencil(t)
-            dp = central_diff([leading_power_blocks(s, 4) for s in points], traj.h)
+            st, (before, after) = traj.stencil(t)
+            stack = np.stack([s.dense() for s in (before, st, after)])
+            p_before, p, p_after = leading_power_blocks(stack, 5)
+            dp = central_diff([p_before, p_after], traj.h)
             b1 = b_block(st, 1)
             d0 = d_block(st, 0)
-            p = leading_power_blocks(st, 5)
             for n in range(1, 5):
                 worst.add(dp[n] - (p[n + 1] - p[n] @ b1 + commutator(p[n], d0)))
     return worst.report(
@@ -419,7 +420,8 @@ def check_exponential_moments(seeds, flow):
 
 def check_neumann_tail(seeds):
     """Dense-solve oracle must sit inside the reported tail bound. Probes
-    at |z| = mult * rho rounded inside MARGIN * rho step |z| up to clear it."""
+    at |z| = mult * rho that round inside the margin step |z| up to clear
+    it (outside_margin)."""
     worst = _Worst()
     multipliers, tol = (1.5, 2.0, 4.0, 10.0), 1e-8
     for seed in seeds:
@@ -427,10 +429,7 @@ def check_neumann_tail(seeds):
         rho = norm_bound(st)
         for mult in multipliers:
             for phase in (1.0, np.exp(1.7j)):
-                r = mult * rho
-                while abs(r * phase) < MARGIN * rho:
-                    r = np.nextafter(r, np.inf)
-                z = r * phase
+                z = outside_margin(mult * rho, phase, rho)
                 rb = resolvent_block(st, z, tol=tol)
                 err = np.max(np.abs(rb.value - dense_resolvent_block(st, z)))
                 worst.add(err / rb.tail_bound)

@@ -14,6 +14,8 @@ from kostant_toda import (
     IntegratorConfig,
     closed_form_resolvent,
     integrate,
+    neumann_terms_needed,
+    norm_bound,
     random_state,
     resolvent_block,
 )
@@ -310,31 +312,73 @@ def test_simulate_stdout_matches_out_file(tmp_path, capsys):
     assert out.read_bytes() == text.encode()
 
 
+def _neumann_by_hand(state, z, tol):
+    """Value and tail bound of the Neumann sum as one lone call formed it:
+    the 2-D power loop W <- W J and the powers of 1/z in Python complex."""
+    rho = norm_bound(state)
+    K = neumann_terms_needed(rho, abs(z), tol)
+    J, W = state.dense(), np.eye(2, state.m, dtype=np.complex128)
+    value = np.zeros((2, 2), dtype=np.complex128)
+    zinv = 1.0 / z
+    zp = zinv
+    for _ in range(K + 1):
+        value += W[:, :2].copy() * zp
+        W = W @ J
+        zp *= zinv
+    return value, (rho / abs(z)) ** (K + 1) / (abs(z) - rho)
+
+
 @pytest.mark.parametrize("closed_form", [False, True])
 def test_resolvent_csv_parses_back_bit_identical(tmp_path, closed_form):
+    # each row is the lone call's, word for word. With the powers of 1/z
+    # from numpy's array division instead of complex(z)'s, 329 of the 2,304
+    # value words of the second sweep (32 angles by 9 rows) differ
+    for seed, m, t_end, angles, stride in ((3, 8, 0.02, 3, 7), (0, 12, 0.05, 32, 7)):
+        out = tmp_path / f"r{seed}.csv"
+        argv = ["resolvent", "--seed", str(seed), "--m", str(m), "--t-end", str(t_end),
+                "--h", "0.001", "--angles", str(angles), "--stride", str(stride),
+                "--out", str(out)]
+        assert run(argv + ["--closed-form"] * closed_form) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        traj = integrate(random_state(seed, m), IntegratorConfig(t_end=t_end, h=0.001))
+        zs = spectral_ring(traj, angles)
+        closed = closed_form_resolvent(traj, zs) if closed_form else None
+        rows = [*range(0, traj.n_samples, stride), traj.n_samples - 1]  # last appended
+        assert table.shape == (len(rows) * angles, 12 + 9 * closed_form)
+        expect = []
+        for k in rows:
+            for iz, z in enumerate(zs):
+                rb = resolvent_block(traj.state_at(k), complex(z), tol=1e-10)
+                value, tail = _neumann_by_hand(traj.state_at(k), complex(z), 1e-10)
+                assert (rb.value.tobytes(), rb.tail_bound) == (value.tobytes(), tail)
+                row = [traj.ts[k], z.real, z.imag]
+                row += [x for e in rb.value.ravel() for x in (e.real, e.imag)]
+                row.append(rb.tail_bound)
+                if closed_form:
+                    cf = closed[k, iz]
+                    row += [x for e in cf.ravel() for x in (e.real, e.imag)]
+                    row.append(np.max(np.abs(cf - rb.value)))
+                expect.append(row)
+        assert table.tobytes() == np.array(expect).tobytes()
+
+
+def test_resolvent_ring_at_the_margin_is_swept(tmp_path):
+    # rounding put a point of this ring one ulp inside 1.5 * rho, and the
+    # sweep exited 3 with "|z| = 5.17197 is below ... 1.5 * rho = 5.17197"
     out = tmp_path / "r.csv"
-    argv = ["resolvent", "--seed", "3", "--m", "8", "--t-end", "0.02", "--h", "0.001",
-            "--angles", "3", "--stride", "7", "--out", str(out)]
-    assert run(argv + ["--closed-form"] * closed_form) == 0
-    table = np.loadtxt(out, delimiter=",", skiprows=1)
-    state, cfg = random_state(3, 8), IntegratorConfig(t_end=0.02, h=0.001)
-    traj = integrate(state, cfg)
-    zs = spectral_ring(traj, 3)
-    closed = closed_form_resolvent(traj, zs) if closed_form else None
-    assert table.shape == (4 * 3, 12 + 9 * closed_form)
-    rows = iter(table)
-    for k in (0, 7, 14, 20):
-        for iz, z in enumerate(zs):
-            row = next(rows)
-            rb = resolvent_block(traj.state_at(k), complex(z), tol=1e-10)
-            expect = [traj.ts[k], z.real, z.imag]
-            expect += [x for e in rb.value.ravel() for x in (e.real, e.imag)]
-            expect.append(rb.tail_bound)
-            if closed_form:
-                cf = closed[k, iz]
-                expect += [x for e in cf.ravel() for x in (e.real, e.imag)]
-                expect.append(np.max(np.abs(cf - rb.value)))
-            assert row.tobytes() == np.array(expect).tobytes()
+    assert run(["resolvent", "--seed", "0", "--m", "12", "--t-end", "0.01",
+                "--angles", "8", "--radius-mult", "1.5", "--out", str(out)]) == 0
+    assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (11 * 8, 12)
+
+
+def test_resolvent_inside_the_margin_refuses_the_first_point(capsys):
+    assert run(["resolvent", "--radius-mult", "1.2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical abort: |z| = 11.8102 is below the safety margin "
+        "1.5 * rho = 14.7628\n"
+    )
 
 
 @pytest.mark.parametrize("flags", [["--stride", "0"], ["--stride", "-1"],

@@ -126,10 +126,60 @@ def test_leading_power_blocks_match_dense_powers():
 
     st = random_state(4, 10)
     J = st.dense()
-    blocks = leading_power_blocks(st, 6)
-    assert blocks.shape == (7, 2, 2)
+    blocks = leading_power_blocks(J[None], 6)
+    assert blocks.shape == (1, 7, 2, 2)
     for k in range(7):
-        assert np.allclose(blocks[k], np.linalg.matrix_power(J, k)[:2, :2], rtol=1e-13, atol=1e-13)
+        assert np.allclose(blocks[0, k], np.linalg.matrix_power(J, k)[:2, :2], rtol=1e-13, atol=1e-13)
+
+
+def _power_blocks_alone(J, n_max):
+    """(J^k)_11 of one operator by the 2-D product loop W <- W J."""
+    W = np.eye(2, J.shape[0], dtype=np.complex128)
+    out = [W[:, :2].copy()]
+    for _ in range(n_max):
+        W = W @ J
+        out.append(W[:, :2].copy())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("size", [1, 3, 12])
+@pytest.mark.parametrize("m", [4, 12, 64, 256])
+def test_leading_power_blocks_are_bit_identical_alone_and_in_a_batch(m, size):
+    from kostant_toda.core import dense_stack, leading_power_blocks
+
+    states = [random_state(seed, m) for seed in range(size)]
+    alone = [_power_blocks_alone(st.dense(), 40).tobytes() for st in states]
+    for order in (states, states[::-1]):
+        stack = dense_stack(*(np.stack([getattr(s, x) for s in order]) for x in "abc"))
+        blocks = leading_power_blocks(stack, 40)
+        expect = alone if order is states else alone[::-1]
+        assert [b.tobytes() for b in blocks] == expect
+
+
+def test_dense_stack_lays_out_each_state_bands():
+    from kostant_toda.core import dense_stack
+
+    states = [random_state(seed, 8) for seed in range(3)]
+    stack = dense_stack(*(np.stack([getattr(s, x) for s in states]) for x in "abc"))
+    for J, s in zip(stack, states):
+        bands = np.diag(s.a) + np.diag(np.ones(7), 1)
+        bands += np.diag(s.b, -1) + np.diag(s.c, -2)
+        assert J.tobytes() == bands.tobytes()
+
+
+def test_norm_bound_stack_is_norm_bound_at_every_sample():
+    from kostant_toda import IntegratorConfig, integrate
+    from kostant_toda.core import norm_bound_stack
+
+    traj = integrate(random_state(0, 12), IntegratorConfig(t_end=0.05, h=1e-3))
+    expect = []
+    for i in range(traj.n_samples):  # row sums added |c| + |b| + |a| + 1
+        st = traj.state_at(i)
+        rows = np.concatenate([[0.0, 0.0], np.abs(st.c)])
+        rows = rows + np.concatenate([[0.0], np.abs(st.b)]) + np.abs(st.a) + 1.0
+        expect.append(float(np.max(rows)))
+    assert norm_bound_stack(traj.a, traj.b, traj.c).tolist() == expect
+    assert [norm_bound(traj.state_at(i)) for i in range(traj.n_samples)] == expect
 
 
 @pytest.mark.parametrize("field", ["a", "b", "c", "t"])

@@ -20,8 +20,9 @@ from kostant_toda import (
     random_state,
     resolvent_block,
     resolvent_ode_residual,
+    resolvent_sweep,
 )
-from kostant_toda import backends
+from kostant_toda import backends, resolvent
 from kostant_toda.resolvent import spectral_ring
 
 
@@ -206,3 +207,63 @@ def test_nan_z_is_refused_by_the_margin():
     st = random_state(0, 10)
     with pytest.raises(ZTooSmallError):
         resolvent_block(st, complex(float("nan"), 0.0))
+
+
+def _sweep_by_single_calls(states, zs, tol):
+    blocks = [[resolvent_block(st, complex(z), tol=tol) for z in zs] for st in states]
+    values = np.array([[rb.value for rb in row] for row in blocks])
+    tails = np.array([[rb.tail_bound for rb in row] for row in blocks])
+    return values.reshape(len(states), len(zs), 2, 2), tails.reshape(len(states), len(zs))
+
+
+@pytest.mark.parametrize("stack", [1, 3, 64])
+def test_sweep_is_single_calls_bit_for_bit_in_stacks_of_any_size(monkeypatch, stack):
+    # stacks of 1 and 3 operators (the last one short) and all 11 in one
+    traj = integrate(random_state(2, 12), IntegratorConfig(t_end=0.05, h=1e-3))
+    states = [traj.state_at(k) for k in range(0, traj.n_samples, 5)]
+    zs = spectral_ring(traj, 7, 1.7)
+    monkeypatch.setattr(resolvent, "STACK_BYTES", stack * 16 * 12**2)
+    values, tails = resolvent_sweep(states, zs, 1e-9)
+    expect_values, expect_tails = _sweep_by_single_calls(states, zs, 1e-9)
+    assert values.tobytes() == expect_values.tobytes()
+    assert tails.tobytes() == expect_tails.tobytes()
+
+
+def test_sweep_refuses_the_margin_where_single_calls_first_do():
+    # (state 0, z 1) is inside the margin and comes first in (state, z)
+    # order; in (z, state) order (state 1, z 0) would come first
+    st = random_state(0, 12)
+    big = LatticeState(2 * st.a, 2 * st.b, 2 * st.c)
+    r0, r1 = norm_bound(st), norm_bound(big)
+    zs = [1.6 * r0, 1.4 * r0]
+    assert 1.6 * r0 < MARGIN * r1
+    with pytest.raises(ZTooSmallError) as single:
+        _sweep_by_single_calls([st, big], zs, 1e-10)
+    with pytest.raises(ZTooSmallError) as swept:
+        resolvent_sweep([st, big], zs, 1e-10)
+    assert str(swept.value) == str(single.value)
+    assert f"|z| = {1.4 * r0:.6g}" in str(swept.value)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ring_at_the_margin_clears_it_at_every_sample(seed):
+    # mult = MARGIN rounded a point of these rings one ulp inside the margin
+    # of norm_bound at some sample, and the resolvent sweep refused it
+    traj = integrate(random_state(seed, 12), IntegratorConfig(t_end=0.01, h=1e-3))
+    zs = spectral_ring(traj, 8, MARGIN)
+    states = [traj.state_at(k) for k in range(traj.n_samples)]
+    resolvent_sweep(states, zs, 1e-10)
+    rho_max = float(np.max(traj.norm_bounds()))
+    plain = MARGIN * rho_max * np.exp(2j * np.pi * np.arange(8) / 8)
+    moved = zs != plain
+    assert moved.any()
+    assert (np.abs(zs[moved]) > np.abs(plain[moved])).all()
+    assert np.all(np.abs(zs[moved] - plain[moved]) < 1e-14 * rho_max)
+
+
+def test_ring_away_from_the_margin_keeps_its_points():
+    traj = integrate(random_state(0, 12), IntegratorConfig(t_end=0.01, h=1e-3))
+    rho_max = float(np.max(traj.norm_bounds()))
+    for mult, n in ((2.0, 32), (1.2, 8)):
+        plain = mult * rho_max * np.exp(2j * np.pi * np.arange(n) / n)
+        assert spectral_ring(traj, n, mult).tobytes() == plain.tobytes()
