@@ -198,3 +198,20 @@ def test_write_csv_formats_every_double_like_17g():
     write_csv(buf, ["x", "y"], table)
     expected = "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in table.tolist())
     assert buf.getvalue() == expected
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 100])
+def test_write_csv_is_savetxt_byte_for_byte(n_rows, tmp_path):
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, 5)) * 10.0 ** rng.integers(-300, 300, (n_rows, 5))
+    if n_rows:
+        table[0, :3] = [np.nan, -np.inf, -0.0]
+    cols = ["t", "x", "y", "z", "w"]
+    want = io.StringIO()
+    np.savetxt(want, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+    buf = io.StringIO()
+    write_csv(buf, cols, table)
+    assert buf.getvalue() == want.getvalue()
+    path = tmp_path / "table.csv"
+    write_csv(path, cols, table)
+    assert path.read_text() == want.getvalue()
