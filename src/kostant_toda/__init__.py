@@ -13,7 +13,6 @@ from .core import (
     TruncationTooSmallError,
     a_block,
     b_block,
-    block_at,
     c0_block,
     c0_block_inv,
     c_block,
@@ -95,7 +94,6 @@ __all__ = [
     "active_backend",
     "apply_u",
     "b_block",
-    "block_at",
     "c0_block",
     "c0_block_inv",
     "c_block",

@@ -14,9 +14,9 @@ as in Hairer, Nørsett & Wanner, *Solving Ordinary Differential
 Equations I* (2nd ed., Springer 1993), Chapter II.
 
 `_flow` holds the one copy of the flow formulas and of the corruption
-modes; `_rhs` is a single call of it, which `dynamics.kostant_rhs` and
-the closed-form replay use. Both stay out of `__all__` so that tracers
-wrapping the public functions leave the RK4 stages alone.
+modes; `_rhs` is a single call of it, which `dynamics.kostant_rhs` uses.
+Both stay out of `__all__` so that tracers wrapping the public functions
+leave the RK4 stages alone.
 
 Packed state layout, length 3m complex entries:
 
@@ -28,8 +28,7 @@ Packed state layout, length 3m complex entries:
 
 The quadratures feed the closed-form resolvent: N(t) is the upper
 triangular matrix with entries exp(q1), exp(q1)*q3 / 0, exp(q2). `_rhs`
-reads no time, and takes a (3m, n) array as n rows side by side: so
-`resolvent` replays the RK4 stages of a stored trajectory.
+reads no time, and takes a (3m, n) array as n rows side by side.
 
 A corruption (dynamics.CorruptionSpec, or None) bends the flow on purpose
 for the negative controls of the verification harness.

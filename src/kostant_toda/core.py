@@ -11,6 +11,7 @@ J through its 2x2 block partition, where block (i, j) covers rows
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ __all__ = [
     "TruncationTooSmallError",
     "a_block",
     "b_block",
-    "block_at",
     "c0_block",
     "c0_block_inv",
     "c_block",
@@ -84,14 +84,6 @@ class LatticeState:
         return LatticeState(self.a.copy(), self.b.copy(), self.c.copy(), self.t)
 
 
-def block_at(M: np.ndarray, i: int, j: int) -> np.ndarray:
-    """2x2 block (i, j) of a dense matrix, 1-based block indices."""
-    m = M.shape[0]
-    if not (1 <= i <= m // 2 and 1 <= j <= m // 2):
-        raise IndexError(f"block index ({i}, {j}) out of range for m={m}")
-    return np.array(M[2 * i - 2 : 2 * i, 2 * j - 2 : 2 * j])
-
-
 # Kept out of __all__ like backends._rhs: they run inside moments_from_j and
 # the resolvent sums, and tracers that wrap public functions should leave
 # them alone.
@@ -123,6 +115,31 @@ def leading_power_blocks(J: np.ndarray, n_max: int) -> np.ndarray:
         W = W @ J
         out[:, k] = W[:, :, :2]
     return out
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """e^A of a square matrix by Taylor scaling and squaring.
+
+    B = A / 2^s with the least s >= 0 that makes ||B||_1 <= 1/2; the Taylor
+    polynomial T(B) = sum_{k <= 16} B^k / k! is evaluated by Horner's rule
+    and squared s times. Its remainder is at most
+    sum_{k > 16} ||B||_1^k / k! <= (1/2)^17 / 17! / (1 - 1/36) < 2.3e-20,
+    against ||e^B||_1 >= e^{-1/2}, so the rounding of the Horner steps and
+    the squarings sets the error (Higham, SIAM J. Matrix Anal. Appl. 26,
+    2005; Moler & Van Loan, SIAM Rev. 45, 2003). A must be finite. Kept out
+    of __all__ with dense_stack.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    norm = float(np.linalg.norm(A, 1))
+    s = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+    B = A / 2.0**s
+    eye = np.eye(A.shape[0], dtype=np.complex128)
+    T = eye
+    for k in range(16, 0, -1):
+        T = eye + (B @ T) / k
+    for _ in range(s):
+        T = T @ T
+    return T
 
 
 def commutator(M: np.ndarray, N: np.ndarray) -> np.ndarray:

@@ -12,22 +12,21 @@ truncated flow is an honest Lax pair and the spectrum of J is conserved.
 
 Alongside the bands, every trajectory carries three scalar quadratures
 q1 = int a_1, q2 = int a_2 and q3 = int exp(q2 - q1), which assemble the
-upper triangular normalization N(t) used by the closed-form resolvent. The
-per-z quadrature block X of that closed form is not integrated here:
-resolvent.closed_form_resolvent replays the RK4 stages from the stored
-samples, so a trajectory keeps the corruption its flow was run with.
+upper triangular normalization N(t) used by the closed-form resolvent.
+The rest of that closed form comes from the exponential of the operator
+at the first sample (resolvent.closed_form_resolvent), not from the
+integrator.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import backends
-from .core import LatticeState, commutator
+from .core import LatticeState, commutator, norm_bound_stack
 
 __all__ = [
     "CNearZeroError",
@@ -130,16 +129,14 @@ class Trajectory:
     """Sampled solution on the uniform grid t0 + k h, k = 0..n_steps.
 
     samples holds the packed rows described in backends; band and
-    quadrature accessors return views into it. corruption is the
-    CorruptionSpec (or None) the flow was integrated with.
+    quadrature accessors return views into it.
     """
 
-    def __init__(self, samples, m, h, t0, corruption):
+    def __init__(self, samples, m, h, t0):
         self.samples = samples
         self.m = m
         self.h = h
         self.t0 = t0
-        self.corruption = corruption
         self.ts = t0 + h * np.arange(samples.shape[0])
 
     @property
@@ -173,10 +170,7 @@ class Trajectory:
 
     def norm_bounds(self) -> np.ndarray:
         """norm_bound of the operator at every sample (float array)."""
-        rows = np.abs(self.a) + 1.0
-        rows[:, 1:] += np.abs(self.b)
-        rows[:, 2:] += np.abs(self.c)
-        return np.max(rows, axis=1)
+        return norm_bound_stack(self.a, self.b, self.c)
 
     def state_at(self, i: int) -> LatticeState:
         if not 0 <= i < self.n_samples:
@@ -212,11 +206,6 @@ class Trajectory:
                 cols += [f"{name}{n}_re", f"{name}{n}_im"]
         bands = self.samples[:, : 3 * m].view(np.float64)  # re, im interleaved
         write_csv(path_or_buf, cols, np.column_stack([self.ts, bands]))
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def write_csv(path_or_buf, columns, table) -> None:
@@ -261,7 +250,7 @@ def integrate(
         m = state.m
         c_min = float(np.min(np.abs(samples[status, 2 * m - 1 : 3 * m - 3])))
         raise CNearZeroError(state.t + status * cfg.h, status, c_min)
-    return Trajectory(samples, state.m, cfg.h, state.t, corruption)
+    return Trajectory(samples, state.m, cfg.h, state.t)
 
 
 def central_diff(values, h: float):

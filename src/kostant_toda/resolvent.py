@@ -16,12 +16,17 @@ the closed form
     R(t, z) = exp(z t) C0(t) X(t, z) N(t)^{-1},
 
 where N is the upper triangular matrix built from the trajectory
-quadratures q1, q2, q3 and X is the per-z quadrature of
-X' = -exp(-z t) C0^{-1} N. X' does not depend on X, so
-`closed_form_resolvent` integrates it after the flow: it replays the RK4
-stages of every step from the stored samples and sums them as the RK4
-loop would have. On the true flow the product reproduces the directly
-computed resolvent to integrator accuracy.
+quadratures q1, q2, q3 and X solves X' = -exp(-z t) C0^{-1} N. X needs no
+quadrature: with J0 = J(t0), the factorization e^{(t - t0) J0} = n(t) b(t)
+into unit lower and upper triangular factors (Kostant, Adv. Math. 34,
+1979) has n_11 = C0(t)^{-1} C0(t0) and b_11 = N(t), and J(t) = n^{-1} J0 n,
+so that
+
+    R(t, z) = C0(t) C0(t0)^{-1} [(zI - J0)^{-1} e^{(t - t0) J0}]_11 N(t)^{-1}.
+
+`closed_form_resolvent` evaluates this with C0 and N read off the flow;
+on the true flow it reproduces the directly computed resolvent to
+integrator accuracy.
 """
 
 from __future__ import annotations
@@ -38,11 +43,10 @@ from .core import (
     commutator,
     d_block,
     dense_stack,
+    expm,
     leading_power_blocks,
     norm_bound,
-    norm_bound_stack,
 )
-from . import backends
 
 # integrate is not called here; perfbench's tracer wraps it in every package
 # namespace that holds it, and its tests assert resolvent.integrate is it.
@@ -63,9 +67,6 @@ __all__ = [
 ]
 
 MARGIN = 1.5
-# Steps of X replayed side by side: bounds the replay's scratch arrays to
-# a few times 3m * REPLAY_STEPS entries, whatever the trajectory's length.
-REPLAY_STEPS = 256
 # Bytes of dense operators resolvent_sweep stacks for one power loop; a
 # stack holds at least one.
 STACK_BYTES = 1 << 20
@@ -290,101 +291,54 @@ def spectral_ring(traj: Trajectory, n_angles: int, mult: float = 2.0) -> np.ndar
     phases = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
     zs = mult * rho_max * phases
     if mult >= MARGIN:
-        # norm_bound's own sums: traj.norm_bounds() adds in another order
-        rho = float(np.max(norm_bound_stack(traj.a, traj.b, traj.c)))
         for k, z in enumerate(zs):
-            if abs(z) < MARGIN * rho:
-                zs[k] = outside_margin(mult * rho_max, phases[k], rho)
+            if abs(z) < MARGIN * rho_max:
+                zs[k] = outside_margin(mult * rho_max, phases[k], rho_max)
     return zs
 
 
-def _scalar_mul(x, y):
-    """x * y elementwise, rounded as numpy's complex scalars round it.
-
-    numpy's array loop may fuse a product into the sum that follows it;
-    its scalars round the four real products and the two sums one by one.
-    X' keeps the bits of the RK4 loop that formed it on scalars (the
-    reference in tests/test_resolvent.py).
-    """
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
-def _x_rhs(y, m, zs, t):
-    """X' = -exp(-z t) C0^{-1} N, (nz, 4, n), at rows y (3m, n) and times t.
-
-    C0^{-1} N is [[e1, e1 q3], [a1 e1, a1 e1 q3 + e2]] with e_k = exp(q_k).
-    """
-    a1, q1, q2, q3 = y[0], y[3 * m - 3], y[3 * m - 2], y[3 * m - 1]
-    e1 = np.exp(q1)
-    a1e1 = _scalar_mul(a1, e1)
-    cn = np.stack([e1, _scalar_mul(e1, q3), a1e1, _scalar_mul(a1e1, q3) + np.exp(q2)])
-    return -np.exp(-zs[:, None] * t)[:, None, :] * cn[None, :, :]
-
-
-def _x_blocks(traj: Trajectory, zs: np.ndarray) -> np.ndarray:
-    """X(t, z) at every sample, (n_samples, nz, 4), each block row-major.
-
-    X(t0) = exp(-z t0) C0(t0)^{-1} R(t0, z), R(t0, z) by the dense solve, so
-    each z must respect the margin at t0. A step's RK4 stages depend on its
-    stored row alone, so REPLAY_STEPS steps at a time are replayed side by
-    side, each stage folded into the increment (h/6)(((k1 + 2 k2) + 2 k3) + k4)
-    in the RK4 loop's order; np.cumsum adds the increments in sequence.
-    """
-    state = traj.state_at(0)
-    rho0 = norm_bound(state)
-    x = np.empty((traj.n_samples, zs.size, 4), dtype=np.complex128)
-    c0i = c0_block_inv(state.a[0])
-    for k, z in enumerate(zs):
-        _check_margin(z, rho0, f" at t = {state.t:.6g}")
-        x[0, k] = (c0i @ dense_resolvent_block(state, z)).ravel()
-    if state.t != 0:  # at t0 = 0 the factor is 1; skipping it keeps signed zeros
-        x[0] *= np.exp(-zs * state.t)[:, None]
-
-    m, h, starts, ts = traj.m, traj.h, traj.samples[:-1], traj.ts[:-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # as in the RK4 loop
-        for lo in range(0, ts.size, REPLAY_STEPS):
-            rows = slice(lo, lo + REPLAY_STEPS)
-            y, t = np.ascontiguousarray(starts[rows].T), ts[rows]  # a step per column
-            dy = np.empty_like(y)
-            incr, stage = _x_rhs(y, m, zs, t), y
-            for advance, weight in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, 1.0)):
-                backends._rhs(stage, dy, m, traj.corruption)
-                stage = y + advance * dy
-                k = _x_rhs(stage, m, zs, t + advance)
-                if weight != 1.0:
-                    k *= weight
-                incr += k
-            x[1 + lo : 1 + lo + t.size] = ((h / 6.0) * incr).transpose(2, 0, 1)
-    return np.cumsum(x, axis=0, out=x)
-
-
 def closed_form_resolvent(traj: Trajectory, zs) -> np.ndarray:
-    """R(t, z) = exp(zt) C0(t) X(t, z) N(t)^{-1}, (n_samples, nz, 2, 2).
+    """R(t, z) = C0(t) C0(t0)^{-1} [(zI - J0)^{-1} e^{(t - t0) J0}]_11 N(t)^{-1}
+    at every sample and point z, (n_samples, nz, 2, 2).
 
-    X is integrated on the trajectory's grid with its RK4 rule and its
-    corruption (see _x_blocks). N is assembled from q1, q2, q3; its
-    determinant exp(q1 + q2) never vanishes, so the explicit triangular
-    inverse is used.
+    J0 is the operator at the first sample, and each z must respect the
+    margin there. Only the first two columns of the exponential enter: they
+    advance by one product with G = e^{h J0} per sample. The leading two
+    rows of every (zI - J0)^{-1} come from one batched solve of the
+    transposed systems. C0 is read from a1, and N is assembled from q1, q2,
+    q3; its determinant exp(q1 + q2) never vanishes, so the explicit
+    triangular inverse is used. Raises LinAlgError naming the first sample
+    time at which R is not finite, as when e^{(t - t0) J0} or exp(q)
+    overflows.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
-    n = traj.n_samples
+    state = traj.state_at(0)
+    rho0 = norm_bound(state)
+    for z in zs:
+        _check_margin(z, rho0, f" at t = {state.t:.6g}")
+    m, n = traj.m, traj.n_samples
+    J0 = state.dense()
     q1, q2, q3 = traj.q.T
+    first_two = np.eye(m, 2, dtype=np.complex128)
+    cols = np.empty((n, m, 2), dtype=np.complex128)  # of e^{(t - t0) J0}
+    cols[0] = first_two
+    ninv = np.zeros((n, 2, 2), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = expm(traj.h * J0)
+        for k in range(1, n):
+            np.matmul(G, cols[k - 1], out=cols[k])
+        ninv[:, 0, 0] = np.exp(-q1)
+        ninv[:, 0, 1] = -q3 * np.exp(-q2)
+        ninv[:, 1, 1] = np.exp(-q2)
+        rows = np.linalg.solve(zs[:, None, None] * np.eye(m) - J0.T, first_two)
+        r = rows.transpose(0, 2, 1)[None] @ (cols @ ninv)[:, None]
+        # C0(t) C0(t0)^{-1} = [[1, 0], [a1(t0) - a1(t), 1]] on the left
+        r[:, :, 1] += (traj.a[0, 0] - traj.a[:, 0])[:, None, None] * r[:, :, 0]
 
-    c0 = np.zeros((n, 1, 2, 2), dtype=np.complex128)
-    c0[:, 0, 0, 0] = 1.0
-    c0[:, 0, 1, 0] = -traj.a[:, 0]
-    c0[:, 0, 1, 1] = 1.0
-
-    ninv = np.zeros((n, 1, 2, 2), dtype=np.complex128)
-    ninv[:, 0, 0, 0] = np.exp(-q1)
-    ninv[:, 0, 0, 1] = -q3 * np.exp(-q2)
-    ninv[:, 0, 1, 1] = np.exp(-q2)
-
-    # at most two (n, nz, 2, 2) arrays live; phase stays the left operand,
-    # since numpy's loop rounds a broadcast operand's products by its side
-    r = c0 @ _x_blocks(traj, zs).reshape(n, zs.size, 2, 2) @ ninv
-    phase = np.exp(zs[None, :] * traj.ts[:, None])[:, :, None, None]
-    return np.multiply(phase, r, out=r)
+    finite = np.isfinite(r).all(axis=(1, 2, 3))
+    if not finite.all():
+        t = traj.ts[np.argmin(finite)]
+        raise np.linalg.LinAlgError(
+            f"the closed-form resolvent leaves the finite range at t = {t:.6g}"
+        )
+    return r

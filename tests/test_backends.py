@@ -126,7 +126,7 @@ def test_floor_crossed_inside_a_block_names_the_first_failing_step(n_steps):
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c and c.kind)
 def test_rhs_on_side_by_side_rows_is_each_row_alone(corruption):
-    # the closed-form replay evaluates a (3m, n) array of stored rows at once
+    # _rhs takes a (3m, n) array as n rows side by side
     m = 12
     traj = integrate(random_state(5, m), IntegratorConfig(t_end=0.05, h=1e-3))
     rows = np.ascontiguousarray(traj.samples.T)

@@ -177,7 +177,7 @@ def test_resolvent_sweep(tmp_path, monkeypatch):
     assert run(["resolvent", "--seed", "2", "--m", "8", "--t-end", "0.1",
                 "--h", "0.001", "--angles", "4", "--stride", "50",
                 "--closed-form", "--out", str(out)]) == 0
-    assert steps == [100]  # the closed form replays the sweep's one flow
+    assert steps == [100]  # the closed form reads the sweep's one flow
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 12  # times 0, 50, 100 x 4 angles
     assert max(float(r["max_diff"]) for r in rows) < 1e-8
@@ -427,19 +427,52 @@ def test_json_stdout_matches_out_file(tmp_path, capsys, argv):
     assert out.read_bytes() == text.encode()
 
 
-def test_overflow_prints_only_the_abort_line():
-    # a fresh interpreter, so that numpy's warnings reach stderr as they
-    # would on the command line
+def _run_fresh(argv):
+    """The CLI in a fresh interpreter, so that numpy's warnings reach stderr
+    as they would on the command line."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = ["simulate", "--seed", "32", "--m", "32", "--t-end", "2", "--h", "1e-3"]
-    proc = subprocess.run([sys.executable, "-m", "kostant_toda.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "kostant_toda.cli", *argv],
                           capture_output=True, text=True, env=env)
+
+
+def test_overflow_prints_only_the_abort_line():
+    proc = _run_fresh(["simulate", "--seed", "32", "--m", "32", "--t-end", "2",
+                       "--h", "1e-3"])
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stderr.startswith("numerical abort: the flow left the finite range")
+
+
+def test_closed_form_sweep_at_m64_is_finite_and_quiet():
+    # this ring's radius is about 2,050, so exp(z t) overflows: the closed
+    # form must not pass through it
+    proc = _run_fresh(["resolvent", "--seed", "830", "--m", "64", "--t-end", "1",
+                       "--h", "1e-3", "--angles", "32", "--stride", "10",
+                       "--closed-form"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = list(csv.DictReader(proc.stdout.splitlines()))
+    assert len(rows) == 101 * 32
+    assert all(np.isfinite(float(v)) for r in rows for v in r.values())
+    assert max(float(r["max_diff"]) for r in rows) <= 1e-4
+
+
+def test_nonfinite_closed_form_prints_only_the_abort_line(tmp_path):
+    # a shifted by 400: the flow's b and c are the unshifted ones, but
+    # e^{(t - t0) J0} and exp(q1) overflow before t = 2
+    st = random_state(0, 8)
+    sf = tmp_path / "state.json"
+    sf.write_text(json.dumps({key: [[x.real, x.imag] for x in v] for key, v in
+                              (("a", st.a + 400), ("b", st.b), ("c", st.c))}))
+    proc = _run_fresh(["resolvent", "--state", str(sf), "--t-end", "2", "--h", "1e-3",
+                       "--angles", "4", "--closed-form"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("numerical abort: the closed-form resolvent leaves")
 
 
 @pytest.mark.parametrize("flags", [

@@ -5,7 +5,6 @@ from kostant_toda import (
     LatticeState,
     a_block,
     b_block,
-    block_at,
     c0_block,
     c0_block_inv,
     c_block,
@@ -53,28 +52,35 @@ def test_lower_dense_strips_upper_part():
 
 
 def test_block_partition():
+    # the named 2x2 blocks tile J: B_n on the diagonal, A above it and C_n
+    # below it, zero elsewhere
     st = random_state(1, 8)
-    J = st.dense()
-    # 2x2 block (i, j) covers rows 2i-1, 2i and cols 2j-1, 2j (1-based)
-    assert np.array_equal(block_at(J, 1, 1), J[0:2, 0:2])
-    assert np.array_equal(block_at(J, 3, 2), J[4:6, 2:4])
+    zero = np.zeros((2, 2), dtype=complex)
+    k = st.m // 2
+    blocks = [
+        [b_block(st, i + 1) if j == i else a_block() if j == i + 1
+         else c_block(st, j + 1) if i == j + 1 else zero for j in range(k)]
+        for i in range(k)
+    ]
+    assert np.array_equal(np.block(blocks), st.dense())
 
 
 def test_named_blocks_match_dense():
     st = random_state(2, 10)
     J = st.dense()
     assert np.array_equal(a_block(), np.array([[0, 0], [1, 0]], dtype=complex))
+    # 2x2 block (i, j) covers rows 2i-1, 2i and cols 2j-1, 2j (1-based)
     for n in range(1, 5):
-        assert np.array_equal(b_block(st, n), block_at(J, n, n))
+        assert np.array_equal(b_block(st, n), J[2 * n - 2 : 2 * n, 2 * n - 2 : 2 * n])
     for n in range(1, 4):
-        assert np.array_equal(c_block(st, n), block_at(J, n + 1, n))
+        assert np.array_equal(c_block(st, n), J[2 * n : 2 * n + 2, 2 * n - 2 : 2 * n])
     # superdiagonal blocks are all A
     for n in range(1, 5):
-        assert np.array_equal(block_at(J, n, n + 1), a_block())
+        assert np.array_equal(J[2 * n - 2 : 2 * n, 2 * n : 2 * n + 2], a_block())
     # D_n is the diagonal block of the strictly lower part
     L = st.lower_dense()
     for n in range(0, 5):
-        assert np.array_equal(d_block(st, n), block_at(L, n + 1, n + 1))
+        assert np.array_equal(d_block(st, n), L[2 * n : 2 * n + 2, 2 * n : 2 * n + 2])
 
 
 def test_c0_block_and_inverse():

@@ -16,6 +16,7 @@ from kostant_toda import (
     norm_bound,
     random_state,
 )
+from kostant_toda.core import expm
 from kostant_toda.dynamics import write_csv
 
 
@@ -157,10 +158,35 @@ def test_norm_bounds_along_path():
     assert np.all(bounds >= 1.0)
 
 
+def _unit_lower_factor(E):
+    """n of E = n b, n unit lower and b upper triangular: LU without pivoting."""
+    U = E.copy()
+    n = np.eye(E.shape[0], dtype=E.dtype)
+    for k in range(E.shape[0] - 1):
+        n[k + 1 :, k] = U[k + 1 :, k] / U[k, k]
+        U[k + 1 :] -= n[k + 1 :, k, None] * U[k]
+    return n
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_is_the_conjugation_by_the_factor_of_expm(seed):
+    # e^{t J0} = n(t) b(t) gives J(t) = n^{-1} J0 n (Kostant, Adv. Math. 34,
+    # 1979): an oracle for the flow that does not integrate it
+    st = random_state(seed, 8)
+    traj = integrate(st, IntegratorConfig(t_end=0.5, h=1.25e-4))
+    J0 = st.dense()
+    n = _unit_lower_factor(expm(0.5 * J0))
+    exact = np.linalg.solve(n, J0 @ n)
+    rk4 = traj.state_at(traj.n_samples - 1).dense()
+    assert np.max(np.abs(rk4 - exact)) < 1e-13 * np.max(np.abs(exact))
+
+
 def test_csv_round_trip():
     st = random_state(5, 6)
     traj = integrate(st, IntegratorConfig(t_end=0.01, h=1e-3))
-    text = traj.to_csv_string()
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    text = buf.getvalue()
     lines = text.strip().split("\n")
     assert len(lines) == 12  # header + 11 samples
     header = lines[0].split(",")

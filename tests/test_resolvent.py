@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from kostant_toda import (
     MARGIN,
-    CorruptionSpec,
     IntegratorConfig,
     LatticeState,
     ZTooSmallError,
@@ -22,7 +23,7 @@ from kostant_toda import (
     resolvent_ode_residual,
     resolvent_sweep,
 )
-from kostant_toda import backends, resolvent
+from kostant_toda import resolvent
 from kostant_toda.resolvent import spectral_ring
 
 
@@ -109,8 +110,8 @@ def test_closed_form_matches_dense_along_path():
 
 
 def test_closed_form_from_a_later_start_time():
-    # X starts at exp(-z t0) C0^{-1} R(t0): X' is integrated in absolute
-    # time, and closed_form_resolvent multiplies by exp(z t)
+    # the exponential runs over t - t0 from J(t0), and C0(t0) cancels the
+    # first sample's C0
     st0 = random_state(0, 12)
     st = LatticeState(st0.a, st0.b, st0.c, t=0.5)
     traj = integrate(st, IntegratorConfig(t_end=0.5, h=1.25e-4))
@@ -129,72 +130,37 @@ def test_closed_form_margin_at_start():
         closed_form_resolvent(traj, [0.5 * norm_bound(st)])
 
 
-def _jointly_stepped_closed_form(traj, zs):
-    """The closed form by the RK4 loop that carried X in the packed row.
-
-    Bands and X are stepped together on one vector, X' is formed on numpy
-    complex scalars at each stage time, and R is assembled one z at a time.
-    """
-    m, h = traj.m, traj.h
-    st = traj.state_at(0)
-    x0 = np.array([c0_block_inv(st.a[0]) @ dense_resolvent_block(st, z) for z in zs])
-    if st.t != 0:
-        x0 *= np.exp(-zs * st.t)[:, None, None]
-
-    def rhs(t, y, dy):
-        backends._rhs(y[: 3 * m], dy[: 3 * m], m, traj.corruption)
-        a1, q1, q2, q3 = y[0], y[3 * m - 3], y[3 * m - 2], y[3 * m - 1]
-        e1 = np.exp(q1)
-        e2 = np.exp(q2)
-        cn = np.array([e1, e1 * q3, a1 * e1, a1 * e1 * q3 + e2], dtype=np.complex128)
-        w = -np.exp(-zs * t)
-        dy[3 * m :] = (w[:, None] * cn[None, :]).ravel()
-
-    y = np.concatenate([traj.samples[0], x0.ravel()])
-    k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
-    rows = [y]
-    for k in range(traj.n_samples - 1):
-        t = st.t + k * h
-        rhs(t, y, k1)
-        rhs(t + 0.5 * h, y + (0.5 * h) * k1, k2)
-        rhs(t + 0.5 * h, y + (0.5 * h) * k2, k3)
-        rhs(t + h, y + h * k3, k4)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rows.append(y)
-    rows = np.array(rows)
-    assert rows[:, : 3 * m].tobytes() == traj.samples.tobytes()
-
-    c0 = np.zeros((traj.n_samples, 2, 2), dtype=np.complex128)
-    c0[:, 0, 0] = 1.0
-    c0[:, 1, 0] = -traj.a[:, 0]
-    c0[:, 1, 1] = 1.0
-    q1, q2, q3 = traj.q.T
-    ninv = np.zeros((traj.n_samples, 2, 2), dtype=np.complex128)
-    ninv[:, 0, 0] = np.exp(-q1)
-    ninv[:, 0, 1] = -q3 * np.exp(-q2)
-    ninv[:, 1, 1] = np.exp(-q2)
-    out = []
-    for iz, z in enumerate(zs):
-        X = rows[:, 3 * m + 4 * iz : 3 * m + 4 * iz + 4].reshape(-1, 2, 2)
-        out.append(np.exp(z * traj.ts)[:, None, None] * (c0 @ X @ ninv))
-    return np.stack(out, axis=1)
+@pytest.mark.parametrize("seed", [0, 830])
+def test_closed_form_matches_dense_on_the_wide_ring_at_m64(seed):
+    # the ring's real point has Re z = 44 at seed 0 and about 2,050 at
+    # seed 830: an error in X would be amplified by e^{Re z t}, and exp(z t)
+    # itself overflows, so the closed form must carry neither
+    traj = integrate(random_state(seed, 64), IntegratorConfig(t_end=1.0, h=1e-3))
+    zs = spectral_ring(traj, 32)
+    paths = closed_form_resolvent(traj, zs)
+    worst = 0.0
+    for i in range(0, traj.n_samples, 10):
+        st = traj.state_at(i)
+        for iz, z in enumerate(zs):
+            worst = max(worst, np.max(np.abs(paths[i, iz] - dense_resolvent_block(st, z))))
+    assert worst < 1e-10
 
 
-@pytest.mark.parametrize("t0", [0.0, 0.5])
-@pytest.mark.parametrize("corruption", [None, CorruptionSpec("scale-c-rhs", 2.0)],
-                         ids=["clean", "scale-c-rhs"])
-def test_closed_form_is_bit_identical_to_joint_stepping(t0, corruption):
-    # 800 steps: with X' formed by numpy's array multiply in place of its
-    # scalar one, the four cases first differ in a last bit at steps 292,
-    # 716, 118 and 598
-    st0 = random_state(0, 12)
-    st = LatticeState(st0.a, st0.b, st0.c, t=t0)
-    traj = integrate(st, IntegratorConfig(t_end=0.1, h=1.25e-4), corruption)
-    assert traj.n_samples == 801
-    zs = spectral_ring(traj, 6)
-    assert closed_form_resolvent(traj, zs).tobytes() == (
-        _jointly_stepped_closed_form(traj, zs).tobytes()
-    )
+def test_nonfinite_closed_form_is_refused_at_its_first_sample():
+    # shifting a by 400 leaves the flow's b and c alone, but e^{(t - t0) J0}
+    # and exp(q1) overflow before t = 2
+    st = random_state(0, 8)
+    shifted = LatticeState(st.a + 400, st.b, st.c)
+    traj = integrate(shifted, IntegratorConfig(t_end=2.0, h=1e-3))
+    zs = spectral_ring(traj, 4)
+    with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError) as exc:
+        warnings.simplefilter("error")
+        closed_form_resolvent(traj, zs)
+    t = float(str(exc.value).rsplit("t = ", 1)[1])
+    assert 1.0 < t < 2.0
+    # every sample before the named one is finite
+    before = integrate(shifted, IntegratorConfig(t_end=round(t - 1e-3, 3), h=1e-3))
+    assert np.isfinite(closed_form_resolvent(before, zs)).all()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
@@ -247,14 +213,14 @@ def test_sweep_refuses_the_margin_where_single_calls_first_do():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_ring_at_the_margin_clears_it_at_every_sample(seed):
-    # mult = MARGIN rounded a point of these rings one ulp inside the margin
+    # mult = MARGIN rounds a point of these rings one ulp inside the margin
     # of norm_bound at some sample, and the resolvent sweep refused it
     traj = integrate(random_state(seed, 12), IntegratorConfig(t_end=0.01, h=1e-3))
-    zs = spectral_ring(traj, 8, MARGIN)
+    zs = spectral_ring(traj, 16, MARGIN)
     states = [traj.state_at(k) for k in range(traj.n_samples)]
     resolvent_sweep(states, zs, 1e-10)
     rho_max = float(np.max(traj.norm_bounds()))
-    plain = MARGIN * rho_max * np.exp(2j * np.pi * np.arange(8) / 8)
+    plain = MARGIN * rho_max * np.exp(2j * np.pi * np.arange(16) / 16)
     moved = zs != plain
     assert moved.any()
     assert (np.abs(zs[moved]) > np.abs(plain[moved])).all()
