@@ -18,17 +18,16 @@ modes; `_rhs` is a single call of it, which `dynamics.kostant_rhs` uses.
 Both stay out of `__all__` so that tracers wrapping the public functions
 leave the RK4 stages alone.
 
-Packed state layout, length 3m complex entries:
+Packed state layout, length 3m - 3 complex entries: the bands.
 
   y[0:m]            a, diagonal coefficients
   y[m:2m-1]         b, first subdiagonal
   y[2m-1:3m-3]      c, second subdiagonal
-  y[3m-3:3m]        q1, q2, q3 quadrature states
-                    (q1' = a_1, q2' = a_2, q3' = exp(q2 - q1))
 
-The quadratures feed the closed-form resolvent: N(t) is the upper
-triangular matrix with entries exp(q1), exp(q1)*q3 / 0, exp(q2). `_rhs`
-reads no time, and takes a (3m, n) array as n rows side by side.
+The closed-form resolvent needs nothing else from the flow: it reads C0(t)
+and N(t) off the factorization of e^{(t - t0) J(t0)}
+(resolvent.closed_form_resolvent). `_rhs` reads no time, and takes a
+(3m - 3, n) array as n rows side by side.
 
 A corruption (dynamics.CorruptionSpec, or None) bends the flow on purpose
 for the negative controls of the verification harness.
@@ -61,26 +60,21 @@ def active_backend() -> str:
 
 
 def pack_state(a, b, c) -> np.ndarray:
-    """Packed row with the quadratures q1, q2, q3 at zero."""
-    parts = [a, b, c, np.zeros(3)]
+    """Packed row of the bands a, b, c."""
+    parts = (a, b, c)
     return np.concatenate([np.asarray(p, dtype=np.complex128).ravel() for p in parts])
 
 
 def unpack_bands(y: np.ndarray, m: int):
-    """Views (a, b, c, q) of one packed row."""
-    return (
-        y[:m],
-        y[m : 2 * m - 1],
-        y[2 * m - 1 : 3 * m - 3],
-        y[3 * m - 3 : 3 * m],
-    )
+    """Views (a, b, c) of one packed row."""
+    return y[:m], y[m : 2 * m - 1], y[2 * m - 1 : 3 * m - 3]
 
 
 def _flow(y, dy, m, corruption):
     """The flow bound to rows y and dy: calling it writes y's derivative into dy.
 
     Every view is sliced here once, so a call only runs ufuncs into them:
-    12 for the clean flow, each with its operands in the order of the
+    9 for the clean flow, each with its operands in the order of the
     formulas (b * diff, not diff * b), so the bits do not depend on how
     often the views are rebuilt. Columns of a 2-D y are rows.
     """
@@ -90,8 +84,6 @@ def _flow(y, dy, m, corruption):
     b_first, b_hi, b_lo, b_last = b[0:1], b[1:], b[:-1], b[m - 2 : m - 1]
     da_first, da_mid, da_last = da[0:1], da[1 : m - 1], da[m - 1 : m]
     db_lo, db_hi = db[: m - 2], db[1:]
-    a_12, q1, q2 = a[0:2], y[3 * m - 3 : 3 * m - 2], y[3 * m - 2 : 3 * m - 1]
-    dq_12, dq3 = dy[3 * m - 3 : 3 * m - 1], dy[3 * m - 1 : 3 * m]
     diff = np.empty(b.shape, dtype=np.complex128)  # a's differences, then mag * c
     diff_c = diff[: m - 2]
 
@@ -122,10 +114,6 @@ def _flow(y, dy, m, corruption):
                 np.subtract(db_lo, diff_c, db_lo)
                 np.add(db_hi, diff_c, db_hi)
 
-        np.positive(a_12, dq_12)
-        np.subtract(q2, q1, dq3)
-        np.exp(dq3, dq3)
-
     return flow
 
 
@@ -145,8 +133,8 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None):
     """
     y0 = np.ascontiguousarray(y0, dtype=np.complex128)
     L = y0.size
-    if L != 3 * m:
-        raise ValueError(f"packed state length {L} != 3*m = {3 * m}")
+    if L != 3 * m - 3:
+        raise ValueError(f"packed state length {L} != 3*m - 3 = {3 * m - 3}")
     try:
         out = np.empty((n_steps + 1, L), dtype=np.complex128)
     except MemoryError as exc:  # numpy's message names the shape and the size

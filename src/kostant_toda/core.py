@@ -76,10 +76,6 @@ class LatticeState:
         """Dense m x m operator: unit superdiagonal, bands a, b, c."""
         return dense_stack(self.a[None], self.b[None], self.c[None])[0]
 
-    def lower_dense(self) -> np.ndarray:
-        """Strictly lower part of the operator (the b and c bands)."""
-        return np.tril(self.dense(), -1)
-
     def copy(self) -> "LatticeState":
         return LatticeState(self.a.copy(), self.b.copy(), self.c.copy(), self.t)
 

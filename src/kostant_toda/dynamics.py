@@ -10,12 +10,9 @@ with b_0 = 0 and all coefficients beyond the truncation treated as absent.
 Written on the dense operator this is exactly J' = [J, J_lower], so the
 truncated flow is an honest Lax pair and the spectrum of J is conserved.
 
-Alongside the bands, every trajectory carries three scalar quadratures
-q1 = int a_1, q2 = int a_2 and q3 = int exp(q2 - q1), which assemble the
-upper triangular normalization N(t) used by the closed-form resolvent.
-The rest of that closed form comes from the exponential of the operator
-at the first sample (resolvent.closed_form_resolvent), not from the
-integrator.
+A trajectory stores the bands and nothing else. The closed-form
+resolvent reads all it needs off the exponential of the operator at the
+first sample (resolvent.closed_form_resolvent), not off the integrator.
 """
 
 from __future__ import annotations
@@ -117,7 +114,7 @@ def kostant_rhs(state: LatticeState):
     y = backends.pack_state(state.a, state.b, state.c)
     dy = np.empty_like(y)
     backends._rhs(y, dy, state.m, None)
-    return backends.unpack_bands(dy, state.m)[:3]
+    return backends.unpack_bands(dy, state.m)
 
 
 def lax_rhs(J: np.ndarray) -> np.ndarray:
@@ -128,8 +125,8 @@ def lax_rhs(J: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Sampled solution on the uniform grid t0 + k h, k = 0..n_steps.
 
-    samples holds the packed rows described in backends; band and
-    quadrature accessors return views into it.
+    samples holds the packed rows described in backends; the band
+    accessors return views into it.
     """
 
     def __init__(self, samples, m, h, t0):
@@ -154,10 +151,6 @@ class Trajectory:
     @property
     def c(self) -> np.ndarray:
         return self.samples[:, 2 * self.m - 1 : 3 * self.m - 3]
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.samples[:, 3 * self.m - 3 : 3 * self.m]
 
     def index_of(self, t: float) -> int:
         """Grid index of time t; t must lie on the grid."""
@@ -198,13 +191,13 @@ class Trajectory:
         return state, (before, after)
 
     def to_csv(self, path_or_buf) -> None:
-        """Write t, Re/Im of every band entry and quadrature, one row per sample."""
+        """Write t, Re/Im of every band entry, one row per sample."""
         m = self.m
         cols = ["t"]
-        for name, count in (("a", m), ("b", m - 1), ("c", m - 2), ("q", 3)):
+        for name, count in (("a", m), ("b", m - 1), ("c", m - 2)):
             for n in range(1, count + 1):
                 cols += [f"{name}{n}_re", f"{name}{n}_im"]
-        bands = self.samples[:, : 3 * m].view(np.float64)  # re, im interleaved
+        bands = self.samples.view(np.float64)  # re, im interleaved
         write_csv(path_or_buf, cols, np.column_stack([self.ts, bands]))
 
 

@@ -1,7 +1,7 @@
 """Matrix moment functional of a lattice instance and its evolution laws.
 
-The functional U maps a polynomial 2-vector Q = (q1, q2)^T to the 2x2
-matrix [[u1[q1], u2[q1]], [u1[q2], u2[q2]]], where u1, u2 are the scalar
+The functional U maps a polynomial 2-vector Q = (Q1, Q2)^T to the 2x2
+matrix [[u1[Q1], u2[Q1]], [u1[Q2], u2[Q2]]], where u1, u2 are the scalar
 functionals attached to the lattice. It is fully described by the moment
 blocks
 

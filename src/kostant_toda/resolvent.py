@@ -15,18 +15,18 @@ the closed form
 
     R(t, z) = exp(z t) C0(t) X(t, z) N(t)^{-1},
 
-where N is the upper triangular matrix built from the trajectory
-quadratures q1, q2, q3 and X solves X' = -exp(-z t) C0^{-1} N. X needs no
-quadrature: with J0 = J(t0), the factorization e^{(t - t0) J0} = n(t) b(t)
-into unit lower and upper triangular factors (Kostant, Adv. Math. 34,
-1979) has n_11 = C0(t)^{-1} C0(t0) and b_11 = N(t), and J(t) = n^{-1} J0 n,
-so that
+where N is the upper triangular normalization of the paper and X solves
+X' = -exp(-z t) C0^{-1} N. None of the three needs the integrator: with
+J0 = J(t0), the factorization e^{(t - t0) J0} = n(t) b(t) into a unit
+lower and an upper triangular factor (Kostant, Adv. Math. 34, 1979;
+Symes, Physica D 4, 1982) has J(t) = n^{-1} J0 n, n_11 = C0(t)^{-1} C0(t0)
+and b_11 = N(t), so that
 
-    R(t, z) = C0(t) C0(t0)^{-1} [(zI - J0)^{-1} e^{(t - t0) J0}]_11 N(t)^{-1}.
+    R(t, z) = n_11^{-1} [(zI - J0)^{-1} e^{(t - t0) J0}]_11 b_11^{-1}.
 
-`closed_form_resolvent` evaluates this with C0 and N read off the flow;
-on the true flow it reproduces the directly computed resolvent to
-integrator accuracy.
+`closed_form_resolvent` evaluates this from J0 alone. On the true flow it
+equals the directly computed resolvent, so against the RK4 trajectory it
+differs by the integrator's own error.
 """
 
 from __future__ import annotations
@@ -298,18 +298,21 @@ def spectral_ring(traj: Trajectory, n_angles: int, mult: float = 2.0) -> np.ndar
 
 
 def closed_form_resolvent(traj: Trajectory, zs) -> np.ndarray:
-    """R(t, z) = C0(t) C0(t0)^{-1} [(zI - J0)^{-1} e^{(t - t0) J0}]_11 N(t)^{-1}
-    at every sample and point z, (n_samples, nz, 2, 2).
+    """R(t, z) = n_11^{-1} [(zI - J0)^{-1} e^{(t - t0) J0}]_11 b_11^{-1} at
+    every sample time and point z, (n_samples, nz, 2, 2).
 
-    J0 is the operator at the first sample, and each z must respect the
-    margin there. Only the first two columns of the exponential enter: they
-    advance by one product with G = e^{h J0} per sample. The leading two
-    rows of every (zI - J0)^{-1} come from one batched solve of the
-    transposed systems. C0 is read from a1, and N is assembled from q1, q2,
-    q3; its determinant exp(q1 + q2) never vanishes, so the explicit
-    triangular inverse is used. Raises LinAlgError naming the first sample
-    time at which R is not finite, as when e^{(t - t0) J0} or exp(q)
-    overflows.
+    J0 is the operator at the first sample, and it and the time grid are
+    all that is read; each z must respect the margin at J0. The first two
+    columns of the exponential, the only ones that enter, advance by one
+    product with G = e^{h (J0 - sigma I)}, sigma = tr J0 / m, per sample.
+    They hold e^{-sigma (t - t0)} e^{(t - t0) J0}: the scalar leaves n
+    unchanged, cancels in b_11^{-1}, and keeps the columns finite while the
+    diagonal is large. Their leading 2x2 block is n_11 b_11, whose
+    unpivoted LU gives n_11 = [[1, 0], [l, 1]] and b_11 = [[e00, e01],
+    [0, u]], inverted explicitly. The leading two rows of every
+    (zI - J0)^{-1} come from one batched solve of the transposed systems.
+    Raises LinAlgError naming the first sample time at which R is not
+    finite, as when the pivot u cancels to zero.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     state = traj.state_at(0)
@@ -318,22 +321,24 @@ def closed_form_resolvent(traj: Trajectory, zs) -> np.ndarray:
         _check_margin(z, rho0, f" at t = {state.t:.6g}")
     m, n = traj.m, traj.n_samples
     J0 = state.dense()
-    q1, q2, q3 = traj.q.T
     first_two = np.eye(m, 2, dtype=np.complex128)
-    cols = np.empty((n, m, 2), dtype=np.complex128)  # of e^{(t - t0) J0}
+    cols = np.empty((n, m, 2), dtype=np.complex128)  # of e^{(t - t0)(J0 - sigma I)}
     cols[0] = first_two
-    ninv = np.zeros((n, 2, 2), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = expm(traj.h * J0)
+    binv = np.zeros((n, 2, 2), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        G = expm(traj.h * (J0 - np.trace(J0) / m * np.eye(m)))
         for k in range(1, n):
             np.matmul(G, cols[k - 1], out=cols[k])
-        ninv[:, 0, 0] = np.exp(-q1)
-        ninv[:, 0, 1] = -q3 * np.exp(-q2)
-        ninv[:, 1, 1] = np.exp(-q2)
+        (e00, e01), (e10, e11) = cols[:, 0].T, cols[:, 1].T
+        l = e10 / e00
+        u = e11 - l * e01
+        binv[:, 0, 0] = 1.0 / e00
+        binv[:, 0, 1] = -e01 / (e00 * u)
+        binv[:, 1, 1] = 1.0 / u
         rows = np.linalg.solve(zs[:, None, None] * np.eye(m) - J0.T, first_two)
-        r = rows.transpose(0, 2, 1)[None] @ (cols @ ninv)[:, None]
-        # C0(t) C0(t0)^{-1} = [[1, 0], [a1(t0) - a1(t), 1]] on the left
-        r[:, :, 1] += (traj.a[0, 0] - traj.a[:, 0])[:, None, None] * r[:, :, 0]
+        r = rows.transpose(0, 2, 1)[None] @ (cols @ binv)[:, None]
+        # C0(t) C0(t0)^{-1} = n_11^{-1} = [[1, 0], [-l, 1]] on the left
+        r[:, :, 1] -= l[:, None, None] * r[:, :, 0]
 
     finite = np.isfinite(r).all(axis=(1, 2, 3))
     if not finite.all():

@@ -392,7 +392,7 @@ def check_closed_form_resolvent(seeds, flow):
 def check_exponential_moments(seeds, flow):
     """Series moments at t = 0.25 and 1 against moments_from_j on the flow.
     t = 1 is read from the shared flow continued from its last sample; the
-    bands' derivative reads neither t nor q, so they equal a direct run."""
+    bands' derivative does not read t, so they equal a direct run."""
     worst, tail = _Worst(), _Worst()
     n_max, ts = 5, (0.25, 1.0)
     for seed in seeds:

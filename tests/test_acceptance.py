@@ -107,7 +107,7 @@ def test_criterion_06_closed_form_resolvent(reports):
         r0.passed and r0.threshold == 1e-12
         and rt.passed and rt.threshold == 1e-4
         and rt.instance["n_angles"] == 16 and rt.instance["t"] == 0.5,
-        "criterion 6 quadrature closed form reproduces the resolvent",
+        "criterion 6 closed form reproduces the resolvent",
         f"t=0 defect {r0.max_residual:.3e} <= 1e-12, "
         f"t=0.5 defect {rt.max_residual:.3e} <= 1e-04 on 16 ring points",
     )

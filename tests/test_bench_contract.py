@@ -1,9 +1,10 @@
-"""The package names that perfbench/ binds, checked without running it.
+"""The package names and outputs that perfbench/ binds.
 
 perfbench's workloads, tracer and run records reach into the package by
-module, function and parameter name. A rename breaks the benchmark, whose
+module, function and parameter name, and its oracles parse the CSV files
+the CLI writes. A rename or a layout change breaks the benchmark, whose
 own suite (`python3 -m pytest perfbench/tests`, about 20 s) is not part of
-Tier-1; these checks catch it in a fraction of a second.
+Tier-1; these checks catch it in about a second.
 """
 
 import inspect
@@ -76,3 +77,14 @@ def test_tracer_hooks_count_an_integration_and_come_off(bench):
     assert tracer.counts["backends.rk4_trajectory.steps"] == 2
     assert len(tracer.distinct["dynamics.integrate"]) == 1
     assert not hasattr(dynamics.integrate, "__wrapped__")
+
+
+def test_simulate_csv_passes_the_benchmark_oracle(bench, tmp_path):
+    # one pass of simulate-csv-t1: the CSV must parse back bit-identical
+    # to a direct integrate call
+    _, _, workloads = bench
+    w = workloads.make("simulate-csv-t1", 0, str(tmp_path))
+    w.setup()
+    verdict = w.judge(w.run_pass())
+    assert verdict.ops == 1
+    assert not verdict.failures, verdict.failures

@@ -79,12 +79,12 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     out1 = tmp_path / "one.csv"
     assert run(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
     n_cols = len(out1.read_text().split("\n")[0].split(","))
-    assert n_cols == 1 + 2 * (6 + 5 + 4 + 3)
+    assert n_cols == 1 + 2 * (6 + 5 + 4)
     # the explicit flag must beat the config value
     out2 = tmp_path / "two.csv"
     assert run(["simulate", "--config", str(cfg), "--m", "8",
                 "--out", str(out2)]) == 0
-    assert len(out2.read_text().split("\n")[0].split(",")) == 1 + 2 * (8 + 7 + 6 + 3)
+    assert len(out2.read_text().split("\n")[0].split(",")) == 1 + 2 * (8 + 7 + 6)
 
 
 def test_config_unknown_key(tmp_path, capsys):
@@ -102,12 +102,12 @@ def test_config_error_exit_codes():
 
 
 def test_sample_array_too_big_for_memory_is_a_configuration_error(capsys):
-    # 10^12 steps of 36 complex entries, 524 TiB: more than any address
+    # 10^12 steps of 33 complex entries, 480 TiB: more than any address
     # space, so the allocation fails at once and touches no memory
     assert run(["simulate", "--m", "12", "--t-end", "1e9", "--h", "1e-3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
-    assert "(1000000000001, 36)" in err
+    assert "(1000000000001, 33)" in err
 
 
 def test_numerical_abort_exit_code(tmp_path):
@@ -460,19 +460,21 @@ def test_closed_form_sweep_at_m64_is_finite_and_quiet():
     assert max(float(r["max_diff"]) for r in rows) <= 1e-4
 
 
-def test_nonfinite_closed_form_prints_only_the_abort_line(tmp_path):
-    # a shifted by 400: the flow's b and c are the unshifted ones, but
-    # e^{(t - t0) J0} and exp(q1) overflow before t = 2
+def test_closed_form_with_a_large_diagonal_is_finite_and_quiet(tmp_path):
+    # a shifted by 400: the flow's b and c are the unshifted ones, and
+    # e^{(t - t0) J0} grows like e^{400 t}, past the finite range before
+    # t = 2; the closed form must carry only e^{(t - t0)(J0 - sigma I)}
     st = random_state(0, 8)
     sf = tmp_path / "state.json"
     sf.write_text(json.dumps({key: [[x.real, x.imag] for x in v] for key, v in
                               (("a", st.a + 400), ("b", st.b), ("c", st.c))}))
     proc = _run_fresh(["resolvent", "--state", str(sf), "--t-end", "2", "--h", "1e-3",
-                       "--angles", "4", "--closed-form"])
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.count("\n") == 1, proc.stderr
-    assert proc.stderr.startswith("numerical abort: the closed-form resolvent leaves")
+                       "--angles", "4", "--stride", "10", "--closed-form"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = list(csv.DictReader(proc.stdout.splitlines()))
+    assert len(rows) == 201 * 4
+    assert all(np.isfinite(float(v)) for r in rows for v in r.values())
 
 
 @pytest.mark.parametrize("flags", [

@@ -45,12 +45,6 @@ def test_dense_band_layout():
     assert np.count_nonzero(np.tril(J, -3)) == 0
 
 
-def test_lower_dense_strips_upper_part():
-    st = random_state(3, 8)
-    L = st.lower_dense()
-    assert np.array_equal(L, np.tril(st.dense(), -1))
-
-
 def test_block_partition():
     # the named 2x2 blocks tile J: B_n on the diagonal, A above it and C_n
     # below it, zero elsewhere
@@ -78,7 +72,7 @@ def test_named_blocks_match_dense():
     for n in range(1, 5):
         assert np.array_equal(J[2 * n - 2 : 2 * n, 2 * n : 2 * n + 2], a_block())
     # D_n is the diagonal block of the strictly lower part
-    L = st.lower_dense()
+    L = np.tril(J, -1)
     for n in range(0, 5):
         assert np.array_equal(d_block(st, n), L[2 * n : 2 * n + 2, 2 * n : 2 * n + 2])
 

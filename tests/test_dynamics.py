@@ -69,7 +69,6 @@ def test_trajectory_grid_and_views():
     assert traj.a.shape == (201, 8)
     assert traj.b.shape == (201, 7)
     assert traj.c.shape == (201, 6)
-    assert traj.q.shape == (201, 3)
     assert np.array_equal(traj.a[0], st.a)
     assert traj.index_of(0.15) == 150
     with pytest.raises(ValueError):
@@ -101,18 +100,6 @@ def test_trace_powers_conserved():
         t0 = np.trace(np.linalg.matrix_power(J0, p))
         t1 = np.trace(np.linalg.matrix_power(J1, p))
         assert abs(t0 - t1) < 1e-9 * max(1.0, abs(t0))
-
-
-def test_quadrature_states():
-    # q1' = a_1, q2' = a_2, q3' = exp(q2 - q1), all from zero
-    st = random_state(6, 8)
-    traj = integrate(st, IntegratorConfig(t_end=0.3, h=1e-3))
-    i = traj.index_of(0.2)
-    dq = central_diff((traj.q[i - 2], traj.q[i + 2]), traj.h)
-    assert abs(dq[0] - traj.a[i, 0]) < 1e-4
-    assert abs(dq[1] - traj.a[i, 1]) < 1e-4
-    assert abs(dq[2] - np.exp(traj.q[i, 1] - traj.q[i, 0])) < 1e-4
-    assert np.array_equal(traj.q[0], [0, 0, 0])
 
 
 def test_c_floor_abort():
@@ -192,7 +179,7 @@ def test_csv_round_trip():
     header = lines[0].split(",")
     assert header[0] == "t"
     assert header[1] == "a1_re"
-    assert len(header) == 1 + 2 * (6 + 5 + 4 + 3)
+    assert len(header) == 1 + 2 * (6 + 5 + 4)
     data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
     assert data.shape == (11, len(header))
     # %.17g keeps complex doubles exactly

@@ -24,6 +24,8 @@ from kostant_toda import (
     resolvent_sweep,
 )
 from kostant_toda import resolvent
+from kostant_toda.backends import pack_state
+from kostant_toda.dynamics import Trajectory
 from kostant_toda.resolvent import spectral_ring
 
 
@@ -146,21 +148,66 @@ def test_closed_form_matches_dense_on_the_wide_ring_at_m64(seed):
     assert worst < 1e-10
 
 
-def test_nonfinite_closed_form_is_refused_at_its_first_sample():
-    # shifting a by 400 leaves the flow's b and c alone, but e^{(t - t0) J0}
-    # and exp(q1) overflow before t = 2
+def test_closed_form_with_a_large_diagonal_stays_finite():
+    # shifting a by 400 leaves the flow's b and c alone, and e^{(t - t0) J0}
+    # grows like e^{400 t}, past the finite range before t = 2, while R stays
+    # O(1/|z|): the shifted exponential the closed form carries does not
     st = random_state(0, 8)
     shifted = LatticeState(st.a + 400, st.b, st.c)
     traj = integrate(shifted, IntegratorConfig(t_end=2.0, h=1e-3))
+    zs = spectral_ring(traj, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths = closed_form_resolvent(traj, zs)
+    assert np.isfinite(paths).all()
+    for i in range(0, traj.n_samples, 50):
+        st_i = traj.state_at(i)
+        for iz, z in enumerate(zs):
+            assert np.max(np.abs(paths[i, iz] - dense_resolvent_block(st_i, z))) < 1e-12
+
+
+def test_nonfinite_closed_form_is_refused_at_its_first_sample():
+    # a trajectory built by hand from a state with a[0] shifted by 400, of
+    # which the closed form reads only the first row: the RK4 flow of that
+    # state hits the c floor at t = 0.067, and the pivot u of the leading
+    # block of e^{(t - t0) J0} is then lost to cancellation until, near
+    # t = 0.2, it rounds to zero
+    st = random_state(0, 8)
+    y0 = pack_state(st.a, st.b, st.c)
+    y0[0] += 400
+    traj = Trajectory(np.repeat(y0[None], 2001, axis=0), 8, 1e-3, 0.0)
     zs = spectral_ring(traj, 4)
     with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError) as exc:
         warnings.simplefilter("error")
         closed_form_resolvent(traj, zs)
     t = float(str(exc.value).rsplit("t = ", 1)[1])
-    assert 1.0 < t < 2.0
+    assert 0.1 < t < 2.0
     # every sample before the named one is finite
-    before = integrate(shifted, IntegratorConfig(t_end=round(t - 1e-3, 3), h=1e-3))
+    k = traj.index_of(t)
+    before = Trajectory(traj.samples[:k], 8, 1e-3, 0.0)
     assert np.isfinite(closed_form_resolvent(before, zs)).all()
+
+
+def test_closed_form_reads_only_the_first_sample_and_converges_at_fourth_order():
+    # the rows after the first do not enter the closed form
+    traj = integrate(random_state(0, 8), IntegratorConfig(t_end=0.1, h=1e-3))
+    zs = spectral_ring(traj, 4)
+    want = closed_form_resolvent(traj, zs)
+    traj.samples[1:] = traj.samples[1:][::-1] + 1.0
+    assert closed_form_resolvent(traj, zs).tobytes() == want.tobytes()
+    # so its gap to the RK4 end state is RK4's global error, O(h^4)
+    for seed in (0, 1):
+        st = random_state(seed, 8)
+        zs = 2.0 * norm_bound(st) * np.exp(2j * np.pi * np.arange(4) / 4)
+        gaps = []
+        for h in (0.04, 0.02, 0.01):
+            traj = integrate(st, IntegratorConfig(t_end=1.0, h=h))
+            end = traj.state_at(traj.n_samples - 1)
+            cf = closed_form_resolvent(traj, zs)[-1]
+            gaps.append(max(np.max(np.abs(r - dense_resolvent_block(end, z)))
+                            for z, r in zip(zs, cf)))
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 14.0 < coarse / fine < 18.0, gaps
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
