@@ -14,7 +14,6 @@ from .core import (
     a_block,
     b_block,
     c0_block,
-    c0_block_inv,
     c_block,
     commutator,
     d_block,
@@ -95,7 +94,6 @@ __all__ = [
     "apply_u",
     "b_block",
     "c0_block",
-    "c0_block_inv",
     "c_block",
     "central_diff",
     "closed_form_resolvent",

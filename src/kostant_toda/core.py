@@ -22,7 +22,6 @@ __all__ = [
     "a_block",
     "b_block",
     "c0_block",
-    "c0_block_inv",
     "c_block",
     "commutator",
     "d_block",
@@ -179,10 +178,6 @@ def a_block() -> np.ndarray:
 
 def c0_block(a1: complex) -> np.ndarray:
     return np.array([[1.0, 0.0], [-a1, 1.0]], dtype=np.complex128)
-
-
-def c0_block_inv(a1: complex) -> np.ndarray:
-    return np.array([[1.0, 0.0], [a1, 1.0]], dtype=np.complex128)
 
 
 def b_block(state: LatticeState, n: int) -> np.ndarray:

@@ -17,7 +17,6 @@ first sample (resolvent.closed_form_resolvent), not off the integrator.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,35 +189,32 @@ class Trajectory:
         before, state, after = (self.state_at(j) for j in (i - k, i, i + k))
         return state, (before, after)
 
-    def to_csv(self, path_or_buf) -> None:
-        """Write t, Re/Im of every band entry, one row per sample."""
+    def to_csv(self, stream) -> None:
+        """Write t, Re/Im of every band entry to a text stream, one row per sample."""
         m = self.m
         cols = ["t"]
         for name, count in (("a", m), ("b", m - 1), ("c", m - 2)):
             for n in range(1, count + 1):
                 cols += [f"{name}{n}_re", f"{name}{n}_im"]
         bands = self.samples.view(np.float64)  # re, im interleaved
-        write_csv(path_or_buf, cols, np.column_stack([self.ts, bands]))
+        write_csv(stream, cols, np.column_stack([self.ts, bands]))
 
 
-def write_csv(path_or_buf, columns, table) -> None:
-    """Write a float table as CSV: a header line, then %.17g per field.
+def write_csv(stream, columns, table) -> None:
+    """Write a float table as CSV to a text stream: a header line, then
+    %.17g per field.
 
-    %.17g round-trips every double exactly. path_or_buf is a path or a text
-    stream. Each row is formatted from Python floats by one string
-    operation: blocks of rows saved little more time and raised the peak RSS
-    of a run of resolvent sweeps by about 0.7 MB. Kept out of __all__ so
-    that tracers time it as part of its caller.
+    %.17g round-trips every double exactly. Each row is formatted from
+    Python floats by one string operation: blocks of rows saved little more
+    time and raised the peak RSS of a run of resolvent sweeps by about
+    0.7 MB. Opening a file is the caller's (cli._emit). Kept out of __all__
+    so that tracers time it as part of its caller.
     """
-    if isinstance(path_or_buf, (str, os.PathLike)):
-        with open(path_or_buf, "w") as fh:
-            write_csv(fh, columns, table)
-        return
     table = np.asarray(table)
     row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    path_or_buf.write(",".join(columns) + "\n")
+    stream.write(",".join(columns) + "\n")
     for row in table:
-        path_or_buf.write(row_fmt % tuple(row.tolist()))
+        stream.write(row_fmt % tuple(row.tolist()))
 
 
 def integrate(

@@ -30,7 +30,6 @@ from .core import (
     LatticeState,
     TruncationTooSmallError,
     c0_block,
-    c0_block_inv,
     c_block,
     leading_power_blocks,
 )
@@ -150,7 +149,7 @@ def moments_from_j(
             f"order n_max={n_max} needs m >= n_max + 2 = {n_max + 2}, got m={state.m}"
         )
     c0 = c0_block(state.a[0])
-    c0i = c0_block_inv(state.a[0])
+    c0i = c0_block(-state.a[0])
     blocks = leading_power_blocks(state.dense()[None], n_max)[0]
     return MomentFunctional(c0i @ blocks @ c0)
 
@@ -201,24 +200,18 @@ def moments_from_recurrence(state: LatticeState, n_max: int) -> MomentFunctional
     return MomentFunctional(out)
 
 
-def moment_ode_residual(traj: Trajectory, n: int, t: float) -> float:
-    """Defect of d/dt moment_n = moment_{n+1} - moment_n moment_1 at time t."""
-    res = _moment_ode_residual_matrix(traj, n, t)
-    return float(np.max(np.abs(res)))
-
-
-def _moment_ode_residual_matrix(traj: Trajectory, n: int, t: float) -> np.ndarray:
+def moment_ode_residual(traj: Trajectory, n: int, t: float) -> np.ndarray:
+    """Defect (2, 2) of d/dt moment_n = moment_{n+1} - moment_n moment_1 at time t."""
     st, points = traj.stencil(t)
     dm = central_diff([moments_from_j(s, n).moments[n] for s in points], traj.h)
     u = moments_from_j(st, n + 1)
-    rhs = u.moments[n + 1] - u.moments[n] @ u.moments[1]
-    return dm - rhs
+    return dm - (u.moments[n + 1] - u.moments[n] @ u.moments[1])
 
 
 def functional_derivative_residual(
     traj: Trajectory, q: VectorPolynomial, t: float
-) -> float:
-    """Defect of d/dt U(Q) = U(zQ) - U(Q) moment_1 for a fixed Q at time t."""
+) -> np.ndarray:
+    """Defect (2, 2) of d/dt U(Q) = U(zQ) - U(Q) moment_1 for a fixed Q at time t."""
     deg = max(q.top.size, q.bottom.size) - 1
     n_ord = deg + 1  # U(zQ) reaches one scalar order higher
     st, points = traj.stencil(t)
@@ -226,8 +219,7 @@ def functional_derivative_residual(
         [moments_from_j(s, n_ord).apply(q.top, q.bottom) for s in points], traj.h
     )
     u = moments_from_j(st, n_ord)
-    rhs = apply_u(u, q, shift=1) - apply_u(u, q) @ u.moments[1]
-    return float(np.max(np.abs(du - rhs)))
+    return du - (apply_u(u, q, shift=1) - apply_u(u, q) @ u.moments[1])
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .core import (
     LatticeState,
     b_block,
     c0_block,
-    c0_block_inv,
     commutator,
     d_block,
     dense_stack,
@@ -144,20 +143,15 @@ def _neumann_sums(J: np.ndarray, zs, terms: np.ndarray) -> np.ndarray:
 
 
 def resolvent_block(
-    state: LatticeState,
-    z: complex,
-    tol: float = 1e-10,
-    terms: int | None = None,
+    state: LatticeState, z: complex, tol: float = 1e-10
 ) -> ResolventBlock:
     """Partial Neumann sum of the (1,1) resolvent block with tail certificate.
 
-    terms pins the number of summed powers (K + 1 with exponents 0..K),
-    which residual stencils use to keep the truncation error a smooth
-    function of time; by default K is the smallest index certified by tol.
+    It sums the powers 0..K, K the smallest index certified by tol.
     """
     rho = norm_bound(state)
     _check_margin(z, rho)
-    K = terms - 1 if terms is not None else neumann_terms_needed(rho, abs(z), tol)
+    K = neumann_terms_needed(rho, abs(z), tol)
     value = _neumann_sums(state.dense()[None], [z], np.array([[K + 1]]))[0, 0]
     return ResolventBlock(value, z, rho, K + 1, _tail_bound(rho, abs(z), K))
 
@@ -202,69 +196,67 @@ def dense_resolvent_block(state: LatticeState, z: complex) -> np.ndarray:
     return sol[:2, :]
 
 
+def _conjugate(a1: complex, R: np.ndarray) -> np.ndarray:
+    """C0^{-1} R C0 for the normalization block C0 of first diagonal entry a1."""
+    return c0_block(-a1) @ R @ c0_block(a1)
+
+
 def generating_function(
-    state: LatticeState,
-    z: complex,
-    tol: float = 1e-10,
-    terms: int | None = None,
+    state: LatticeState, z: complex, tol: float = 1e-10
 ) -> ResolventBlock:
     """F(z) = C0^{-1} R(z) C0, the moment generating block.
 
     The tail bound is the resolvent bound scaled by the condition factor
     (1 + |a_1|)^2 of the conjugation.
     """
-    rb = resolvent_block(state, z, tol=tol, terms=terms)
+    rb = resolvent_block(state, z, tol=tol)
     a1 = state.a[0]
-    F = c0_block_inv(a1) @ rb.value @ c0_block(a1)
+    F = _conjugate(a1, rb.value)
     kappa = (1.0 + abs(a1)) ** 2
     return ResolventBlock(F, z, rb.rho, rb.terms_used, rb.tail_bound * kappa)
 
 
-def _series_stencil(traj: Trajectory, z: complex, t: float, tol: float, series):
-    """State at t, series value there, and its central time derivative.
+def _series_stencil(
+    traj: Trajectory, z: complex, t: float, tol: float, conjugate: bool
+):
+    """State st at t, the series value there, and its central time derivative.
 
-    series is resolvent_block or generating_function. All three stencil
-    points sum the same number of terms, the smallest that certifies tol
-    at each of them, so the truncation error is smooth in time.
+    The value is R(z), or F(z) with conjugate. The states (st, *points) of
+    traj.stencil(t) are summed as one stack through _neumann_sums, each with
+    the same number of terms: the smallest that certifies tol at all of
+    them, so the truncation error is smooth in time.
     """
-    st, (before, after) = traj.stencil(t)
+    st, points = traj.stencil(t)
+    states = (st, *points)
     needed = 0
-    for s in (before, st, after):
+    for s in states:
         rho = norm_bound(s)
         _check_margin(z, rho, " along the stencil")
         needed = max(needed, neumann_terms_needed(rho, abs(z), tol))
-    dv = central_diff(
-        [series(s, z, terms=needed + 1).value for s in (before, after)], traj.h
-    )
-    return st, series(st, z, terms=needed + 1).value, dv
+    J = np.stack([s.dense() for s in states])
+    values = _neumann_sums(J, [z], np.full((len(states), 1), needed + 1))[:, 0]
+    if conjugate:
+        values = [_conjugate(s.a[0], v) for s, v in zip(states, values)]
+    return st, values[0], central_diff(values[1:], traj.h)
 
 
 def resolvent_ode_residual(
     traj: Trajectory, z: complex, t: float, tol: float = 1e-12
-) -> float:
-    """Defect of R' = R (zI - B_1) - I + [R, (J_lower)_11] at time t."""
-    st, r, dr = _series_stencil(traj, z, t, tol, resolvent_block)
-    eye = np.eye(2, dtype=np.complex128)
-    rhs = r @ (z * eye - b_block(st, 1)) - eye + commutator(r, d_block(st, 0))
-    return float(np.max(np.abs(dr - rhs)))
-
-
-def _generating_ode_residual_matrix(
-    traj: Trajectory, zeta: complex, t: float, tol: float = 1e-12
 ) -> np.ndarray:
-    st, f, df = _series_stencil(traj, zeta, t, tol, generating_function)
-    m1 = moments_from_j(st, 1).moments[1]
+    """Defect (2, 2) of R' = R (zI - B_1) - I + [R, (J_lower)_11] at time t."""
+    st, r, dr = _series_stencil(traj, z, t, tol, conjugate=False)
     eye = np.eye(2, dtype=np.complex128)
-    rhs = f @ (zeta * eye - m1) - eye
-    return df - rhs
+    return dr - (r @ (z * eye - b_block(st, 1)) - eye + commutator(r, d_block(st, 0)))
 
 
 def generating_ode_residual(
     traj: Trajectory, zeta: complex, t: float, tol: float = 1e-12
-) -> float:
-    """Defect of F' = F (zeta I - moment_1) - I at time t."""
-    res = _generating_ode_residual_matrix(traj, zeta, t, tol)
-    return float(np.max(np.abs(res)))
+) -> np.ndarray:
+    """Defect (2, 2) of F' = F (zeta I - moment_1) - I at time t."""
+    st, f, df = _series_stencil(traj, zeta, t, tol, conjugate=True)
+    m1 = moments_from_j(st, 1).moments[1]
+    eye = np.eye(2, dtype=np.complex128)
+    return df - (f @ (zeta * eye - m1) - eye)
 
 
 def outside_margin(r: float, phase, rho: float):

@@ -40,7 +40,6 @@ from .dynamics import (
     lax_rhs,
 )
 from .moments import (
-    _moment_ode_residual_matrix,
     apply_u,
     exponential_moments,
     functional_derivative_residual,
@@ -51,7 +50,6 @@ from .moments import (
 )
 from .polynomials import VectorPolynomial, derivative_law_residual, vector_polys
 from .resolvent import (
-    _generating_ode_residual_matrix,
     closed_form_resolvent,
     dense_resolvent_block,
     generating_ode_residual,
@@ -99,8 +97,9 @@ class CheckReport:
 class _Worst:
     """Worst |residual| seen by one check, and the check's wall clock.
 
-    add() folds with np.maximum, so a NaN, once seen, stays. A fold that saw
-    no residual reports NaN. Either way the check cannot pass.
+    add() takes a defect (a number or an array) and folds its largest
+    entry in absolute value with np.maximum, so a NaN, once seen, stays. A
+    fold that saw no residual reports NaN. Either way the check cannot pass.
     """
 
     def __init__(self):
@@ -137,15 +136,7 @@ def check_rhs_equivalence(seeds):
         st = random_state(seed, 10)
         K = lax_rhs(st.dense())
         da, db, dc = kostant_rhs(st)
-        worst.add(np.diagonal(K) - da)
-        worst.add(np.diagonal(K, -1) - db)
-        worst.add(np.diagonal(K, -2) - dc)
-        mask = np.ones_like(K, dtype=bool)
-        idx = np.arange(10)
-        mask[idx, idx] = False
-        mask[idx[1:], idx[:-1]] = False
-        mask[idx[2:], idx[:-2]] = False
-        worst.add(K[mask])
+        worst.add(K - (np.diag(da) + np.diag(db, -1) + np.diag(dc, -2)))
     return worst.report("lax_vs_coefficient_rhs", {"seeds": list(seeds), "m": 10}, 1e-14)
 
 
@@ -176,10 +167,10 @@ def check_block_power_ode(seeds, flow):
     for seed in seeds:
         traj = flow(seed)
         for t in _T_SAMPLES:
-            st, (before, after) = traj.stencil(t)
-            stack = np.stack([s.dense() for s in (before, st, after)])
-            p_before, p, p_after = leading_power_blocks(stack, 5)
-            dp = central_diff([p_before, p_after], traj.h)
+            st, points = traj.stencil(t)
+            stack = np.stack([s.dense() for s in (st, *points)])
+            p, *p_points = leading_power_blocks(stack, 5)
+            dp = central_diff(p_points, traj.h)
             b1 = b_block(st, 1)
             d0 = d_block(st, 0)
             for n in range(1, 5):
@@ -276,11 +267,11 @@ def check_laurent_consistency(seeds, flow):
         samples = np.empty((n_ring, 2, 2), dtype=np.complex128)
         for j, th in enumerate(thetas):
             zeta = R * np.exp(1j * th)
-            samples[j] = _generating_ode_residual_matrix(traj, zeta, t, tol=1e-14)
+            samples[j] = generating_ode_residual(traj, zeta, t, tol=1e-14)
         for n in range(n_orders):
             phase = np.exp(1j * (n + 1) * thetas)
             coeff = R ** (n + 1) * np.tensordot(phase, samples, axes=(0, 0)) / n_ring
-            worst.add(coeff - _moment_ode_residual_matrix(traj, n, t))
+            worst.add(coeff - moment_ode_residual(traj, n, t))
     return worst.report(
         "laurent_consistency",
         {"seeds": list(seeds), **_FLOW, "orders": [0, n_orders - 1], "ring": n_ring},
@@ -361,9 +352,8 @@ def check_closed_form_initial(seeds):
     n_angles = 16
     for seed in seeds:
         state = random_state(seed, _FLOW["m"])
-        rho0 = norm_bound(state)
-        zs = 2.0 * rho0 * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
         traj = integrate(state, IntegratorConfig(t_end=0.0, h=_FLOW["h"]))
+        zs = spectral_ring(traj, n_angles)
         for z, r in zip(zs, closed_form_resolvent(traj, zs)[0]):
             worst.add(r - dense_resolvent_block(state, z))
     return worst.report(
@@ -452,7 +442,7 @@ def check_fd_convergence(seeds, flow):
             lambda tr: moment_ode_residual(tr, 2, t),
             lambda tr: derivative_law_residual(tr, 2, t, 0.8),
         ):
-            ratio = fn(coarse) / fn(fine)
+            ratio = np.max(np.abs(fn(coarse))) / np.max(np.abs(fn(fine)))
             ratios.append(float(ratio))
             # distance outside the window [2.5, 6]; np.max keeps a NaN ratio
             worst.add(np.max([2.5 - ratio, ratio - 6.0, 0.0]))

@@ -15,7 +15,15 @@ import pytest
 
 import kostant_toda
 from kostant_toda import (
-    IntegratorConfig, backends, dynamics, random_state, resolvent, verify
+    IntegratorConfig,
+    backends,
+    dynamics,
+    exponential_moments,
+    moments_from_j,
+    norm_bound,
+    random_state,
+    resolvent,
+    verify,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -53,6 +61,12 @@ def test_signatures_the_hooks_bind_by_name():
         "state", "cfg", "corruption"
     ]
     assert "jobs" in inspect.signature(verify.run_suite).parameters
+    # the tracer's _count_terms hooks read terms_used off these results
+    st = random_state(0, 8)
+    assert resolvent.resolvent_block(st, 3.0 * norm_bound(st)).terms_used > 0
+    u0 = moments_from_j(st, 40, require_locality=False)
+    em = exponential_moments(u0, 0.1, 2, norm_bound(st))
+    assert em.terms_used > 0
 
 
 def test_run_record_fields():

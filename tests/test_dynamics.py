@@ -214,7 +214,7 @@ def test_write_csv_formats_every_double_like_17g():
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 100])
-def test_write_csv_is_savetxt_byte_for_byte(n_rows, tmp_path):
+def test_write_csv_is_savetxt_byte_for_byte(n_rows):
     rng = np.random.default_rng(n_rows)
     table = rng.standard_normal((n_rows, 5)) * 10.0 ** rng.integers(-300, 300, (n_rows, 5))
     if n_rows:
@@ -225,6 +225,3 @@ def test_write_csv_is_savetxt_byte_for_byte(n_rows, tmp_path):
     buf = io.StringIO()
     write_csv(buf, cols, table)
     assert buf.getvalue() == want.getvalue()
-    path = tmp_path / "table.csv"
-    write_csv(path, cols, table)
-    assert path.read_text() == want.getvalue()

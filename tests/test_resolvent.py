@@ -8,9 +8,12 @@ from kostant_toda import (
     IntegratorConfig,
     LatticeState,
     ZTooSmallError,
+    b_block,
     c0_block,
-    c0_block_inv,
+    central_diff,
     closed_form_resolvent,
+    commutator,
+    d_block,
     dense_resolvent_block,
     generating_function,
     generating_ode_residual,
@@ -73,7 +76,7 @@ def test_generating_function_conjugation():
     F = generating_function(st, z, tol=1e-12).value
     R = resolvent_block(st, z, tol=1e-12).value
     c0 = c0_block(st.a[0])
-    assert np.max(np.abs(F - c0_block_inv(st.a[0]) @ R @ c0)) < 1e-12
+    assert np.max(np.abs(F - c0_block(-st.a[0]) @ R @ c0)) < 1e-12
 
 
 def test_generating_function_is_moment_series():
@@ -94,8 +97,32 @@ def test_resolvent_ode_residual_small():
     st = random_state(0, 12)
     traj = integrate(st, IntegratorConfig(t_end=0.2, h=1.25e-4))
     z = 2.0 * float(np.max(traj.norm_bounds()))
-    assert resolvent_ode_residual(traj, z, 0.1) < 1e-5
-    assert generating_ode_residual(traj, z, 0.1) < 1e-5
+    assert np.max(np.abs(resolvent_ode_residual(traj, z, 0.1))) < 1e-5
+    assert np.max(np.abs(generating_ode_residual(traj, z, 0.1))) < 1e-5
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_stencil_matches_lone_sums_bit_for_bit(seed):
+    # each stencil state summed alone with the stencil's largest term count,
+    # then the two laws written out again
+    traj = integrate(random_state(seed, 12), IntegratorConfig(t_end=0.2, h=1.25e-4))
+    z, t = spectral_ring(traj, 4)[1], 0.1
+    st, points = traj.stencil(t)
+    states = (st, *points)
+    K = max(neumann_terms_needed(norm_bound(s), abs(z), 1e-12) for s in states)
+    r = [
+        resolvent._neumann_sums(s.dense()[None], [z], np.array([[K + 1]]))[0, 0]
+        for s in states
+    ]
+    f = [c0_block(-s.a[0]) @ v @ c0_block(s.a[0]) for s, v in zip(states, r)]
+    eye = np.eye(2, dtype=np.complex128)
+    rhs = r[0] @ (z * eye - b_block(st, 1)) - eye + commutator(r[0], d_block(st, 0))
+    want_r = central_diff(r[1:], traj.h) - rhs
+    want_f = central_diff(f[1:], traj.h) - (
+        f[0] @ (z * eye - moments_from_j(st, 1).moments[1]) - eye
+    )
+    assert np.array_equal(resolvent_ode_residual(traj, z, t), want_r)
+    assert np.array_equal(generating_ode_residual(traj, z, t), want_f)
 
 
 def test_closed_form_matches_dense_along_path():
