@@ -3,15 +3,19 @@
 The only hot path in the package is this loop, and at the sizes used here
 Python call overhead sets its cost, not arithmetic. So `_flow` slices
 every view of a row pair (y, dy) once and returns a function that only
-calls ufuncs into them; `rk4_trajectory` binds four such flows to buffers
-allocated once and forms each stage y + (h/2) k, and the increment
-(h/6)(((k1 + 2 k2) + 2 k3) + k4), in place. Every operation keeps the
-operands and the order of the plain expressions, so a stored sample has
-the same bits however the loop is arranged. The c floor is tested on
-blocks of FLOOR_BLOCK stored steps, and the status is still the first
-failing step. The classical RK4 method and its global error O(h^4) are
-as in Hairer, Nørsett & Wanner, *Solving Ordinary Differential
-Equations I* (2nd ed., Springer 1993), Chapter II.
+calls ufuncs into them, 8 for the clean flow; `rk4_trajectory` binds four
+such flows to buffers allocated once and forms each stage y + (h/2) k,
+and the increment (h/6)(((k1 + 2 k2) + 2 k3) + k4), in place, with 13
+more ufunc calls and one row copy per step. Every scalar operand (h/2, h,
+2, h/6 and a corruption's factor) is a 0-d complex128 array built once:
+numpy turns a Python float into that same operand on every call, at
+about twice the cost. Every operation keeps the operands and the order of
+the plain expressions, so a stored sample has the same bits however the
+loop is arranged. The c floor is tested on blocks of FLOOR_BLOCK stored
+steps, and the status is still the first failing step. The classical RK4
+method and its global error O(h^4) are as in Hairer, Nørsett & Wanner,
+*Solving Ordinary Differential Equations I* (2nd ed., Springer 1993),
+Chapter II.
 
 `_flow` holds the one copy of the flow formulas and of the corruption
 modes; `_rhs` is a single call of it, which `dynamics.kostant_rhs` uses.
@@ -74,45 +78,56 @@ def _flow(y, dy, m, corruption):
     """The flow bound to rows y and dy: calling it writes y's derivative into dy.
 
     Every view is sliced here once, so a call only runs ufuncs into them:
-    9 for the clean flow, each with its operands in the order of the
+    8 for the clean flow, each with its operands in the order of the
     formulas (b * diff, not diff * b), so the bits do not depend on how
-    often the views are rebuilt. Columns of a 2-D y are rows.
+    often the views are rebuilt. b' and c' share one multiply of the
+    contiguous [b, c] by [a_{n+1} - a_n, a_{n+2} - a_n]. A corruption's
+    scalar is a 0-d complex128 array, the operand a Python float becomes
+    in numpy's complex multiply anyway. Columns of a 2-D y are rows.
     """
+    positive, negative, add, subtract, multiply = (
+        np.positive, np.negative, np.add, np.subtract, np.multiply
+    )
     a, b, c = y[:m], y[m : 2 * m - 1], y[2 * m - 1 : 3 * m - 3]
     da, db, dc = dy[:m], dy[m : 2 * m - 1], dy[2 * m - 1 : 3 * m - 3]
+    bc, dbc = y[m : 3 * m - 3], dy[m : 3 * m - 3]
     a_hi1, a_lo1, a_hi2, a_lo2 = a[1:], a[:-1], a[2:], a[:-2]
     b_first, b_hi, b_lo, b_last = b[0:1], b[1:], b[:-1], b[m - 2 : m - 1]
     da_first, da_mid, da_last = da[0:1], da[1 : m - 1], da[m - 1 : m]
     db_lo, db_hi = db[: m - 2], db[1:]
-    diff = np.empty(b.shape, dtype=np.complex128)  # a's differences, then mag * c
-    diff_c = diff[: m - 2]
+    # a's differences beside b and c, then mag * c in the c part
+    diff = np.empty(bc.shape, dtype=np.complex128)
+    diff_b, diff_c = diff[: m - 1], diff[m - 1 :]
 
-    kind = mag = None
+    kind = scale = None
     if corruption is not None:
         kind, mag = corruption.kind, corruption.magnitude
+        if kind == "freeze-b":
+            mag = 1.0 - mag
+        elif kind == "scale-c-rhs":
+            mag = 1.0 + mag
+        scale = np.array(mag, dtype=np.complex128)
 
     def flow():
-        np.positive(b_first, da_first)
-        np.subtract(b_hi, b_lo, da_mid)
-        np.negative(b_last, da_last)
+        positive(b_first, da_first)
+        subtract(b_hi, b_lo, da_mid)
+        negative(b_last, da_last)
 
-        np.subtract(a_hi1, a_lo1, diff)
-        np.multiply(b, diff, db)
-        np.add(db_lo, c, db_lo)
-        np.subtract(db_hi, c, db_hi)
-
-        np.subtract(a_hi2, a_lo2, diff_c)
-        np.multiply(c, diff_c, dc)
+        subtract(a_hi1, a_lo1, diff_b)
+        subtract(a_hi2, a_lo2, diff_c)
+        multiply(bc, diff, dbc)
+        add(db_lo, c, db_lo)
+        subtract(db_hi, c, db_hi)
 
         if kind is not None:
             if kind == "freeze-b":
-                np.multiply(db, 1.0 - mag, db)
+                multiply(db, scale, db)
             elif kind == "scale-c-rhs":
-                np.multiply(dc, 1.0 + mag, dc)
+                multiply(dc, scale, dc)
             else:  # drop-commutator-term
-                np.multiply(mag, c, diff_c)
-                np.subtract(db_lo, diff_c, db_lo)
-                np.add(db_hi, diff_c, db_hi)
+                multiply(scale, c, diff_c)
+                subtract(db_lo, diff_c, db_lo)
+                add(db_hi, diff_c, db_hi)
 
     return flow
 
@@ -144,30 +159,34 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None):
     k1, k2, k3, k4, stage = (np.empty(L, dtype=np.complex128) for _ in range(5))
     f1 = _flow(y, k1, m, corruption)
     f2, f3, f4 = (_flow(stage, k, m, corruption) for k in (k2, k3, k4))
-    half, sixth = 0.5 * h, h / 6.0
+    # 0-d complex128 operands: the Python floats' own conversion, done once
+    half, full, two, sixth = (
+        np.array(x, dtype=np.complex128) for x in (0.5 * h, h, 2.0, h / 6.0)
+    )
+    add, multiply = np.add, np.multiply
     c_rows = out[:, 2 * m - 1 : 3 * m - 3]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, FLOOR_BLOCK):
             hi = min(lo + FLOOR_BLOCK, n_steps)
             for k in range(lo + 1, hi + 1):
                 f1()
-                np.multiply(half, k1, stage)
-                np.add(y, stage, stage)
+                multiply(half, k1, stage)
+                add(y, stage, stage)
                 f2()
-                np.multiply(half, k2, stage)
-                np.add(y, stage, stage)
+                multiply(half, k2, stage)
+                add(y, stage, stage)
                 f3()
-                np.multiply(h, k3, stage)
-                np.add(y, stage, stage)
+                multiply(full, k3, stage)
+                add(y, stage, stage)
                 f4()
                 # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), accumulated in k1
-                np.multiply(2.0, k2, k2)
-                np.add(k1, k2, k1)
-                np.multiply(2.0, k3, k3)
-                np.add(k1, k3, k1)
-                np.add(k1, k4, k1)
-                np.multiply(sixth, k1, k1)
-                np.add(y, k1, y)
+                multiply(two, k2, k2)
+                add(k1, k2, k1)
+                multiply(two, k3, k3)
+                add(k1, k3, k1)
+                add(k1, k4, k1)
+                multiply(sixth, k1, k1)
+                add(y, k1, y)
                 out[k] = y
             cmin = np.abs(c_rows[lo + 1 : hi + 1]).min(axis=1)
             failed = np.flatnonzero(~(cmin >= C_FLOOR))

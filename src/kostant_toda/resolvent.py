@@ -45,6 +45,7 @@ from .core import (
     expm,
     leading_power_blocks,
     norm_bound,
+    norm_bound_stack,
 )
 
 # integrate is not called here; perfbench's tracer wraps it in every package
@@ -94,10 +95,14 @@ def _check_margin(z: complex, rho: float, where: str = "") -> None:
         )
 
 
-def neumann_terms_needed(rho: float, z_abs: float, tol: float) -> int:
-    """Smallest K with (rho/z_abs)^{K+1} / (z_abs - rho) < tol; tol must be > 0."""
+def _check_tol(tol: float) -> None:
     if not tol > 0:
         raise ValueError(f"series tolerance must be > 0, got {tol}")
+
+
+def neumann_terms_needed(rho: float, z_abs: float, tol: float) -> int:
+    """Smallest K with (rho/z_abs)^{K+1} / (z_abs - rho) < tol; tol must be > 0."""
+    _check_tol(tol)
     if z_abs <= rho:
         raise ZTooSmallError(f"|z| = {z_abs:.6g} <= rho = {rho:.6g}")
     r = rho / z_abs
@@ -156,32 +161,53 @@ def resolvent_block(
     return ResolventBlock(value, z, rho, K + 1, _tail_bound(rho, abs(z), K))
 
 
-def resolvent_sweep(states, zs, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """resolvent_block(state, complex(z), tol) at every state and point z.
+def resolvent_sweep(a, b, c, zs, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """resolvent_block(state, complex(z), tol) at every band row and point z.
 
+    Row i of the bands a (S, m), b (S, m - 1) and c (S, m - 2) is one state.
     Returns the values (S, nz, 2, 2) and tail bounds (S, nz) of those calls,
-    bit for bit. The margin is checked at every (state, z) in that order
-    before any sum, so the first violation raised is the one a loop of
-    single calls meets first. The ring's values at one state come from one
-    power sequence, and the dense operators of up to STACK_BYTES of states
-    share one stacked power loop.
+    bit for bit. A row that is not finite raises ValueError. The margin is
+    checked at every (row, z) in that order before any sum, so the first
+    violation raised is the one a loop of single calls meets first. The
+    norm bounds come from norm_bound_stack, and the term counts and tail
+    bounds from the same float operations as neumann_terms_needed and
+    _tail_bound, run over every (row, z) at once. The ring's values at one
+    row come from one power sequence, and the dense operators of up to
+    STACK_BYTES of rows share one stacked power loop.
     """
-    states, zs = list(states), [complex(z) for z in zs]
-    terms = np.empty((len(states), len(zs)), dtype=np.int64)
-    tails = np.empty(terms.shape)
-    for i, state in enumerate(states):
-        rho = norm_bound(state)
-        for j, z in enumerate(zs):
-            _check_margin(z, rho)
-            K = neumann_terms_needed(rho, abs(z), tol)
-            terms[i, j], tails[i, j] = K + 1, _tail_bound(rho, abs(z), K)
-    values = np.empty(terms.shape + (2, 2), dtype=np.complex128)
-    lo = 0
-    while lo < len(states):
-        hi = lo + max(1, STACK_BYTES // (16 * states[lo].m ** 2))
-        part = states[lo:hi]
-        J = dense_stack(*(np.stack([getattr(s, x) for s in part]) for x in "abc"))
-        values[lo:hi] = _neumann_sums(J, zs, terms[lo:hi])
+    a, b, c = (np.asarray(x, dtype=np.complex128) for x in (a, b, c))
+    zs = [complex(z) for z in zs]
+    finite = np.isfinite(np.hstack((a, b, c))).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"a, b and c entries must be finite (row {np.argmin(finite)})")
+    rho = norm_bound_stack(a, b, c)[:, None]
+    z_abs = np.array([abs(z) for z in zs])
+    inside = ~(z_abs >= MARGIN * rho)
+    if inside.any():
+        i, j = np.unravel_index(np.argmax(inside), inside.shape)
+        _check_margin(zs[j], float(rho[i, 0]))
+    _check_tol(tol)
+    # neumann_terms_needed's loop over every (row, z). The margin keeps
+    # rho / |z| <= 1 / MARGIN < 1, so a bound below tol stays below and
+    # the loop ends long before that function's cap of 100000 terms
+    ratio, bound = rho / z_abs, 1.0 / (z_abs - rho)
+    K = np.full(bound.shape, -1)
+    more = bound >= tol
+    while more.any():
+        K += more
+        bound *= ratio
+        more = bound >= tol
+    np.maximum(K, 0, out=K)
+    tails = np.array([
+        [_tail_bound(p, za, k) for za, k in zip(z_abs.tolist(), row)]
+        for p, row in zip(rho[:, 0].tolist(), K.tolist())
+    ]).reshape(K.shape)
+    values = np.empty(K.shape + (2, 2), dtype=np.complex128)
+    m, lo = a.shape[1], 0
+    while lo < len(a):
+        hi = lo + max(1, STACK_BYTES // (16 * m**2))
+        J = dense_stack(a[lo:hi], b[lo:hi], c[lo:hi])
+        values[lo:hi] = _neumann_sums(J, zs, K[lo:hi] + 1)
         lo = hi
     return values, tails
 
@@ -276,11 +302,15 @@ def spectral_ring(traj: Trajectory, n_angles: int, mult: float = 2.0) -> np.ndar
     rho_max is the largest norm bound along traj. With mult >= MARGIN every
     z respects the margin against norm_bound at every sample: a point that
     rounds inside it has its radius stepped up by outside_margin, and the
-    other points keep their value. Kept out of __all__ so that tracers time
-    it as part of its caller.
+    other points keep their value. A ring too big to allocate raises
+    ValueError naming its size. Kept out of __all__ so that tracers time it
+    as part of its caller.
     """
     rho_max = float(np.max(traj.norm_bounds()))
-    phases = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    try:
+        phases = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    except MemoryError as exc:  # numpy's message names the shape and the size
+        raise ValueError(f"cannot store the ring: {exc}") from None
     zs = mult * rho_max * phases
     if mult >= MARGIN:
         for k, z in enumerate(zs):

@@ -92,6 +92,27 @@ def test_kernel_is_the_frozen_loop_bit_for_bit(m, corruption):
         assert _assert_same_run(y0, m, n_steps, 1e-3, corruption) == 0
 
 
+@pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c and c.kind)
+def test_long_trajectory_size_is_the_frozen_loop_bit_for_bit(corruption):
+    # m = 1024 as in perfbench's long-trajectory; 70 steps straddle the
+    # first block of stored steps the floor is tested on
+    st = random_state(1024, 1024)
+    y0 = pack_state(st.a, st.b, st.c)
+    assert _assert_same_run(y0, 1024, 70, 1e-4, corruption) == 0
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c and c.kind)
+def test_signed_zeros_are_the_frozen_loop_bit_for_bit(corruption):
+    # a real state whose imaginary parts are +0 and -0, where the samples
+    # of the kernel and the oracle can differ only in the signs of zeros
+    st = random_state(7, 12)
+    y0 = pack_state(st.a.real, st.b.real, st.c.real)
+    y0.imag = np.copysign(0.0, np.resize([1.0, -1.0, -1.0], y0.size))
+    assert _assert_same_run(y0, 12, 130, 1e-3, corruption) == 0
+    got, _ = backends.rk4_trajectory(y0, 12, 130, 1e-3, corruption)
+    assert not got.imag.any()  # the flow stays real: every imaginary part is a zero
+
+
 @pytest.mark.parametrize("seed,step", [(32, 1673), (33, 1556)])
 def test_overflowing_kernel_is_the_frozen_loop_bit_for_bit(seed, step):
     st = random_state(seed, 32)

@@ -4,7 +4,9 @@ perfbench's workloads, tracer and run records reach into the package by
 module, function and parameter name, and its oracles parse the CSV files
 the CLI writes. A rename or a layout change breaks the benchmark, whose
 own suite (`python3 -m pytest perfbench/tests`, about 20 s) is not part of
-Tier-1; these checks catch it in about a second.
+Tier-1; these checks catch it in a few seconds. The oracle checks run one
+call or pass of three benchmark workloads, so an output the benchmark
+would reject fails here first.
 """
 
 import inspect
@@ -98,6 +100,29 @@ def test_simulate_csv_passes_the_benchmark_oracle(bench, tmp_path):
     # to a direct integrate call
     _, _, workloads = bench
     w = workloads.make("simulate-csv-t1", 0, str(tmp_path))
+    w.setup()
+    verdict = w.judge(w.run_pass())
+    assert verdict.ops == 1
+    assert not verdict.failures, verdict.failures
+
+
+def test_resolvent_neumann_passes_the_benchmark_oracle(bench, tmp_path):
+    # one call of resolvent-neumann: every CSV row's Neumann value must lie
+    # within its tail bound of the dense solve
+    _, _, workloads = bench
+    w = workloads.make("resolvent-neumann", 0, str(tmp_path))
+    w.INSTANCES = 1
+    w.setup()
+    verdict = w.judge(w.run_pass())
+    assert verdict.ops == w.ops_per_call == 404
+    assert not verdict.failures, verdict.failures
+
+
+def test_long_trajectory_passes_the_benchmark_oracle(bench, tmp_path):
+    # one pass of long-trajectory: m = 1024 for 1,000 steps, finite, with
+    # tr J, tr J^2 and tr J^3 conserved
+    _, _, workloads = bench
+    w = workloads.make("long-trajectory", 0, str(tmp_path))
     w.setup()
     verdict = w.judge(w.run_pass())
     assert verdict.ops == 1

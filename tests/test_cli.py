@@ -110,6 +110,15 @@ def test_sample_array_too_big_for_memory_is_a_configuration_error(capsys):
     assert "(1000000000001, 33)" in err
 
 
+def test_ring_too_big_for_memory_is_a_configuration_error(capsys):
+    # 10^15 angles: the ring's int64 arange alone is 7.1 PiB, more than any
+    # address space, so the allocation fails at once and touches no memory
+    assert run(["resolvent", "--angles", "1000000000000000", "--t-end", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "(1000000000000000,)" in err
+
+
 def test_numerical_abort_exit_code(tmp_path):
     state = {
         "a": [[2, 0], [0, 0], [-2, 0], [0, 0]],

@@ -256,33 +256,54 @@ def _sweep_by_single_calls(states, zs, tol):
     return values.reshape(len(states), len(zs), 2, 2), tails.reshape(len(states), len(zs))
 
 
+def _bands(states):
+    """The band rows (a, b, c) of a list of states, one row per state."""
+    return tuple(np.stack([getattr(s, x) for s in states]) for x in "abc")
+
+
 @pytest.mark.parametrize("stack", [1, 3, 64])
 def test_sweep_is_single_calls_bit_for_bit_in_stacks_of_any_size(monkeypatch, stack):
-    # stacks of 1 and 3 operators (the last one short) and all 11 in one
+    # stacks of 1 and 3 operators (the last one short) and all 11 in one,
+    # swept on the trajectory's band rows as the command line sweeps them
     traj = integrate(random_state(2, 12), IntegratorConfig(t_end=0.05, h=1e-3))
-    states = [traj.state_at(k) for k in range(0, traj.n_samples, 5)]
+    rows = list(range(0, traj.n_samples, 5))
     zs = spectral_ring(traj, 7, 1.7)
     monkeypatch.setattr(resolvent, "STACK_BYTES", stack * 16 * 12**2)
-    values, tails = resolvent_sweep(states, zs, 1e-9)
-    expect_values, expect_tails = _sweep_by_single_calls(states, zs, 1e-9)
+    values, tails = resolvent_sweep(traj.a[rows], traj.b[rows], traj.c[rows], zs, 1e-9)
+    expect_values, expect_tails = _sweep_by_single_calls(
+        [traj.state_at(k) for k in rows], zs, 1e-9
+    )
     assert values.tobytes() == expect_values.tobytes()
     assert tails.tobytes() == expect_tails.tobytes()
 
 
 def test_sweep_refuses_the_margin_where_single_calls_first_do():
     # (state 0, z 1) is inside the margin and comes first in (state, z)
-    # order; in (z, state) order (state 1, z 0) would come first
+    # order; in (z, state) order (state 1, z 0) would come first. Then two
+    # states that clear the margin at every z go in front of both
     st = random_state(0, 12)
     big = LatticeState(2 * st.a, 2 * st.b, 2 * st.c)
+    small = LatticeState(0.5 * st.a, 0.5 * st.b, 0.5 * st.c)
     r0, r1 = norm_bound(st), norm_bound(big)
     zs = [1.6 * r0, 1.4 * r0]
-    assert 1.6 * r0 < MARGIN * r1
-    with pytest.raises(ZTooSmallError) as single:
-        _sweep_by_single_calls([st, big], zs, 1e-10)
-    with pytest.raises(ZTooSmallError) as swept:
-        resolvent_sweep([st, big], zs, 1e-10)
-    assert str(swept.value) == str(single.value)
-    assert f"|z| = {1.4 * r0:.6g}" in str(swept.value)
+    assert 1.6 * r0 < MARGIN * r1 and 1.4 * r0 >= MARGIN * norm_bound(small)
+    for states in ([st, big], [small, small, st, big]):
+        with pytest.raises(ZTooSmallError) as single:
+            _sweep_by_single_calls(states, zs, 1e-10)
+        with pytest.raises(ZTooSmallError) as swept:
+            resolvent_sweep(*_bands(states), zs, 1e-10)
+        assert str(swept.value) == str(single.value)
+        assert f"|z| = {1.4 * r0:.6g}" in str(swept.value)
+
+
+@pytest.mark.parametrize("band", ["a", "b", "c"])
+def test_sweep_refuses_a_row_that_is_not_finite(band):
+    # before any margin check: the inf row is also inside the margin
+    traj = integrate(random_state(2, 12), IntegratorConfig(t_end=0.01, h=1e-3))
+    bands = {x: getattr(traj, x)[[0, 5, 10]] for x in "abc"}
+    bands[band][1, 3] = np.inf
+    with pytest.raises(ValueError, match=r"must be finite \(row 1\)"):
+        resolvent_sweep(bands["a"], bands["b"], bands["c"], spectral_ring(traj, 4), 1e-10)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -291,8 +312,7 @@ def test_ring_at_the_margin_clears_it_at_every_sample(seed):
     # of norm_bound at some sample, and the resolvent sweep refused it
     traj = integrate(random_state(seed, 12), IntegratorConfig(t_end=0.01, h=1e-3))
     zs = spectral_ring(traj, 16, MARGIN)
-    states = [traj.state_at(k) for k in range(traj.n_samples)]
-    resolvent_sweep(states, zs, 1e-10)
+    resolvent_sweep(traj.a, traj.b, traj.c, zs, 1e-10)
     rho_max = float(np.max(traj.norm_bounds()))
     plain = MARGIN * rho_max * np.exp(2j * np.pi * np.arange(16) / 16)
     moved = zs != plain
