@@ -19,6 +19,7 @@ violation).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -296,6 +297,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one tree per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kostant-toda",

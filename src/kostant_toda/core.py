@@ -98,7 +98,15 @@ def leading_power_blocks(J: np.ndarray, n_max: int) -> np.ndarray:
     """Blocks (J^k)_11 of a stack J (S, m, m), k = 0 .. n_max: (S, n_max + 1, 2, 2).
 
     The leading two rows W of J^k advance by one stacked product W <- W J
-    per power. Each state's blocks are bit-identical alone and in a stack.
+    per power. The leading two rows of J^{k-1} are exactly zero past their
+    first k + 1 columns, since the unit superdiagonal moves the reach right
+    by one per power, so the product for power k runs over the first
+    s = min(m, k + 1) columns of W and rows of J only. J must be finite:
+    then every term left out is an exact zero times a finite entry, which
+    leaves a sum added in order unchanged, and the blocks keep the bits of
+    the product over all m columns (the dense loop is the oracle in
+    tests/test_core.py). Each state's blocks are bit-identical alone and
+    in a stack.
     """
     S, m, _ = J.shape
     W = np.zeros((S, 2, m), dtype=np.complex128)
@@ -107,7 +115,8 @@ def leading_power_blocks(J: np.ndarray, n_max: int) -> np.ndarray:
     out = np.empty((S, n_max + 1, 2, 2), dtype=np.complex128)
     out[:, 0] = W[:, :, :2]
     for k in range(1, n_max + 1):
-        W = W @ J
+        s = min(m, k + 1)
+        W = W[:, :, :s] @ J[:, :s, :]
         out[:, k] = W[:, :, :2]
     return out
 
@@ -215,22 +224,24 @@ def d_block(state: LatticeState, n: int) -> np.ndarray:
 def random_state(seed: int, m: int = 12) -> LatticeState:
     """Random instance: entries uniform in the unit disk, |c| >= 0.2.
 
-    Draw order is fixed (a, then b, then c, rejection sampling per entry)
-    so a seed pins the instance bit-for-bit.
+    Each entry is complex(u, v) for the next pair (u, v) of rng.uniform(-1, 1)
+    draws, in stream order, with r_min <= abs(complex(u, v)) <= 1 (r_min is
+    0.2 for c, else 0); a is drawn, then b, then c, so a seed pins the
+    instance bit for bit. The pairs come in batches of one per entry still
+    missing, so none is drawn past the last one kept, and a batch gives the
+    doubles of as many scalar draws. An instance too big to allocate raises
+    ValueError naming its size.
     """
     rng = np.random.default_rng(seed)
-
-    def draw(n, r_min=0.0):
-        out = np.empty(n, dtype=np.complex128)
+    try:
+        bands = [np.empty(n, dtype=np.complex128) for n in (m, m - 1, m - 2)]
+    except MemoryError as exc:  # numpy's message names the shape and the size
+        raise ValueError(f"cannot store the instance: {exc}") from None
+    for band, r_min in zip(bands, (0.0, 0.0, 0.2)):
         k = 0
-        while k < n:
-            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            if r_min <= abs(z) <= 1.0:
-                out[k] = z
-                k += 1
-        return out
-
-    a = draw(m)
-    b = draw(m - 1)
-    c = draw(m - 2, r_min=0.2)
-    return LatticeState(a, b, c)
+        while k < band.size:
+            pairs = rng.uniform(-1.0, 1.0, (band.size - k, 2)).tolist()
+            kept = [z for u, v in pairs if r_min <= abs(z := complex(u, v)) <= 1.0]
+            band[k : k + len(kept)] = kept
+            k += len(kept)
+    return LatticeState(*bands)

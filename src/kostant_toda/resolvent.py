@@ -31,6 +31,7 @@ differs by the integrator's own error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,20 +303,23 @@ def spectral_ring(traj: Trajectory, n_angles: int, mult: float = 2.0) -> np.ndar
     rho_max is the largest norm bound along traj. With mult >= MARGIN every
     z respects the margin against norm_bound at every sample: a point that
     rounds inside it has its radius stepped up by outside_margin, and the
-    other points keep their value. A ring too big to allocate raises
-    ValueError naming its size. Kept out of __all__ so that tracers time it
-    as part of its caller.
+    other points keep their value. A radius mult * rho_max that is not
+    finite, or a ring too big to allocate, raises ValueError naming it. Kept
+    out of __all__ so that tracers time it as part of its caller.
     """
     rho_max = float(np.max(traj.norm_bounds()))
+    radius = mult * rho_max
+    if not math.isfinite(radius):
+        raise ValueError(f"ring radius {mult!r} * {rho_max!r} = {radius} is not finite")
     try:
         phases = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
     except MemoryError as exc:  # numpy's message names the shape and the size
         raise ValueError(f"cannot store the ring: {exc}") from None
-    zs = mult * rho_max * phases
+    zs = radius * phases
     if mult >= MARGIN:
         for k, z in enumerate(zs):
             if abs(z) < MARGIN * rho_max:
-                zs[k] = outside_margin(mult * rho_max, phases[k], rho_max)
+                zs[k] = outside_margin(radius, phases[k], rho_max)
     return zs
 
 

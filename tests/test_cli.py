@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -87,6 +88,47 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert len(out2.read_text().split("\n")[0].split(",")) == 1 + 2 * (8 + 7 + 6)
 
 
+def test_repeated_calls_reuse_one_parser(monkeypatch, capsys):
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        seen.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for seed in ("1", "2", "1"):
+        assert run(["polys", "--seed", seed, "--m", "6", "--count", "1"]) == 0
+    assert len(seen) == 3 and all(p is seen[0] for p in seen)
+
+
+def test_a_bad_flag_leaves_the_next_call_unchanged(tmp_path, capsys):
+    argv = ["simulate", "--seed", "2", "--m", "6", "--t-end", "0.01"]
+    assert run(argv) == 0
+    before = capsys.readouterr().out
+    assert run(["simulate", "--seed", "2", "--m", "6", "--bogus"]) == 2
+    assert run(["simulate", "--m", "not-a-number"]) == 2
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == before
+
+
+def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
+    # a --config call, then flags over it, then neither: each call starts
+    # from the defaults, and flags win over the file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "m": 8, "count": 2}))
+    assert run(["polys", "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["m"], doc["count"]) == (8, 2)
+    assert run(["polys", "--config", str(cfg), "--m", "6", "--count", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["m"], doc["count"]) == (6, 1)
+    assert run(["polys"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["m"], doc["count"]) == (12, 4)
+
+
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 1, "bogus": True}))
@@ -117,6 +159,28 @@ def test_ring_too_big_for_memory_is_a_configuration_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert "(1000000000000000,)" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "resolvent", "moments", "polys"])
+def test_instance_too_big_for_memory_is_a_configuration_error(capsys, command):
+    # 10^12 diagonal entries, 14.6 TiB: more than this or any test machine
+    # holds, so the allocation fails at once and touches no memory
+    assert run([command, "--m", "1000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot store the instance")
+    assert err.count("\n") == 1
+    assert "(1000000000000,)" in err
+
+
+def test_ring_radius_that_overflows_is_a_configuration_error():
+    # rho_max of this instance is above 1, so 1e308 * rho_max is inf
+    proc = _run_fresh(["resolvent", "--m", "8", "--t-end", "0.01",
+                       "--radius-mult", "1e308"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("configuration error: ring radius")
+    assert "not finite" in proc.stderr
 
 
 def test_numerical_abort_exit_code(tmp_path):

@@ -155,6 +155,71 @@ def test_leading_power_blocks_are_bit_identical_alone_and_in_a_batch(m, size):
         assert [b.tobytes() for b in blocks] == expect
 
 
+def _frozen_leading_power_blocks(J, n_max):
+    """The stacked power loop over every column of W, W <- W @ J (test oracle)."""
+    S, m, _ = J.shape
+    W = np.zeros((S, 2, m), dtype=np.complex128)
+    W[:, 0, 0] = 1.0
+    W[:, 1, 1] = 1.0
+    out = np.empty((S, n_max + 1, 2, 2), dtype=np.complex128)
+    out[:, 0] = W[:, :, :2]
+    for k in range(1, n_max + 1):
+        W = W @ J
+        out[:, k] = W[:, :, :2]
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 3, 16])
+@pytest.mark.parametrize("m", [8, 12, 64])
+def test_leading_power_blocks_are_the_frozen_dense_loop_bit_for_bit(m, size):
+    # W's columns past k are exact zeros: skipping them keeps every bit,
+    # for orders below m, at m and past it
+    from kostant_toda.core import dense_stack, leading_power_blocks
+
+    states = [random_state(seed, m) for seed in range(size)]
+    stack = dense_stack(*(np.stack([getattr(s, x) for s in states]) for x in "abc"))
+    for n_max in (1, m // 2, m - 1, m, m + 10):
+        got = leading_power_blocks(stack, n_max)
+        assert got.tobytes() == _frozen_leading_power_blocks(stack, n_max).tobytes()
+
+
+def _frozen_random_state(seed, m):
+    """The sampler with two scalar rng.uniform draws per pair (test oracle)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n, r_min=0.0):
+        out = np.empty(n, dtype=np.complex128)
+        k = 0
+        while k < n:
+            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            if r_min <= abs(z) <= 1.0:
+                out[k] = z
+                k += 1
+        return out
+
+    return draw(m), draw(m - 1), draw(m - 2, r_min=0.2)
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 64])
+def test_random_state_is_the_frozen_scalar_sampler_bit_for_bit(m):
+    for seed in range(200):
+        st = random_state(seed, m)
+        got = [x.tobytes() for x in (st.a, st.b, st.c)]
+        assert got == [x.tobytes() for x in _frozen_random_state(seed, m)], seed
+
+
+def test_random_state_at_m1024_is_the_frozen_scalar_sampler_bit_for_bit():
+    st = random_state(3, 1024)
+    got = [x.tobytes() for x in (st.a, st.b, st.c)]
+    assert got == [x.tobytes() for x in _frozen_random_state(3, 1024)]
+
+
+def test_random_state_too_big_to_store_names_its_size():
+    # 10^12 entries, 14.6 TiB: the allocation fails at once
+    with pytest.raises(ValueError, match=r"cannot store the instance.*\(1000000000000,\)"):
+        random_state(0, 10**12)
+
+
 def test_dense_stack_lays_out_each_state_bands():
     from kostant_toda.core import dense_stack
 
