@@ -3,10 +3,12 @@
 The only hot path in the package is this loop, and at the sizes used here
 Python call overhead sets its cost, not arithmetic. So `_flow` slices
 every view of a row pair (y, dy) once and returns a function that only
-calls ufuncs into them, 8 for the clean flow; `rk4_trajectory` binds four
-such flows to buffers allocated once and forms each stage y + (h/2) k,
-and the increment (h/6)(((k1 + 2 k2) + 2 k3) + k4), in place, with 13
-more ufunc calls and one row copy per step. Every scalar operand (h/2, h,
+calls ufuncs into them, 6 for the clean flow, and copies a' at the two
+band ends as items; `rk4_trajectory` binds four such flows to the rows
+k1..k4 of one buffer and forms each stage y + (h/2) k, and the increment
+(h/6)(((k1 + 2 k2) + 2 k3) + k4), in place, with 12 more ufunc calls (one
+doubles k2 and k3 together) and one row copy per step: 36 in all, which
+tests/test_backends.py counts. Every scalar operand (h/2, h,
 2, h/6 and a corruption's factor) is a 0-d complex128 array built once:
 numpy turns a Python float into that same operand on every call, at
 about twice the cost. Every operation keeps the operands and the order of
@@ -78,22 +80,22 @@ def _flow(y, dy, m, corruption):
     """The flow bound to rows y and dy: calling it writes y's derivative into dy.
 
     Every view is sliced here once, so a call only runs ufuncs into them:
-    8 for the clean flow, each with its operands in the order of the
+    6 for the clean flow, each with its operands in the order of the
     formulas (b * diff, not diff * b), so the bits do not depend on how
-    often the views are rebuilt. b' and c' share one multiply of the
-    contiguous [b, c] by [a_{n+1} - a_n, a_{n+2} - a_n]. A corruption's
+    often the views are rebuilt. a' at the band ends, b_1 and -b_{m-1}, are
+    item copies; numpy's complex scalar negation flips both sign bits, as
+    the ufunc does, and on a 2-D y the same lines copy rows. b' and c'
+    share one multiply of the contiguous [b, c] by
+    [a_{n+1} - a_n, a_{n+2} - a_n]. A corruption's
     scalar is a 0-d complex128 array, the operand a Python float becomes
     in numpy's complex multiply anyway. Columns of a 2-D y are rows.
     """
-    positive, negative, add, subtract, multiply = (
-        np.positive, np.negative, np.add, np.subtract, np.multiply
-    )
+    add, subtract, multiply = np.add, np.subtract, np.multiply
     a, b, c = y[:m], y[m : 2 * m - 1], y[2 * m - 1 : 3 * m - 3]
     da, db, dc = dy[:m], dy[m : 2 * m - 1], dy[2 * m - 1 : 3 * m - 3]
     bc, dbc = y[m : 3 * m - 3], dy[m : 3 * m - 3]
     a_hi1, a_lo1, a_hi2, a_lo2 = a[1:], a[:-1], a[2:], a[:-2]
-    b_first, b_hi, b_lo, b_last = b[0:1], b[1:], b[:-1], b[m - 2 : m - 1]
-    da_first, da_mid, da_last = da[0:1], da[1 : m - 1], da[m - 1 : m]
+    b_hi, b_lo, da_mid = b[1:], b[:-1], da[1 : m - 1]
     db_lo, db_hi = db[: m - 2], db[1:]
     # a's differences beside b and c, then mag * c in the c part
     diff = np.empty(bc.shape, dtype=np.complex128)
@@ -109,9 +111,9 @@ def _flow(y, dy, m, corruption):
         scale = np.array(mag, dtype=np.complex128)
 
     def flow():
-        positive(b_first, da_first)
+        dy[0] = y[m]
         subtract(b_hi, b_lo, da_mid)
-        negative(b_last, da_last)
+        dy[m - 1] = -y[2 * m - 2]
 
         subtract(a_hi1, a_lo1, diff_b)
         subtract(a_hi2, a_lo2, diff_c)
@@ -156,7 +158,10 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None):
         raise ValueError(f"cannot store the trajectory: {exc}") from None
     out[0] = y0
     y = y0.copy()
-    k1, k2, k3, k4, stage = (np.empty(L, dtype=np.complex128) for _ in range(5))
+    K = np.empty((4, L), dtype=np.complex128)
+    k1, k2, k3, k4 = K
+    k23 = K[1:3]
+    stage = np.empty(L, dtype=np.complex128)
     f1 = _flow(y, k1, m, corruption)
     f2, f3, f4 = (_flow(stage, k, m, corruption) for k in (k2, k3, k4))
     # 0-d complex128 operands: the Python floats' own conversion, done once
@@ -180,9 +185,8 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None):
                 add(y, stage, stage)
                 f4()
                 # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), accumulated in k1
-                multiply(two, k2, k2)
+                multiply(two, k23, k23)
                 add(k1, k2, k1)
-                multiply(two, k3, k3)
                 add(k1, k3, k1)
                 add(k1, k4, k1)
                 multiply(sixth, k1, k1)

@@ -82,33 +82,44 @@ class LatticeState:
 # Kept out of __all__ like backends._rhs: they run inside moments_from_j and
 # the resolvent sums, and tracers that wrap public functions should leave
 # them alone.
-def dense_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Dense operators of S states, (S, m, m), from bands (S, m), (S, m-1), (S, m-2)."""
+def dense_stack(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, rows: int | None = None
+) -> np.ndarray:
+    """Leading rows of the dense operators of S states, (S, rows, m), from
+    bands (S, m), (S, m-1), (S, m-2); rows is 1 .. m, all m when None.
+
+    A power loop for J^k reads only J's first min(m, k + 1) rows
+    (leading_power_blocks), so a slab of those rows gives its blocks.
+    """
     S, m = a.shape
-    J = np.zeros((S, m, m), dtype=np.complex128)
-    idx = np.arange(m)
-    J[:, idx, idx] = a
-    J[:, idx[:-1], idx[1:]] = 1.0
-    J[:, idx[1:], idx[:-1]] = b
-    J[:, idx[2:], idx[:-2]] = c
+    rows = m if rows is None else rows
+    J = np.zeros((S, rows, m), dtype=np.complex128)
+    # entry (i, j) of a row-major slab is flat[i * m + j], and each band
+    # steps by m + 1; the slices stop at the slab's last row
+    flat, end, step = J.reshape(S, rows * m), rows * m, m + 1
+    flat[:, 0:end:step] = a[:, :rows]
+    flat[:, 1:end:step] = 1.0
+    flat[:, m:end:step] = b[:, : rows - 1]
+    flat[:, 2 * m : end : step] = c[:, : max(rows - 2, 0)]
     return J
 
 
 def leading_power_blocks(J: np.ndarray, n_max: int) -> np.ndarray:
-    """Blocks (J^k)_11 of a stack J (S, m, m), k = 0 .. n_max: (S, n_max + 1, 2, 2).
+    """Blocks (J^k)_11 of a stack J (S, r, m), k = 0 .. n_max: (S, n_max + 1, 2, 2).
 
-    The leading two rows W of J^k advance by one stacked product W <- W J
-    per power. The leading two rows of J^{k-1} are exactly zero past their
-    first k + 1 columns, since the unit superdiagonal moves the reach right
-    by one per power, so the product for power k runs over the first
-    s = min(m, k + 1) columns of W and rows of J only. J must be finite:
-    then every term left out is an exact zero times a finite entry, which
-    leaves a sum added in order unchanged, and the blocks keep the bits of
-    the product over all m columns (the dense loop is the oracle in
-    tests/test_core.py). Each state's blocks are bit-identical alone and
-    in a stack.
+    J holds the leading r >= min(m, n_max + 1) rows of each operator (all
+    m rows, or a slab of dense_stack). The leading two rows W of J^k
+    advance by one stacked product W <- W J per power. The leading two
+    rows of J^{k-1} are exactly zero past their first k + 1 columns, since
+    the unit superdiagonal moves the reach right by one per power, so the
+    product for power k runs over the first s = min(m, k + 1) columns of W
+    and rows of J only. J must be finite: then every term left out is an
+    exact zero times a finite entry, which leaves a sum added in order
+    unchanged, and the blocks keep the bits of the product over all m
+    columns (the dense loop is the oracle in tests/test_core.py). Each
+    state's blocks are bit-identical alone and in a stack.
     """
-    S, m, _ = J.shape
+    S, _, m = J.shape
     W = np.zeros((S, 2, m), dtype=np.complex128)
     W[:, 0, 0] = 1.0
     W[:, 1, 1] = 1.0

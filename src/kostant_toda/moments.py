@@ -253,6 +253,8 @@ def exponential_moments(
     lattice state this holds with (1 + |a_1|)^2). When omitted it is
     estimated from the stored orders.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if rho <= 0:
         raise ValueError("rho must be > 0")
     if not np.isfinite(t):

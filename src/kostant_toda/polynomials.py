@@ -74,7 +74,9 @@ class VectorPolynomial:
 
 def vector_polys(state: LatticeState, n_max: int) -> list[VectorPolynomial]:
     """Bv_0 .. Bv_{n_max}; requires 2 n_max + 1 < m."""
-    if not 0 <= n_max <= state.m // 2 - 1:
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if n_max > state.m // 2 - 1:
         raise ValueError(
             f"n_max={n_max} needs 2*n_max+1 < m, got m={state.m}"
         )

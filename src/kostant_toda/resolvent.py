@@ -68,8 +68,9 @@ __all__ = [
 ]
 
 MARGIN = 1.5
-# Bytes of dense operators resolvent_sweep stacks for one power loop; a
-# stack holds at least one.
+# Bytes of leading operator rows resolvent_sweep stacks for one power
+# loop, sized by the rows the largest order of the sweep reads; a stack
+# holds at least one state.
 STACK_BYTES = 1 << 20
 
 
@@ -123,18 +124,20 @@ def _tail_bound(rho: float, z_abs: float, K: int) -> float:
     return float((rho / z_abs) ** (K + 1) / (z_abs - rho))
 
 
-def _neumann_sums(J: np.ndarray, zs, terms: np.ndarray) -> np.ndarray:
-    """Sums of (J^k)_11 / z^{k+1} over k < terms, (S, nz, 2, 2), for a stack
-    J (S, m, m), points zs and term counts terms (S, nz).
+def _neumann_sums(blocks: np.ndarray, zs, terms: np.ndarray) -> np.ndarray:
+    """Sums of (J^k)_11 / z^{k+1} over k < terms, (S, nz, 2, 2), from the
+    blocks (J^k)_11 of S states (S, n + 1, 2, 2), points zs and term
+    counts terms (S, nz), each at most n + 1.
 
-    One power loop serves the whole stack. The powers of 1/z are formed in
-    each z's own scalar type, 1.0 / z and then zp *= 1/z, and each sum adds
-    its terms in increasing k, so a sum is bit for bit that of a lone state
-    and z.
+    One pass over k serves every state. Blocks past a state's own term
+    counts are never read, so they may be padding. The powers of 1/z are
+    formed in each z's own scalar type, 1.0 / z and then zp *= 1/z, and
+    each sum adds its terms in increasing k, so a sum is bit for bit that
+    of a lone state and z.
     """
     S, nz = terms.shape
-    n_max = int(terms.max(initial=1)) - 1
-    blocks = leading_power_blocks(J, n_max).reshape(S, n_max + 1, 1, 4)
+    n_max = blocks.shape[1] - 1
+    blocks = blocks.reshape(S, n_max + 1, 1, 4)
     sums = np.zeros((S, nz, 4), dtype=np.complex128)
     zinv = [1.0 / z for z in zs]
     zp = list(zinv)
@@ -158,7 +161,8 @@ def resolvent_block(
     rho = norm_bound(state)
     _check_margin(z, rho)
     K = neumann_terms_needed(rho, abs(z), tol)
-    value = _neumann_sums(state.dense()[None], [z], np.array([[K + 1]]))[0, 0]
+    blocks = leading_power_blocks(state.dense()[None], K)
+    value = _neumann_sums(blocks, [z], np.array([[K + 1]]))[0, 0]
     return ResolventBlock(value, z, rho, K + 1, _tail_bound(rho, abs(z), K))
 
 
@@ -173,8 +177,12 @@ def resolvent_sweep(a, b, c, zs, tol: float) -> tuple[np.ndarray, np.ndarray]:
     norm bounds come from norm_bound_stack, and the term counts and tail
     bounds from the same float operations as neumann_terms_needed and
     _tail_bound, run over every (row, z) at once. The ring's values at one
-    row come from one power sequence, and the dense operators of up to
-    STACK_BYTES of rows share one stacked power loop.
+    row come from one power sequence. Rows share a stacked power loop, as
+    many as fit STACK_BYTES with min(m, n + 1) rows of J each, n the
+    sweep's largest order; each stack builds the slab of the leading
+    min(m, n_s + 1) rows its own largest order n_s reads (dense_stack).
+    Its blocks go into one array, zero past n_s, and the sums over z run
+    once over every row.
     """
     a, b, c = (np.asarray(x, dtype=np.complex128) for x in (a, b, c))
     zs = [complex(z) for z in zs]
@@ -203,14 +211,16 @@ def resolvent_sweep(a, b, c, zs, tol: float) -> tuple[np.ndarray, np.ndarray]:
         [_tail_bound(p, za, k) for za, k in zip(z_abs.tolist(), row)]
         for p, row in zip(rho[:, 0].tolist(), K.tolist())
     ]).reshape(K.shape)
-    values = np.empty(K.shape + (2, 2), dtype=np.complex128)
-    m, lo = a.shape[1], 0
-    while lo < len(a):
-        hi = lo + max(1, STACK_BYTES // (16 * m**2))
-        J = dense_stack(a[lo:hi], b[lo:hi], c[lo:hi])
-        values[lo:hi] = _neumann_sums(J, zs, K[lo:hi] + 1)
-        lo = hi
-    return values, tails
+    # every stack's blocks up to its own largest order, zero past it
+    m, n_max = a.shape[1], int(K.max(initial=0))
+    blocks = np.zeros((len(a), n_max + 1, 2, 2), dtype=np.complex128)
+    size = max(1, STACK_BYTES // (16 * m * min(m, n_max + 1)))
+    for lo in range(0, len(a), size):
+        hi = lo + size
+        n = int(K[lo:hi].max(initial=0))
+        slab = dense_stack(a[lo:hi], b[lo:hi], c[lo:hi], min(m, n + 1))
+        blocks[lo:hi, : n + 1] = leading_power_blocks(slab, n)
+    return _neumann_sums(blocks, zs, K + 1), tails
 
 
 def dense_resolvent_block(state: LatticeState, z: complex) -> np.ndarray:
@@ -260,8 +270,8 @@ def _series_stencil(
         rho = norm_bound(s)
         _check_margin(z, rho, " along the stencil")
         needed = max(needed, neumann_terms_needed(rho, abs(z), tol))
-    J = np.stack([s.dense() for s in states])
-    values = _neumann_sums(J, [z], np.full((len(states), 1), needed + 1))[:, 0]
+    blocks = leading_power_blocks(np.stack([s.dense() for s in states]), needed)
+    values = _neumann_sums(blocks, [z], np.full((len(states), 1), needed + 1))[:, 0]
     if conjugate:
         values = [_conjugate(s.a[0], v) for s, v in zip(states, values)]
     return st, values[0], central_diff(values[1:], traj.h)

@@ -154,6 +154,41 @@ def test_rhs_on_side_by_side_rows_is_each_row_alone(corruption):
         assert d_rows[:, j].tobytes() == dy.tobytes(), j
 
 
+@pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c and c.kind)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_flow_keeps_the_signs_of_zeros_at_the_band_ends(corruption, sign):
+    # a' at the band ends is an item copy and a scalar negation: on a real
+    # row whose imaginary parts are all +0 or all -0 it writes the zeros'
+    # signs the frozen flow's ufuncs write
+    st = random_state(7, 12)
+    y = pack_state(st.a.real, st.b.real, st.c.real)
+    y.imag = np.copysign(0.0, sign)
+    got, want = np.empty_like(y), np.empty_like(y)
+    backends._rhs(y, got, 12, corruption)
+    _frozen_rhs(y, want, 12, corruption)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_flow_stays_out_of_the_traced_names():
     assert "_flow" not in backends.__all__
     assert "_rhs" not in backends.__all__
+
+
+@pytest.mark.parametrize("n_steps", [1, 64, 130])
+def test_clean_step_stays_within_its_ufunc_budget(monkeypatch, n_steps):
+    # 6 calls in each of the four flows and 12 to form the stages and the
+    # increment: a count, unlike a timing, shows any call an edit adds
+    calls = []
+    for name in ("add", "subtract", "multiply", "negative", "positive"):
+        ufunc = getattr(np, name)
+
+        def counted(*args, _ufunc=ufunc, **kwargs):
+            calls.append(_ufunc.__name__)
+            return _ufunc(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    st = random_state(816, 12)
+    y0 = pack_state(st.a, st.b, st.c)
+    _, status = backends.rk4_trajectory(y0, 12, n_steps, 1e-3)
+    assert status == 0
+    assert 0 < len(calls) <= 36 * n_steps

@@ -237,6 +237,19 @@ def test_polys_json_shape(tmp_path):
     assert v1["bottom"] == doc["scalar"][3]
 
 
+@pytest.mark.parametrize("argv", [
+    ["moments", "--method", "series", "--n-max", "-1"],
+    ["moments", "--method", "series", "--n-max", "-2"],
+    ["moments", "--method", "power", "--n-max", "-1"],
+    ["moments", "--method", "conditions", "--n-max", "-1"],
+    ["polys", "--count", "-1"],
+])
+def test_negative_order_is_a_configuration_error(capsys, argv):
+    assert run(argv + ["--m", "12"]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: n_max must be >= 0\n"
+
+
 def test_resolvent_sweep(tmp_path, monkeypatch):
     steps = []
 

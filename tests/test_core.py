@@ -183,6 +183,23 @@ def test_leading_power_blocks_are_the_frozen_dense_loop_bit_for_bit(m, size):
         assert got.tobytes() == _frozen_leading_power_blocks(stack, n_max).tobytes()
 
 
+@pytest.mark.parametrize("m", [4, 12, 64])
+def test_leading_row_slab_is_the_first_rows_of_the_dense_stack(m):
+    # the slab of min(m, n_max + 1) rows gives the power blocks of the
+    # whole J bit for bit, for orders below m - 1, at m - 1 and past m
+    from kostant_toda.core import dense_stack, leading_power_blocks
+
+    states = [random_state(seed, m) for seed in range(3)]
+    bands = [np.stack([getattr(s, x) for s in states]) for x in "abc"]
+    full = dense_stack(*bands)
+    for rows in range(1, m + 1):
+        assert dense_stack(*bands, rows).tobytes() == full[:, :rows].tobytes()
+    for n_max in (0, 1, m // 2, m - 2, m - 1, m, m + 10):
+        slab = dense_stack(*bands, min(m, n_max + 1))
+        got = leading_power_blocks(slab, n_max)
+        assert got.tobytes() == leading_power_blocks(full, n_max).tobytes()
+
+
 def _frozen_random_state(seed, m):
     """The sampler with two scalar rng.uniform draws per pair (test oracle)."""
     rng = np.random.default_rng(seed)

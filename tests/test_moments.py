@@ -174,3 +174,11 @@ def test_exponential_moments_need_a_finite_time(t):
     u0 = moments_from_j(st, 60, require_locality=False)
     with pytest.raises(ValueError, match="t must be finite"):
         exponential_moments(u0, t, 5, norm_bound(st))
+
+
+@pytest.mark.parametrize("n_max", [-1, -2])
+def test_exponential_moments_refuse_a_negative_order(n_max):
+    st = random_state(2, 12)
+    u0 = moments_from_j(st, 60, require_locality=False)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        exponential_moments(u0, 0.5, n_max, norm_bound(st))

@@ -26,8 +26,9 @@ from kostant_toda import (
     resolvent_ode_residual,
     resolvent_sweep,
 )
-from kostant_toda import resolvent
+from kostant_toda import core, resolvent
 from kostant_toda.backends import pack_state
+from kostant_toda.core import leading_power_blocks
 from kostant_toda.dynamics import Trajectory
 from kostant_toda.resolvent import spectral_ring
 
@@ -111,7 +112,9 @@ def test_stacked_stencil_matches_lone_sums_bit_for_bit(seed):
     states = (st, *points)
     K = max(neumann_terms_needed(norm_bound(s), abs(z), 1e-12) for s in states)
     r = [
-        resolvent._neumann_sums(s.dense()[None], [z], np.array([[K + 1]]))[0, 0]
+        resolvent._neumann_sums(
+            leading_power_blocks(s.dense()[None], K), [z], np.array([[K + 1]])
+        )[0, 0]
         for s in states
     ]
     f = [c0_block(-s.a[0]) @ v @ c0_block(s.a[0]) for s, v in zip(states, r)]
@@ -263,18 +266,53 @@ def _bands(states):
 
 @pytest.mark.parametrize("stack", [1, 3, 64])
 def test_sweep_is_single_calls_bit_for_bit_in_stacks_of_any_size(monkeypatch, stack):
-    # stacks of 1 and 3 operators (the last one short) and all 11 in one,
-    # swept on the trajectory's band rows as the command line sweeps them
-    traj = integrate(random_state(2, 12), IntegratorConfig(t_end=0.05, h=1e-3))
-    rows = list(range(0, traj.n_samples, 5))
-    zs = spectral_ring(traj, 7, 1.7)
-    monkeypatch.setattr(resolvent, "STACK_BYTES", stack * 16 * 12**2)
-    values, tails = resolvent_sweep(traj.a[rows], traj.b[rows], traj.c[rows], zs, 1e-9)
-    expect_values, expect_tails = _sweep_by_single_calls(
-        [traj.state_at(k) for k in rows], zs, 1e-9
+    # stacks of 1 and 3 rows (the last one short) and all 11 in one, swept
+    # on the trajectory's band rows as the command line sweeps them. Rows
+    # 3..5 and 9..10 are scaled by 2, so the stacks of 3 differ in their
+    # term counts. At m = 24 and tol 1e-9 every slab is shorter than J, at
+    # tol 1e-14 the scaled rows' slabs are the whole J, and at m = 12 all are
+    slabs = []
+
+    def dense_stack(*args):
+        slabs.append(core.dense_stack(*args).shape)
+        return core.dense_stack(*args)
+
+    monkeypatch.setattr(resolvent, "dense_stack", dense_stack)
+    for m, tol in ((24, 1e-9), (24, 1e-14), (12, 1e-14)):
+        traj = integrate(random_state(2, m), IntegratorConfig(t_end=0.05, h=1e-3))
+        states = [traj.state_at(k) for k in range(0, traj.n_samples, 5)]
+        states = [
+            LatticeState(2 * s.a, 2 * s.b, 2 * s.c) if i // 3 % 2 else s
+            for i, s in enumerate(states)
+        ]
+        rho = [norm_bound(s) for s in states]
+        zs = 2.5 * max(rho) * np.exp(2j * np.pi * np.arange(7) / 7)
+        n = [max(neumann_terms_needed(r, abs(z), tol) for z in zs) for r in rho]
+        assert (max(n) + 1 >= m) == (tol == 1e-14)
+        lows = range(0, len(states), stack)
+        if stack == 3:
+            assert len({max(n[lo : lo + 3]) for lo in lows}) > 1
+        monkeypatch.setattr(resolvent, "STACK_BYTES", stack * 16 * m * min(m, max(n) + 1))
+        slabs.clear()
+        values, tails = resolvent_sweep(*_bands(states), zs, tol)
+        expect_values, expect_tails = _sweep_by_single_calls(states, zs, tol)
+        assert values.tobytes() == expect_values.tobytes()
+        assert tails.tobytes() == expect_tails.tobytes()
+        # each stack's slab holds the leading rows its own largest order reads
+        assert slabs == [
+            (len(n[lo : lo + stack]), min(m, max(n[lo : lo + stack]) + 1), m)
+            for lo in lows
+        ]
+
+
+def test_sweep_of_no_rows_or_no_points_is_empty():
+    traj = integrate(random_state(2, 12), IntegratorConfig(t_end=0.01, h=1e-3))
+    values, tails = resolvent_sweep(
+        traj.a[:0], traj.b[:0], traj.c[:0], spectral_ring(traj, 3), 1e-10
     )
-    assert values.tobytes() == expect_values.tobytes()
-    assert tails.tobytes() == expect_tails.tobytes()
+    assert values.shape == (0, 3, 2, 2) and tails.shape == (0, 3)
+    values, tails = resolvent_sweep(traj.a, traj.b, traj.c, [], 1e-10)
+    assert values.shape == (traj.n_samples, 0, 2, 2) and tails.shape == (traj.n_samples, 0)
 
 
 def test_sweep_refuses_the_margin_where_single_calls_first_do():
