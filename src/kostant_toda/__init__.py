@@ -59,7 +59,6 @@ from .resolvent import (
     ZTooSmallError,
     closed_form_resolvent,
     dense_resolvent_block,
-    generating_function,
     generating_ode_residual,
     neumann_terms_needed,
     resolvent_block,
@@ -103,7 +102,6 @@ __all__ = [
     "derivative_law_residual",
     "exponential_moments",
     "functional_derivative_residual",
-    "generating_function",
     "generating_ode_residual",
     "integrate",
     "kostant_rhs",

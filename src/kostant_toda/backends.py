@@ -72,7 +72,8 @@ def pack_state(a, b, c) -> np.ndarray:
 
 
 def unpack_bands(y: np.ndarray, m: int):
-    """Views (a, b, c) of one packed row."""
+    """Views (a, b, c) of one packed row, or of the rows of a 2-D y whose
+    columns are packed rows (the transpose of a sample array)."""
     return y[:m], y[m : 2 * m - 1], y[2 * m - 1 : 3 * m - 3]
 
 
@@ -169,7 +170,7 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None):
         np.array(x, dtype=np.complex128) for x in (0.5 * h, h, 2.0, h / 6.0)
     )
     add, multiply = np.add, np.multiply
-    c_rows = out[:, 2 * m - 1 : 3 * m - 3]
+    c_rows = unpack_bands(out.T, m)[2].T
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, FLOOR_BLOCK):
             hi = min(lo + FLOOR_BLOCK, n_steps)

@@ -122,7 +122,7 @@ def _parse_complex(x) -> complex:
         if len(x) != 2:
             raise ValueError(f"complex entries must be [re, im] pairs, got {x!r}")
         return complex(float(x[0]), float(x[1]))
-    if isinstance(x, (int, float)):
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
         return complex(float(x), 0.0)
     raise ValueError(f"cannot read {x!r} as a complex number")
 
@@ -138,11 +138,16 @@ def _load_state(path: str) -> LatticeState:
     for key in ("a", "b", "c"):
         if key not in doc:
             raise ValueError(f"state file missing field {key!r}")
+        if not isinstance(doc[key], list):
+            raise ValueError(f"state field {key!r} must be a list, got {doc[key]!r}")
+    t = doc.get("t", 0.0)
+    if isinstance(t, bool) or not isinstance(t, (int, float)):
+        raise ValueError(f"state field 't' must be a number, got {t!r}")
     return LatticeState(
         a=np.array([_parse_complex(x) for x in doc["a"]], dtype=np.complex128),
         b=np.array([_parse_complex(x) for x in doc["b"]], dtype=np.complex128),
         c=np.array([_parse_complex(x) for x in doc["c"]], dtype=np.complex128),
-        t=float(doc.get("t", 0.0)),
+        t=float(t),
     )
 
 

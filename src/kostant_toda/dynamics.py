@@ -69,7 +69,7 @@ class CorruptionSpec:
 
     kind: 'freeze-b' scales b' by (1 - magnitude), 'scale-c-rhs' scales c'
     by (1 + magnitude), 'drop-commutator-term' removes magnitude * (c_n -
-    c_{n-1}) from b_n'. magnitude must be positive.
+    c_{n-1}) from b_n'. magnitude must be finite and positive.
     """
 
     kind: str
@@ -81,8 +81,10 @@ class CorruptionSpec:
                 f"unknown corruption kind {self.kind!r}; "
                 f"expected one of {sorted(CORRUPTION_KINDS)}"
             )
-        if not self.magnitude > 0:
-            raise ValueError("corruption magnitude must be > 0")
+        if not (self.magnitude > 0 and np.isfinite(self.magnitude)):
+            raise ValueError(
+                f"corruption magnitude must be finite and > 0, got {self.magnitude}"
+            )
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,8 @@ def lax_rhs(J: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Sampled solution on the uniform grid t0 + k h, k = 0..n_steps.
 
-    samples holds the packed rows described in backends; the band
-    accessors return views into it.
+    samples holds the packed rows described in backends; the bands a, b
+    and c are views into it, bound once.
     """
 
     def __init__(self, samples, m, h, t0):
@@ -134,22 +136,11 @@ class Trajectory:
         self.h = h
         self.t0 = t0
         self.ts = t0 + h * np.arange(samples.shape[0])
+        self.a, self.b, self.c = (x.T for x in backends.unpack_bands(samples.T, m))
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.samples[:, : self.m]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.samples[:, self.m : 2 * self.m - 1]
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.samples[:, 2 * self.m - 1 : 3 * self.m - 3]
 
     def index_of(self, t: float) -> int:
         """Grid index of time t; t must lie on the grid."""
@@ -169,13 +160,8 @@ class Trajectory:
             raise ValueError(
                 f"sample index {i} is not on the trajectory (0..{self.n_samples - 1})"
             )
-        m = self.m
-        row = self.samples[i]
         return LatticeState(
-            row[:m].copy(),
-            row[m : 2 * m - 1].copy(),
-            row[2 * m - 1 : 3 * m - 3].copy(),
-            t=float(self.ts[i]),
+            self.a[i].copy(), self.b[i].copy(), self.c[i].copy(), t=float(self.ts[i])
         )
 
     def stencil(self, t: float):
@@ -236,8 +222,8 @@ def integrate(
         y0, state.m, cfg.n_steps, cfg.h, corruption
     )
     if status:
-        m = state.m
-        c_min = float(np.min(np.abs(samples[status, 2 * m - 1 : 3 * m - 3])))
+        c = backends.unpack_bands(samples[status], state.m)[2]
+        c_min = float(np.min(np.abs(c)))
         raise CNearZeroError(state.t + status * cfg.h, status, c_min)
     return Trajectory(samples, state.m, cfg.h, state.t)
 

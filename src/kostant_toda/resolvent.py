@@ -7,8 +7,11 @@ For |z| > ||J|| the (1,1) block of the resolvent of J expands as
 summed here with a certified geometric tail bound derived from the norm
 bound rho: stopping after terms 0..K leaves at most
 (rho/|z|)^{K+1} / (|z| - rho). All entry points enforce the safety margin
-|z| >= 1.5 rho. The conjugated block F(z) = C0^{-1} R(z) C0 is the
-generating function of the moment blocks.
+|z| >= 1.5 rho. Every sum comes from one kernel over band rows:
+`resolvent_block` runs it on one state, `resolvent_sweep` on many, and
+the ODE residuals on the states of a central-difference stencil. The
+conjugated block F(z) = C0^{-1} R(z) C0 is the generating function of the
+moment blocks.
 
 Along the flow, R satisfies a first-order matrix ODE whose solution has
 the closed form
@@ -59,7 +62,6 @@ __all__ = [
     "ZTooSmallError",
     "closed_form_resolvent",
     "dense_resolvent_block",
-    "generating_function",
     "generating_ode_residual",
     "neumann_terms_needed",
     "resolvent_block",
@@ -68,9 +70,9 @@ __all__ = [
 ]
 
 MARGIN = 1.5
-# Bytes of leading operator rows resolvent_sweep stacks for one power
-# loop, sized by the rows the largest order of the sweep reads; a stack
-# holds at least one state.
+# Bytes of leading operator rows _neumann_sums stacks for one power loop,
+# sized by the rows the largest order of its call reads; a stack holds at
+# least one state.
 STACK_BYTES = 1 << 20
 
 
@@ -97,25 +99,34 @@ def _check_margin(z: complex, rho: float, where: str = "") -> None:
         )
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0:
-        raise ValueError(f"series tolerance must be > 0, got {tol}")
-
-
 def neumann_terms_needed(rho: float, z_abs: float, tol: float) -> int:
     """Smallest K with (rho/z_abs)^{K+1} / (z_abs - rho) < tol; tol must be > 0."""
-    _check_tol(tol)
-    if z_abs <= rho:
-        raise ZTooSmallError(f"|z| = {z_abs:.6g} <= rho = {rho:.6g}")
-    r = rho / z_abs
-    bound = 1.0 / (z_abs - rho)
-    K = -1
-    while bound >= tol:
-        K += 1
-        bound *= r
-        if K > 100000:
+    if not z_abs > rho:
+        raise ZTooSmallError(f"|z| = {z_abs:.6g} is not above rho = {rho:.6g}")
+    return int(_terms_needed(np.array([[rho]]), np.array([z_abs]), tol)[0, 0])
+
+
+def _terms_needed(rho: np.ndarray, z_abs: np.ndarray, tol: float) -> np.ndarray:
+    """neumann_terms_needed at every (row, z), (S, nz), for norm bounds rho
+    (S, 1) and moduli z_abs (nz,) with z_abs > rho.
+
+    Each count comes from the scalar loop's float operations, run over
+    every (row, z) at once. More than 100000 terms raise RuntimeError.
+    """
+    if not tol > 0:
+        raise ValueError(f"series tolerance must be > 0, got {tol}")
+    ratio, bound = rho / z_abs, 1.0 / (z_abs - rho)
+    K = np.full(bound.shape, -1)
+    more = bound >= tol
+    passes = 0
+    while more.any():
+        passes += 1
+        if passes > 100001:
             raise RuntimeError(f"series needs more than 100000 terms for tol={tol}")
-    return max(K, 0)
+        K += more
+        bound *= ratio
+        more = bound >= tol
+    return np.maximum(K, 0, out=K)
 
 
 def _tail_bound(rho: float, z_abs: float, K: int) -> float:
@@ -124,20 +135,31 @@ def _tail_bound(rho: float, z_abs: float, K: int) -> float:
     return float((rho / z_abs) ** (K + 1) / (z_abs - rho))
 
 
-def _neumann_sums(blocks: np.ndarray, zs, terms: np.ndarray) -> np.ndarray:
-    """Sums of (J^k)_11 / z^{k+1} over k < terms, (S, nz, 2, 2), from the
-    blocks (J^k)_11 of S states (S, n + 1, 2, 2), points zs and term
-    counts terms (S, nz), each at most n + 1.
+def _neumann_sums(a, b, c, zs, terms: np.ndarray) -> np.ndarray:
+    """Sums of (J^k)_11 / z^{k+1} over k < terms, (S, nz, 2, 2), for the
+    operators J of the band rows a (S, m), b (S, m - 1), c (S, m - 2), the
+    points zs and the term counts terms (S, nz), each at least 1.
 
-    One pass over k serves every state. Blocks past a state's own term
-    counts are never read, so they may be padding. The powers of 1/z are
-    formed in each z's own scalar type, 1.0 / z and then zp *= 1/z, and
-    each sum adds its terms in increasing k, so a sum is bit for bit that
-    of a lone state and z.
+    The rows share a stacked power loop, as many as fit STACK_BYTES with
+    min(m, n + 1) rows of J each, n the largest order of all; each stack
+    builds the slab of the leading min(m, n_s + 1) rows its own largest
+    order n_s reads (dense_stack). Then one pass over k serves every row.
+    The powers of 1/z are formed in each z's own scalar type, 1.0 / z and
+    then zp *= 1/z, and each sum adds its terms in increasing k, so a sum
+    is bit for bit that of a lone row and z.
     """
     S, nz = terms.shape
-    n_max = blocks.shape[1] - 1
-    blocks = blocks.reshape(S, n_max + 1, 1, 4)
+    m = a.shape[1]
+    n_max = int(terms.max(initial=1)) - 1
+    # every stack's blocks up to its own largest order, zero past it; the
+    # zeros are never read
+    blocks = np.zeros((S, n_max + 1, 1, 4), dtype=np.complex128)
+    size = max(1, STACK_BYTES // (16 * m * min(m, n_max + 1)))
+    for lo in range(0, S, size):
+        hi = lo + size
+        n = int(terms[lo:hi].max(initial=1)) - 1
+        slab = dense_stack(a[lo:hi], b[lo:hi], c[lo:hi], min(m, n + 1))
+        blocks[lo:hi, : n + 1] = leading_power_blocks(slab, n).reshape(-1, n + 1, 1, 4)
     sums = np.zeros((S, nz, 4), dtype=np.complex128)
     zinv = [1.0 / z for z in zs]
     zp = list(zinv)
@@ -151,19 +173,51 @@ def _neumann_sums(blocks: np.ndarray, zs, terms: np.ndarray) -> np.ndarray:
     return sums.reshape(S, nz, 2, 2)
 
 
+def _neumann_rows(a, b, c, zs, tol: float):
+    """The certified Neumann sums of the band rows a (S, m), b (S, m - 1),
+    c (S, m - 2) at the points zs: values (S, nz, 2, 2), tail bounds
+    (S, nz), norm bounds (S,) and the largest powers summed K (S, nz).
+
+    A row that is not finite raises ValueError. The margin is checked at
+    every (row, z) in that order before any sum, so the first violation
+    raised is the one a loop over rows and points meets first. The norm
+    bounds come from norm_bound_stack, the counts from _terms_needed and
+    the tails from _tail_bound, with each |z| in z's own scalar type.
+    """
+    a, b, c = (np.asarray(x, dtype=np.complex128) for x in (a, b, c))
+    finite = np.isfinite(np.hstack((a, b, c))).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"a, b and c entries must be finite (row {np.argmin(finite)})")
+    rho = norm_bound_stack(a, b, c)[:, None]
+    abs_zs = [abs(z) for z in zs]
+    z_abs = np.array(abs_zs)
+    inside = ~(z_abs >= MARGIN * rho)
+    if inside.any():
+        i, j = np.unravel_index(np.argmax(inside), inside.shape)
+        _check_margin(zs[j], float(rho[i, 0]))
+    # the margin keeps rho / |z| <= 1 / MARGIN < 1, so every count is finite
+    K = _terms_needed(rho, z_abs, tol)
+    tails = np.array([
+        [_tail_bound(p, za, k) for za, k in zip(abs_zs, row)]
+        for p, row in zip(rho[:, 0].tolist(), K.tolist())
+    ]).reshape(K.shape)
+    return _neumann_sums(a, b, c, zs, K + 1), tails, rho[:, 0], K
+
+
 def resolvent_block(
     state: LatticeState, z: complex, tol: float = 1e-10
 ) -> ResolventBlock:
     """Partial Neumann sum of the (1,1) resolvent block with tail certificate.
 
-    It sums the powers 0..K, K the smallest index certified by tol.
+    It sums the powers 0..K, K the smallest index certified by tol, with z
+    in its own scalar type.
     """
-    rho = norm_bound(state)
-    _check_margin(z, rho)
-    K = neumann_terms_needed(rho, abs(z), tol)
-    blocks = leading_power_blocks(state.dense()[None], K)
-    value = _neumann_sums(blocks, [z], np.array([[K + 1]]))[0, 0]
-    return ResolventBlock(value, z, rho, K + 1, _tail_bound(rho, abs(z), K))
+    values, tails, rho, K = _neumann_rows(
+        state.a[None], state.b[None], state.c[None], [z], tol
+    )
+    return ResolventBlock(
+        values[0, 0], z, float(rho[0]), int(K[0, 0]) + 1, float(tails[0, 0])
+    )
 
 
 def resolvent_sweep(a, b, c, zs, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -171,56 +225,10 @@ def resolvent_sweep(a, b, c, zs, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
     Row i of the bands a (S, m), b (S, m - 1) and c (S, m - 2) is one state.
     Returns the values (S, nz, 2, 2) and tail bounds (S, nz) of those calls,
-    bit for bit. A row that is not finite raises ValueError. The margin is
-    checked at every (row, z) in that order before any sum, so the first
-    violation raised is the one a loop of single calls meets first. The
-    norm bounds come from norm_bound_stack, and the term counts and tail
-    bounds from the same float operations as neumann_terms_needed and
-    _tail_bound, run over every (row, z) at once. The ring's values at one
-    row come from one power sequence. Rows share a stacked power loop, as
-    many as fit STACK_BYTES with min(m, n + 1) rows of J each, n the
-    sweep's largest order; each stack builds the slab of the leading
-    min(m, n_s + 1) rows its own largest order n_s reads (dense_stack).
-    Its blocks go into one array, zero past n_s, and the sums over z run
-    once over every row.
+    bit for bit, from one pass of the kernel they share (_neumann_rows).
     """
-    a, b, c = (np.asarray(x, dtype=np.complex128) for x in (a, b, c))
-    zs = [complex(z) for z in zs]
-    finite = np.isfinite(np.hstack((a, b, c))).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"a, b and c entries must be finite (row {np.argmin(finite)})")
-    rho = norm_bound_stack(a, b, c)[:, None]
-    z_abs = np.array([abs(z) for z in zs])
-    inside = ~(z_abs >= MARGIN * rho)
-    if inside.any():
-        i, j = np.unravel_index(np.argmax(inside), inside.shape)
-        _check_margin(zs[j], float(rho[i, 0]))
-    _check_tol(tol)
-    # neumann_terms_needed's loop over every (row, z). The margin keeps
-    # rho / |z| <= 1 / MARGIN < 1, so a bound below tol stays below and
-    # the loop ends long before that function's cap of 100000 terms
-    ratio, bound = rho / z_abs, 1.0 / (z_abs - rho)
-    K = np.full(bound.shape, -1)
-    more = bound >= tol
-    while more.any():
-        K += more
-        bound *= ratio
-        more = bound >= tol
-    np.maximum(K, 0, out=K)
-    tails = np.array([
-        [_tail_bound(p, za, k) for za, k in zip(z_abs.tolist(), row)]
-        for p, row in zip(rho[:, 0].tolist(), K.tolist())
-    ]).reshape(K.shape)
-    # every stack's blocks up to its own largest order, zero past it
-    m, n_max = a.shape[1], int(K.max(initial=0))
-    blocks = np.zeros((len(a), n_max + 1, 2, 2), dtype=np.complex128)
-    size = max(1, STACK_BYTES // (16 * m * min(m, n_max + 1)))
-    for lo in range(0, len(a), size):
-        hi = lo + size
-        n = int(K[lo:hi].max(initial=0))
-        slab = dense_stack(a[lo:hi], b[lo:hi], c[lo:hi], min(m, n + 1))
-        blocks[lo:hi, : n + 1] = leading_power_blocks(slab, n)
-    return _neumann_sums(blocks, zs, K + 1), tails
+    values, tails, _, _ = _neumann_rows(a, b, c, [complex(z) for z in zs], tol)
+    return values, tails
 
 
 def dense_resolvent_block(state: LatticeState, z: complex) -> np.ndarray:
@@ -233,47 +241,29 @@ def dense_resolvent_block(state: LatticeState, z: complex) -> np.ndarray:
     return sol[:2, :]
 
 
-def _conjugate(a1: complex, R: np.ndarray) -> np.ndarray:
-    """C0^{-1} R C0 for the normalization block C0 of first diagonal entry a1."""
-    return c0_block(-a1) @ R @ c0_block(a1)
-
-
-def generating_function(
-    state: LatticeState, z: complex, tol: float = 1e-10
-) -> ResolventBlock:
-    """F(z) = C0^{-1} R(z) C0, the moment generating block.
-
-    The tail bound is the resolvent bound scaled by the condition factor
-    (1 + |a_1|)^2 of the conjugation.
-    """
-    rb = resolvent_block(state, z, tol=tol)
-    a1 = state.a[0]
-    F = _conjugate(a1, rb.value)
-    kappa = (1.0 + abs(a1)) ** 2
-    return ResolventBlock(F, z, rb.rho, rb.terms_used, rb.tail_bound * kappa)
-
-
 def _series_stencil(
     traj: Trajectory, z: complex, t: float, tol: float, conjugate: bool
 ):
     """State st at t, the series value there, and its central time derivative.
 
-    The value is R(z), or F(z) with conjugate. The states (st, *points) of
-    traj.stencil(t) are summed as one stack through _neumann_sums, each with
-    the same number of terms: the smallest that certifies tol at all of
-    them, so the truncation error is smooth in time.
+    The value is R(z), or with conjugate F(z) = C0^{-1} R(z) C0, where
+    C0^{-1} = c0_block(-a_1). The band rows of the states (st, *points) of
+    traj.stencil(t) are summed by _neumann_sums, each with the same number
+    of terms: the smallest that certifies tol at all of them, so the
+    truncation error is smooth in time.
     """
     st, points = traj.stencil(t)
     states = (st, *points)
-    needed = 0
-    for s in states:
-        rho = norm_bound(s)
-        _check_margin(z, rho, " along the stencil")
-        needed = max(needed, neumann_terms_needed(rho, abs(z), tol))
-    blocks = leading_power_blocks(np.stack([s.dense() for s in states]), needed)
-    values = _neumann_sums(blocks, [z], np.full((len(states), 1), needed + 1))[:, 0]
+    a, b, c = (np.stack([getattr(s, x) for s in states]) for x in "abc")
+    rho = norm_bound_stack(a, b, c)
+    for r in rho.tolist():
+        _check_margin(z, r, " along the stencil")
+    needed = int(_terms_needed(rho[:, None], np.array([abs(z)]), tol).max())
+    values = _neumann_sums(a, b, c, [z], np.full((len(states), 1), needed + 1))[:, 0]
     if conjugate:
-        values = [_conjugate(s.a[0], v) for s, v in zip(states, values)]
+        values = [
+            c0_block(-s.a[0]) @ v @ c0_block(s.a[0]) for s, v in zip(states, values)
+        ]
     return st, values[0], central_diff(values[1:], traj.h)
 
 

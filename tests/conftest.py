@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kostant_toda import LatticeState
+from kostant_toda import LatticeState, norm_bound
 
 
 @pytest.fixture
@@ -12,3 +12,32 @@ def unit_instance():
         b=np.ones(5, dtype=np.complex128),
         c=np.ones(4, dtype=np.complex128),
     )
+
+
+def _neumann_by_hand(state, z, tol, terms=None):
+    """Value and tail bound of the Neumann sum of one state at one z, as a
+    lone call forms it: the term count from a loop on Python floats, the
+    2-D power loop W <- W J over the whole dense J and the powers of 1/z in
+    z's own scalar type. It sums terms powers, by default the count that
+    certifies tol."""
+    rho = norm_bound(state)
+    K, bound = -1, 1.0 / (abs(z) - rho)
+    while bound >= tol:
+        K += 1
+        bound *= rho / abs(z)
+    K = max(K, 0) if terms is None else terms - 1
+    J, W = state.dense(), np.eye(2, state.m, dtype=np.complex128)
+    value = np.zeros((2, 2), dtype=np.complex128)
+    zinv = 1.0 / z
+    zp = zinv
+    for _ in range(K + 1):
+        value += W[:, :2].copy() * zp
+        W = W @ J
+        zp *= zinv
+    return value, (rho / abs(z)) ** (K + 1) / (abs(z) - rho)
+
+
+@pytest.fixture
+def neumann_by_hand():
+    """The oracle of the resolvent series: _neumann_by_hand."""
+    return _neumann_by_hand

@@ -15,8 +15,6 @@ from kostant_toda import (
     IntegratorConfig,
     closed_form_resolvent,
     integrate,
-    neumann_terms_needed,
-    norm_bound,
     random_state,
     resolvent_block,
 )
@@ -72,6 +70,11 @@ def test_state_file_errors(tmp_path):
     sf.write_text(json.dumps({"a": [0] * 4, "b": [1] * 3, "c": [[1, 0, 0], [1]]}))
     assert run(["polys", "--state", str(sf)]) == 2  # bad complex pair
     assert run(["polys", "--state", str(tmp_path / "nope.json")]) == 2
+    # fields of the wrong JSON type exited 1 with a TypeError traceback,
+    # and true was read as 1
+    for doc in ({"t": None}, {"a": 5}, {"t": True}, {"c": [1, True]}):
+        sf.write_text(json.dumps({"a": [0] * 4, "b": [1] * 3, "c": [1, 1], **doc}))
+        assert run(["polys", "--state", str(sf)]) == 2
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -326,8 +329,11 @@ def test_nonfinite_state_file_is_a_configuration_error(tmp_path, capsys, field, 
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--t-end", "nan"],
-                                   ["--h", "inf"], ["--h", "nan"]])
+@pytest.mark.parametrize("flags", [
+    ["--t-end", "inf"], ["--t-end", "nan"], ["--h", "inf"], ["--h", "nan"],
+    # an infinite corruption magnitude exited 3, blamed on the flow at step 1
+    ["--corruption", "freeze-b", "--magnitude", "inf"],
+])
 def test_nonfinite_horizon_or_step_is_a_configuration_error(capsys, flags):
     assert run(["simulate", "--seed", "0", "--m", "8", *flags]) == 2
     assert "finite" in capsys.readouterr().err
@@ -398,24 +404,10 @@ def test_simulate_stdout_matches_out_file(tmp_path, capsys):
     assert out.read_bytes() == text.encode()
 
 
-def _neumann_by_hand(state, z, tol):
-    """Value and tail bound of the Neumann sum as one lone call formed it:
-    the 2-D power loop W <- W J and the powers of 1/z in Python complex."""
-    rho = norm_bound(state)
-    K = neumann_terms_needed(rho, abs(z), tol)
-    J, W = state.dense(), np.eye(2, state.m, dtype=np.complex128)
-    value = np.zeros((2, 2), dtype=np.complex128)
-    zinv = 1.0 / z
-    zp = zinv
-    for _ in range(K + 1):
-        value += W[:, :2].copy() * zp
-        W = W @ J
-        zp *= zinv
-    return value, (rho / abs(z)) ** (K + 1) / (abs(z) - rho)
-
-
 @pytest.mark.parametrize("closed_form", [False, True])
-def test_resolvent_csv_parses_back_bit_identical(tmp_path, closed_form):
+def test_resolvent_csv_parses_back_bit_identical(
+    tmp_path, closed_form, neumann_by_hand
+):
     # each row is the lone call's, word for word. With the powers of 1/z
     # from numpy's array division instead of complex(z)'s, 329 of the 2,304
     # value words of the second sweep (32 angles by 9 rows) differ
@@ -435,7 +427,7 @@ def test_resolvent_csv_parses_back_bit_identical(tmp_path, closed_form):
         for k in rows:
             for iz, z in enumerate(zs):
                 rb = resolvent_block(traj.state_at(k), complex(z), tol=1e-10)
-                value, tail = _neumann_by_hand(traj.state_at(k), complex(z), 1e-10)
+                value, tail = neumann_by_hand(traj.state_at(k), complex(z), 1e-10)
                 assert (rb.value.tobytes(), rb.tail_bound) == (value.tobytes(), tail)
                 row = [traj.ts[k], z.real, z.imag]
                 row += [x for e in rb.value.ravel() for x in (e.real, e.imag)]

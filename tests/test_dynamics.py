@@ -60,6 +60,9 @@ def test_corruption_spec_validation():
         CorruptionSpec("no-such-kind", 1.0)
     with pytest.raises(ValueError):
         CorruptionSpec("freeze-b", 0.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            CorruptionSpec("freeze-b", bad)
 
 
 def test_trajectory_grid_and_views():

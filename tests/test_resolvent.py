@@ -15,7 +15,6 @@ from kostant_toda import (
     commutator,
     d_block,
     dense_resolvent_block,
-    generating_function,
     generating_ode_residual,
     integrate,
     moments_from_j,
@@ -28,7 +27,6 @@ from kostant_toda import (
 )
 from kostant_toda import core, resolvent
 from kostant_toda.backends import pack_state
-from kostant_toda.core import leading_power_blocks
 from kostant_toda.dynamics import Trajectory
 from kostant_toda.resolvent import spectral_ring
 
@@ -72,16 +70,21 @@ def test_terms_needed_monotone():
 
 
 def test_generating_function_conjugation():
+    # F = C0^{-1} R C0, C0 = [[1, 0], [-a_1, 1]], written out by a solve: its
+    # inverse is c0_block(-a_1), and F is the dense resolvent conjugated
     st = random_state(3, 12)
     z = 2.2 * norm_bound(st)
-    F = generating_function(st, z, tol=1e-12).value
-    R = resolvent_block(st, z, tol=1e-12).value
     c0 = c0_block(st.a[0])
+    R = resolvent_block(st, z, tol=1e-12).value
+    F = np.linalg.solve(c0, R @ c0)
     assert np.max(np.abs(F - c0_block(-st.a[0]) @ R @ c0)) < 1e-12
+    dense = np.linalg.solve(c0, dense_resolvent_block(st, z) @ c0)
+    assert np.max(np.abs(F - dense)) < 1e-11
 
 
 def test_generating_function_is_moment_series():
-    # F(zeta) = sum_k moment_k / zeta^{k+1}, checked against partial sums
+    # F(zeta) = C0^{-1} R(zeta) C0 = sum_k moment_k / zeta^{k+1}, checked
+    # against partial sums
     st = random_state(6, 12)
     rho = norm_bound(st)
     zeta = 4.0 * rho
@@ -89,7 +92,8 @@ def test_generating_function_is_moment_series():
     partial = np.zeros((2, 2), dtype=complex)
     for k in range(11):
         partial += u.moments[k] / zeta ** (k + 1)
-    F = generating_function(st, zeta, tol=1e-14).value
+    R = resolvent_block(st, zeta, tol=1e-14).value
+    F = c0_block(-st.a[0]) @ R @ c0_block(st.a[0])
     # the partial sum truncates at order 10, so agreement follows the tail
     assert np.max(np.abs(F - partial)) < (1 / 4.0) ** 11 / (zeta - rho) * rho * 3
 
@@ -103,20 +107,15 @@ def test_resolvent_ode_residual_small():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_stacked_stencil_matches_lone_sums_bit_for_bit(seed):
-    # each stencil state summed alone with the stencil's largest term count,
-    # then the two laws written out again
+def test_stacked_stencil_matches_lone_sums_bit_for_bit(seed, neumann_by_hand):
+    # each stencil state summed alone by hand with the stencil's largest
+    # term count, then the two laws written out again
     traj = integrate(random_state(seed, 12), IntegratorConfig(t_end=0.2, h=1.25e-4))
     z, t = spectral_ring(traj, 4)[1], 0.1
     st, points = traj.stencil(t)
     states = (st, *points)
     K = max(neumann_terms_needed(norm_bound(s), abs(z), 1e-12) for s in states)
-    r = [
-        resolvent._neumann_sums(
-            leading_power_blocks(s.dense()[None], K), [z], np.array([[K + 1]])
-        )[0, 0]
-        for s in states
-    ]
+    r = [neumann_by_hand(s, z, 1e-12, K + 1)[0] for s in states]
     f = [c0_block(-s.a[0]) @ v @ c0_block(s.a[0]) for s, v in zip(states, r)]
     eye = np.eye(2, dtype=np.complex128)
     rhs = r[0] @ (z * eye - b_block(st, 1)) - eye + commutator(r[0], d_block(st, 0))
@@ -246,17 +245,23 @@ def test_neumann_terms_need_a_positive_tolerance(tol):
         neumann_terms_needed(2.0, 5.0, tol)
 
 
+@pytest.mark.parametrize("rho,z_abs", [(2.0, float("nan")), (float("nan"), 5.0)])
+def test_neumann_terms_refuse_nan_input(rho, z_abs):
+    # the guard was z_abs <= rho, which NaN passes, and 0 terms came back
+    with pytest.raises(ZTooSmallError):
+        neumann_terms_needed(rho, z_abs, 1e-10)
+
+
+def test_neumann_terms_are_capped():
+    # rho / |z| = 1 - 1e-9 would need about 5e10 terms
+    with pytest.raises(RuntimeError, match="more than 100000 terms"):
+        neumann_terms_needed(1.0, 1.0 + 1e-9, 1e-12)
+
+
 def test_nan_z_is_refused_by_the_margin():
     st = random_state(0, 10)
     with pytest.raises(ZTooSmallError):
         resolvent_block(st, complex(float("nan"), 0.0))
-
-
-def _sweep_by_single_calls(states, zs, tol):
-    blocks = [[resolvent_block(st, complex(z), tol=tol) for z in zs] for st in states]
-    values = np.array([[rb.value for rb in row] for row in blocks])
-    tails = np.array([[rb.tail_bound for rb in row] for row in blocks])
-    return values.reshape(len(states), len(zs), 2, 2), tails.reshape(len(states), len(zs))
 
 
 def _bands(states):
@@ -265,7 +270,9 @@ def _bands(states):
 
 
 @pytest.mark.parametrize("stack", [1, 3, 64])
-def test_sweep_is_single_calls_bit_for_bit_in_stacks_of_any_size(monkeypatch, stack):
+def test_sweep_is_single_calls_bit_for_bit_in_stacks_of_any_size(
+    monkeypatch, neumann_by_hand, stack
+):
     # stacks of 1 and 3 rows (the last one short) and all 11 in one, swept
     # on the trajectory's band rows as the command line sweeps them. Rows
     # 3..5 and 9..10 are scaled by 2, so the stacks of 3 differ in their
@@ -295,11 +302,14 @@ def test_sweep_is_single_calls_bit_for_bit_in_stacks_of_any_size(monkeypatch, st
         monkeypatch.setattr(resolvent, "STACK_BYTES", stack * 16 * m * min(m, max(n) + 1))
         slabs.clear()
         values, tails = resolvent_sweep(*_bands(states), zs, tol)
-        expect_values, expect_tails = _sweep_by_single_calls(states, zs, tol)
-        assert values.tobytes() == expect_values.tobytes()
-        assert tails.tobytes() == expect_tails.tobytes()
+        swept = list(slabs)
+        expect = [[neumann_by_hand(s, complex(z), tol) for z in zs] for s in states]
+        want_values = np.array([[v for v, _ in row] for row in expect])
+        want_tails = np.array([[t for _, t in row] for row in expect])
+        assert values.tobytes() == want_values.tobytes()
+        assert tails.tobytes() == want_tails.tobytes()
         # each stack's slab holds the leading rows its own largest order reads
-        assert slabs == [
+        assert swept == [
             (len(n[lo : lo + stack]), min(m, max(n[lo : lo + stack]) + 1), m)
             for lo in lows
         ]
@@ -325,13 +335,14 @@ def test_sweep_refuses_the_margin_where_single_calls_first_do():
     r0, r1 = norm_bound(st), norm_bound(big)
     zs = [1.6 * r0, 1.4 * r0]
     assert 1.6 * r0 < MARGIN * r1 and 1.4 * r0 >= MARGIN * norm_bound(small)
+    want = (
+        f"|z| = {1.4 * r0:.6g} is below the safety margin "
+        f"{MARGIN} * rho = {MARGIN * r0:.6g}"
+    )
     for states in ([st, big], [small, small, st, big]):
-        with pytest.raises(ZTooSmallError) as single:
-            _sweep_by_single_calls(states, zs, 1e-10)
         with pytest.raises(ZTooSmallError) as swept:
             resolvent_sweep(*_bands(states), zs, 1e-10)
-        assert str(swept.value) == str(single.value)
-        assert f"|z| = {1.4 * r0:.6g}" in str(swept.value)
+        assert str(swept.value) == want
 
 
 @pytest.mark.parametrize("band", ["a", "b", "c"])
