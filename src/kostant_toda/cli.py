@@ -117,14 +117,25 @@ def _pairs(arr):
     return [_pairs(x) for x in a]
 
 
-def _parse_complex(x) -> complex:
-    if isinstance(x, (list, tuple)):
-        if len(x) != 2:
-            raise ValueError(f"complex entries must be [re, im] pairs, got {x!r}")
-        return complex(float(x[0]), float(x[1]))
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return complex(float(x), 0.0)
-    raise ValueError(f"cannot read {x!r} as a complex number")
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _band(doc: dict, key: str) -> np.ndarray:
+    """State field key: a list of JSON numbers or [re, im] pairs of them."""
+    entries = doc[key]
+    if not isinstance(entries, list):
+        raise ValueError(f"state field {key!r} must be a list, got {entries!r}")
+    band = np.empty(len(entries), dtype=np.complex128)
+    for i, x in enumerate(entries):
+        parts = x if isinstance(x, list) else [x, 0.0]
+        if len(parts) != 2 or not all(map(_is_number, parts)):
+            raise ValueError(
+                f"state field {key!r} entry {i}: expected a number or an "
+                f"[re, im] pair of numbers, got {x!r}"
+            )
+        band[i] = complex(float(parts[0]), float(parts[1]))
+    return band
 
 
 def _load_state(path: str) -> LatticeState:
@@ -135,20 +146,13 @@ def _load_state(path: str) -> LatticeState:
     extra = set(doc) - {"a", "b", "c", "t"}
     if extra:
         raise ValueError(f"unknown state field {sorted(extra)[0]!r}")
-    for key in ("a", "b", "c"):
-        if key not in doc:
-            raise ValueError(f"state file missing field {key!r}")
-        if not isinstance(doc[key], list):
-            raise ValueError(f"state field {key!r} must be a list, got {doc[key]!r}")
+    missing = [key for key in ("a", "b", "c") if key not in doc]
+    if missing:
+        raise ValueError(f"state file missing field {missing[0]!r}")
     t = doc.get("t", 0.0)
-    if isinstance(t, bool) or not isinstance(t, (int, float)):
+    if not _is_number(t):
         raise ValueError(f"state field 't' must be a number, got {t!r}")
-    return LatticeState(
-        a=np.array([_parse_complex(x) for x in doc["a"]], dtype=np.complex128),
-        b=np.array([_parse_complex(x) for x in doc["b"]], dtype=np.complex128),
-        c=np.array([_parse_complex(x) for x in doc["c"]], dtype=np.complex128),
-        t=float(t),
-    )
+    return LatticeState(*(_band(doc, key) for key in ("a", "b", "c")), t=float(t))
 
 
 def _instance(ns) -> LatticeState:

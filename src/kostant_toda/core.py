@@ -40,6 +40,11 @@ class TruncationTooSmallError(ValueError):
     """
 
 
+def _check_size(m: int) -> None:
+    if m < 4 or m % 2 != 0:
+        raise ValueError(f"lattice size m={m} must be even and >= 4")
+
+
 @dataclass
 class LatticeState:
     """Coefficient arrays (a, b, c) of one truncated lattice at time t."""
@@ -54,8 +59,7 @@ class LatticeState:
         self.b = np.asarray(self.b, dtype=np.complex128)
         self.c = np.asarray(self.c, dtype=np.complex128)
         m = self.a.size
-        if m < 4 or m % 2 != 0:
-            raise ValueError(f"lattice size m={m} must be even and >= 4")
+        _check_size(m)
         if self.b.size != m - 1:
             raise ValueError(f"b must have length m-1={m - 1}, got {self.b.size}")
         if self.c.size != m - 2:
@@ -240,9 +244,10 @@ def random_state(seed: int, m: int = 12) -> LatticeState:
     0.2 for c, else 0); a is drawn, then b, then c, so a seed pins the
     instance bit for bit. The pairs come in batches of one per entry still
     missing, so none is drawn past the last one kept, and a batch gives the
-    doubles of as many scalar draws. An instance too big to allocate raises
-    ValueError naming its size.
+    doubles of as many scalar draws. A size LatticeState refuses, or an
+    instance too big to allocate, raises ValueError naming the size.
     """
+    _check_size(m)
     rng = np.random.default_rng(seed)
     try:
         bands = [np.empty(n, dtype=np.complex128) for n in (m, m - 1, m - 2)]

@@ -35,6 +35,21 @@ def test_simulate_csv(tmp_path, capsys):
     assert lines[0].split(",")[0] == "t"
 
 
+def test_simulate_benchmark_csv_is_the_serial_bytes(tmp_path, monkeypatch, capsys):
+    # simulate-csv-t1's configuration: 2,001 rows of 187 fields, written by
+    # two processes on two CPUs and by one on one CPU
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv = ["simulate", "--m", "32", "--t-end", "1", "--h", "5e-4", "--out"]
+    for cpus, name in (({0, 1}, "two.csv"), ({0}, "one.csv")):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert run(argv + [str(tmp_path / name)]) == 0
+    assert forks == [1]
+    two = (tmp_path / "two.csv").read_bytes()
+    assert two == (tmp_path / "one.csv").read_bytes() and two.count(b"\n") == 2_002
+
+
 def test_simulate_stdout(capsys):
     assert run(["simulate", "--seed", "1", "--m", "6", "--t-end", "0.01",
                 "--h", "0.001"]) == 0
@@ -75,6 +90,29 @@ def test_state_file_errors(tmp_path):
     for doc in ({"t": None}, {"a": 5}, {"t": True}, {"c": [1, True]}):
         sf.write_text(json.dumps({"a": [0] * 4, "b": [1] * 3, "c": [1, 1], **doc}))
         assert run(["polys", "--state", str(sf)]) == 2
+
+
+@pytest.mark.parametrize("entry,index", [([True, 0], 0), (["1.5", 0], 1),
+                                         ([0, None], 2), ([0, False], 3)])
+def test_state_file_pair_parts_must_be_json_numbers(tmp_path, capsys, entry, index):
+    # each part of a pair went through float(), so true read as 1 and "1.5"
+    # as 1.5, and simulate exited 0
+    a = [0, 0, 0, 0]
+    a[index] = entry
+    sf = tmp_path / "state.json"
+    sf.write_text(json.dumps({"a": a, "b": [1] * 3, "c": [1, 1]}))
+    assert run(["simulate", "--state", str(sf), "--t-end", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert f"'a' entry {index}" in err
+
+
+@pytest.mark.parametrize("m", ["0", "1", "-4", "7"])
+def test_bad_instance_size_names_the_rule(capsys, m):
+    # m <= 1 exited 2 with numpy's "negative dimensions are not allowed"
+    assert run(["simulate", "--m", m, "--t-end", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: lattice size m={m} must be even and >= 4\n"
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

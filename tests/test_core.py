@@ -113,6 +113,12 @@ def test_random_state_deterministic_and_bounded():
     assert np.all(np.abs(s1.c) >= 0.2) and np.all(np.abs(s1.c) <= 1)
 
 
+@pytest.mark.parametrize("m", [0, 1, -4, 5])
+def test_random_state_checks_the_size_first(m):
+    with pytest.raises(ValueError, match=f"^lattice size m={m} must be even and >= 4$"):
+        random_state(0, m)
+
+
 def test_copy_is_deep():
     st = random_state(0, 8)
     cp = st.copy()

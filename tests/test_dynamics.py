@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from kostant_toda import (
     norm_bound,
     random_state,
 )
+from kostant_toda import dynamics
 from kostant_toda.core import expm
 from kostant_toda.dynamics import write_csv
 
@@ -228,3 +230,137 @@ def test_write_csv_is_savetxt_byte_for_byte(n_rows):
     buf = io.StringIO()
     write_csv(buf, cols, table)
     assert buf.getvalue() == want.getvalue()
+
+
+# Values whose text %.17g and savetxt must agree on, placed in both halves
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310]
+
+
+def _table(n_rows, n_cols, seed=0):
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((n_rows, n_cols))
+    table *= 10.0 ** rng.integers(-300, 300, (n_rows, n_cols))
+    table[0, : len(SPECIALS)] = SPECIALS
+    table[-1, -len(SPECIALS) :] = SPECIALS[::-1]
+    return table
+
+
+def _savetxt(cols, table):
+    want = io.StringIO()
+    np.savetxt(want, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+    return want.getvalue()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two CPUs whatever the host has, and the list of fork calls made."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 10 columns: 4,999 rows are just under FORK_FIELDS, 5,000 rows reach it,
+# 5,001 rows are one more and odd, and 2 wide rows give each process one.
+@pytest.mark.parametrize("shape", [(4_999, 10), (5_000, 10), (5_001, 10), (2, 25_000)])
+@pytest.mark.parametrize("sink", ["string", "file"])
+def test_two_process_write_csv_is_savetxt_byte_for_byte(forks, tmp_path, shape, sink):
+    table = _table(*shape)
+    cols = [f"x{j}" for j in range(shape[1])]
+    if sink == "string":
+        buf = io.StringIO()
+        write_csv(buf, cols, table)
+        got = buf.getvalue()
+    else:
+        path = tmp_path / "table.csv"
+        with open(path, "w") as fh:
+            write_csv(fh, cols, table)
+        got = path.read_text()
+    assert got == _savetxt(cols, table)
+    assert len(forks) == (table.size >= dynamics.FORK_FIELDS)
+    assert dynamics.FORK_FIELDS == 50_000  # the sizes above straddle it
+    _no_child_left()
+
+
+def test_no_process_to_spare_writes_serially(monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    table = _table(5_001, 10)
+    buf = io.StringIO()
+    write_csv(buf, [f"x{j}" for j in range(10)], table)
+    assert buf.getvalue() == _savetxt([f"x{j}" for j in range(10)], table)
+
+
+def _rows_spy(monkeypatch, in_helper):
+    """Replace the row loop: the helper runs in_helper, this process the real
+    loop, recording how many rows each of its calls formats."""
+    parent, real, calls = os.getpid(), dynamics._write_rows, []
+
+    def rows(write, row_fmt, table):
+        if os.getpid() != parent:
+            return in_helper(real, write, row_fmt, table)
+        calls.append(len(table))
+        return real(write, row_fmt, table)
+
+    monkeypatch.setattr(dynamics, "_write_rows", rows)
+    return calls
+
+
+def _raise_in_helper(real, write, row_fmt, table):
+    raise RuntimeError("helper failed")
+
+
+def _three_rows_and_a_half(real, write, row_fmt, table):
+    real(write, row_fmt, table[:3])
+    write("1.5,2")  # a partial line, then a clean exit
+
+
+@pytest.mark.parametrize("helper,finished_here", [(_raise_in_helper, 2_501),
+                                                   (_three_rows_and_a_half, 2_498)])
+def test_failed_helper_costs_time_not_bytes(forks, monkeypatch, helper, finished_here):
+    calls = _rows_spy(monkeypatch, helper)
+    table = _table(5_001, 10)
+    cols = [f"x{j}" for j in range(10)]
+    buf = io.StringIO()
+    write_csv(buf, cols, table)
+    assert buf.getvalue() == _savetxt(cols, table)
+    assert forks == [1] and calls == [2_500, finished_here]
+    _no_child_left()
+
+
+class _BrokenStream(io.StringIO):
+    def __init__(self, exc, writes):
+        super().__init__()
+        self.exc, self.writes = exc, writes
+
+    def write(self, text):
+        self.writes -= 1
+        if self.writes < 0:
+            raise self.exc
+        return super().write(text)
+
+
+# The header and 2,500 rows are this process's writes; the next one copies
+# the helper's first chunk, while the helper may still block on the pipe.
+@pytest.mark.parametrize("writes", [100, 2_501])
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(forks, exc, writes):
+    stream = _BrokenStream(exc, writes)
+    with pytest.raises(type(exc)):
+        write_csv(stream, [f"x{j}" for j in range(10)], _table(5_001, 10))
+    assert forks == [1]
+    _no_child_left()
