@@ -60,7 +60,6 @@ from .resolvent import (
     closed_form_resolvent,
     dense_resolvent_block,
     generating_ode_residual,
-    neumann_terms_needed,
     resolvent_block,
     resolvent_ode_residual,
     resolvent_sweep,
@@ -109,7 +108,6 @@ __all__ = [
     "moment_ode_residual",
     "moments_from_j",
     "moments_from_recurrence",
-    "neumann_terms_needed",
     "norm_bound",
     "random_state",
     "reconstruct_blocks",

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .core import LatticeState, norm_bound, random_state
+from .core import LatticeState, random_state
 from .dynamics import (
     CNearZeroError,
     CorruptionSpec,
@@ -262,8 +262,7 @@ def _cmd_moments(ns) -> int:
     state = _instance(ns)
     doc = {"m": state.m, "n_max": ns.n_max, "method": ns.method, "t": ns.t}
     if ns.method == "series":
-        u0 = moments_from_j(state, 60, require_locality=False)
-        em = exponential_moments(u0, ns.t, ns.n_max, norm_bound(state))
+        em = exponential_moments(state, ns.t, ns.n_max)
         doc["moments"] = _pairs(em.functional.moments)
         doc["tail_bound"] = em.tail_bound
         doc["terms_used"] = em.terms_used

@@ -100,11 +100,14 @@ class IntegratorConfig:
         if not (self.h > 0 and np.isfinite(self.h)):
             raise ValueError(f"h must be finite and > 0, got {self.h}")
         if not (self.t_end >= 0 and np.isfinite(self.t_end)):
-            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
+            raise ValueError(
+                f"integration horizon must be finite and >= 0, got {self.t_end}"
+            )
         n = round(self.t_end / self.h)
         if abs(n * self.h - self.t_end) > 1e-9 * max(1.0, abs(self.t_end)):
             raise ValueError(
-                f"t_end={self.t_end} is not an integer multiple of h={self.h}"
+                f"integration horizon {self.t_end} is not an integer multiple "
+                f"of h={self.h}"
             )
 
     @property

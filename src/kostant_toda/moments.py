@@ -16,8 +16,9 @@ moments obey
     d/dt moment_n = moment_{n+1} - moment_n moment_1,
 
 and the whole functional advances by multiplication with exp(z t) followed
-by renormalization, which `exponential_moments` implements as a certified
-truncated series.
+by renormalization. `exponential_moments(state, t, n_max)` sums that as a
+truncated series whose tail it certifies from the state alone: its norm
+bound rho and the entry bound (1 + |a_1|)^2 rho^q on moment_q.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     c0_block,
     c_block,
     leading_power_blocks,
+    norm_bound,
 )
 from .dynamics import Trajectory, central_diff
 from .polynomials import VectorPolynomial, scalar_polys, shift_coeffs
@@ -52,12 +54,16 @@ __all__ = [
 ]
 
 
+# Highest initial moment order the exponential series reads.
+SERIES_ORDERS = 60
+
+
 class OrderOverflowError(ValueError):
-    """A polynomial of higher degree than the stored moments was applied."""
+    """A moment order above the stored or allowed ones was asked for."""
 
 
 class SeriesCapError(RuntimeError):
-    """The exponential series did not certify convergence within the cap."""
+    """A certified series did not reach its tolerance within its term cap."""
 
 
 class SingularBlockError(np.linalg.LinAlgError):
@@ -131,20 +137,15 @@ def apply_u(u: MomentFunctional, q: VectorPolynomial, shift: int = 0) -> np.ndar
     return u.apply(top, bottom)
 
 
-def moments_from_j(
-    state: LatticeState, n_max: int, require_locality: bool = True
-) -> MomentFunctional:
+def moments_from_j(state: LatticeState, n_max: int) -> MomentFunctional:
     """Moment blocks via powers of the dense operator.
 
-    With require_locality (default) the order is capped at m - 2, the range
-    over which the m x m truncation reproduces every larger truncation
-    exactly. Orders beyond that are still well defined for the finite
-    system itself and are needed by the exponential series; pass
-    require_locality=False to allow them.
+    The order is capped at m - 2, the range over which the m x m truncation
+    reproduces every larger truncation exactly.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if require_locality and n_max > state.m - 2:
+    if n_max > state.m - 2:
         raise TruncationTooSmallError(
             f"order n_max={n_max} needs m >= n_max + 2 = {n_max + 2}, got m={state.m}"
         )
@@ -233,39 +234,30 @@ class ExponentialMoments:
     tail_bound: float
 
 
-def exponential_moments(
-    u0: MomentFunctional,
-    t: float,
-    n_max: int,
-    rho: float,
-    entry_coeff: float | None = None,
-) -> ExponentialMoments:
-    """Moments at time t from the initial functional alone.
+def exponential_moments(state: LatticeState, t: float, n_max: int) -> ExponentialMoments:
+    """Moment blocks at time state.t + t of the flow through state.
 
-    Computes raw_k = sum_l (t^l / l!) moment0_{k+l} and returns the
-    normalized blocks raw_k raw_0^{-1}. The truncation index is chosen so
-    that the certified remainder
+    Computes raw_k = sum_l (t^l / l!) moment0_{k+l}, moment0_q the moments
+    C0^{-1} (J^q)_11 C0 of state, and returns the normalized blocks
+    raw_k raw_0^{-1}. Every entry of moment0_q is at most (1 + |a_1|)^2 rho^q,
+    rho = norm_bound(state), since ||(J^q)_11|| <= rho^q and C0, C0^{-1}
+    have infinity norm 1 + |a_1|. The truncation index K is chosen so that
+    the certified remainder
 
-        entry_coeff * rho^n_max * sum_{l > K} (|t| rho)^l / l!
+        (1 + |a_1|)^2 rho^n_max * sum_{l > K} (|t| rho)^l / l!
 
-    falls below 1e-12 within 200 terms, else SeriesCapError; entry_coeff
-    must dominate |moment0_q| / rho^q for all q (for blocks built from a
-    lattice state this holds with (1 + |a_1|)^2). When omitted it is
-    estimated from the stored orders.
+    falls below 1e-12 within 200 terms, else SeriesCapError. The orders
+    moment0_0 .. moment0_{K + n_max}, which may pass the locality range of
+    moments_from_j, come from the same power loop; more than SERIES_ORDERS
+    raise OrderOverflowError.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    rho = norm_bound(state)
     x = abs(t) * rho
-    if entry_coeff is None:
-        orders = np.arange(u0.n_max + 1, dtype=float)
-        scale = np.max(np.abs(u0.moments), axis=(1, 2)) / rho**orders
-        entry_coeff = float(max(1.0, np.max(scale)))
-
-    lead = entry_coeff * rho**n_max
+    lead = (1.0 + abs(state.a[0])) ** 2 * rho**n_max
     nt = x  # x^{K+1} / (K+1)! for K = 0
     K = 0
     tail = None  # the bound holds only once the terms shrink, at K + 2 > x
@@ -286,11 +278,13 @@ def exponential_moments(
             f"no certified truncation within 200 terms (|t| rho = {x:.3g}, {why})"
         )
 
-    if u0.n_max < K + n_max:
+    if K + n_max > SERIES_ORDERS:
         raise OrderOverflowError(
-            f"series needs initial moments up to order {K + n_max}, "
-            f"got n_max={u0.n_max}"
+            f"series needs moments up to order {K + n_max}, "
+            f"above the limit of {SERIES_ORDERS}"
         )
+    blocks = leading_power_blocks(state.dense()[None], K + n_max)[0]
+    moments0 = c0_block(-state.a[0]) @ blocks @ c0_block(state.a[0])
 
     w = np.empty(K + 1)
     w[0] = 1.0
@@ -298,7 +292,7 @@ def exponential_moments(
         w[l] = w[l - 1] * t / l
     raws = np.empty((n_max + 1, 2, 2), dtype=np.complex128)
     for k in range(n_max + 1):
-        raws[k] = np.tensordot(w, u0.moments[k : k + K + 1], axes=(0, 0))
+        raws[k] = np.tensordot(w, moments0[k : k + K + 1], axes=(0, 0))
     inv0 = _inv2(raws[0], f"normalization block raw_0 at t={t}")
     out = raws @ inv0
     return ExponentialMoments(MomentFunctional(out), t, rho, K + 1, float(tail))

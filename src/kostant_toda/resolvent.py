@@ -7,11 +7,12 @@ For |z| > ||J|| the (1,1) block of the resolvent of J expands as
 summed here with a certified geometric tail bound derived from the norm
 bound rho: stopping after terms 0..K leaves at most
 (rho/|z|)^{K+1} / (|z| - rho). All entry points enforce the safety margin
-|z| >= 1.5 rho. Every sum comes from one kernel over band rows:
-`resolvent_block` runs it on one state, `resolvent_sweep` on many, and
-the ODE residuals on the states of a central-difference stencil. The
-conjugated block F(z) = C0^{-1} R(z) C0 is the generating function of the
-moment blocks.
+|z| >= 1.5 rho. A tolerance that needs more than 100000 terms, or powers
+of J that leave the float range, raise SeriesCapError. Every sum comes
+from one kernel over band rows: `resolvent_block` runs it on one state,
+`resolvent_sweep` on many, and the ODE residuals on the states of a
+central-difference stencil. The conjugated block F(z) = C0^{-1} R(z) C0
+is the generating function of the moment blocks.
 
 Along the flow, R satisfies a first-order matrix ODE whose solution has
 the closed form
@@ -55,7 +56,7 @@ from .core import (
 # integrate is not called here; perfbench's tracer wraps it in every package
 # namespace that holds it, and its tests assert resolvent.integrate is it.
 from .dynamics import Trajectory, central_diff, integrate  # noqa: F401
-from .moments import moments_from_j
+from .moments import SeriesCapError, moments_from_j
 
 __all__ = [
     "ResolventBlock",
@@ -63,7 +64,6 @@ __all__ = [
     "closed_form_resolvent",
     "dense_resolvent_block",
     "generating_ode_residual",
-    "neumann_terms_needed",
     "resolvent_block",
     "resolvent_ode_residual",
     "resolvent_sweep",
@@ -99,19 +99,14 @@ def _check_margin(z: complex, rho: float, where: str = "") -> None:
         )
 
 
-def neumann_terms_needed(rho: float, z_abs: float, tol: float) -> int:
-    """Smallest K with (rho/z_abs)^{K+1} / (z_abs - rho) < tol; tol must be > 0."""
-    if not z_abs > rho:
-        raise ZTooSmallError(f"|z| = {z_abs:.6g} is not above rho = {rho:.6g}")
-    return int(_terms_needed(np.array([[rho]]), np.array([z_abs]), tol)[0, 0])
-
-
 def _terms_needed(rho: np.ndarray, z_abs: np.ndarray, tol: float) -> np.ndarray:
-    """neumann_terms_needed at every (row, z), (S, nz), for norm bounds rho
-    (S, 1) and moduli z_abs (nz,) with z_abs > rho.
+    """Smallest K with (rho/z_abs)^{K+1} / (z_abs - rho) < tol at every
+    (row, z), (S, nz), for norm bounds rho (S, 1) and moduli z_abs (nz,)
+    with z_abs > rho; tol must be > 0.
 
     Each count comes from the scalar loop's float operations, run over
-    every (row, z) at once. More than 100000 terms raise RuntimeError.
+    every (row, z) at once. More than 100000 terms raise SeriesCapError,
+    as when the bound stalls at the smallest subnormal above tol.
     """
     if not tol > 0:
         raise ValueError(f"series tolerance must be > 0, got {tol}")
@@ -122,7 +117,7 @@ def _terms_needed(rho: np.ndarray, z_abs: np.ndarray, tol: float) -> np.ndarray:
     while more.any():
         passes += 1
         if passes > 100001:
-            raise RuntimeError(f"series needs more than 100000 terms for tol={tol}")
+            raise SeriesCapError(f"series needs more than 100000 terms for tol={tol}")
         K += more
         bound *= ratio
         more = bound >= tol
@@ -135,6 +130,7 @@ def _tail_bound(rho: float, z_abs: float, K: int) -> float:
     return float((rho / z_abs) ** (K + 1) / (z_abs - rho))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _neumann_sums(a, b, c, zs, terms: np.ndarray) -> np.ndarray:
     """Sums of (J^k)_11 / z^{k+1} over k < terms, (S, nz, 2, 2), for the
     operators J of the band rows a (S, m), b (S, m - 1), c (S, m - 2), the
@@ -146,7 +142,8 @@ def _neumann_sums(a, b, c, zs, terms: np.ndarray) -> np.ndarray:
     order n_s reads (dense_stack). Then one pass over k serves every row.
     The powers of 1/z are formed in each z's own scalar type, 1.0 / z and
     then zp *= 1/z, and each sum adds its terms in increasing k, so a sum
-    is bit for bit that of a lone row and z.
+    is bit for bit that of a lone row and z. Powers that overflow leave a
+    sum that is not finite, without a warning; callers test the sums.
     """
     S, nz = terms.shape
     m = a.shape[1]
@@ -182,7 +179,9 @@ def _neumann_rows(a, b, c, zs, tol: float):
     every (row, z) in that order before any sum, so the first violation
     raised is the one a loop over rows and points meets first. The norm
     bounds come from norm_bound_stack, the counts from _terms_needed and
-    the tails from _tail_bound, with each |z| in z's own scalar type.
+    the tails from _tail_bound, with each |z| in z's own scalar type. A
+    sum that is not finite, its powers of J past the float range, raises
+    SeriesCapError naming the first such (row, z).
     """
     a, b, c = (np.asarray(x, dtype=np.complex128) for x in (a, b, c))
     finite = np.isfinite(np.hstack((a, b, c))).all(axis=1)
@@ -201,7 +200,15 @@ def _neumann_rows(a, b, c, zs, tol: float):
         [_tail_bound(p, za, k) for za, k in zip(abs_zs, row)]
         for p, row in zip(rho[:, 0].tolist(), K.tolist())
     ]).reshape(K.shape)
-    return _neumann_sums(a, b, c, zs, K + 1), tails, rho[:, 0], K
+    values = _neumann_sums(a, b, c, zs, K + 1)
+    finite = np.isfinite(values).all(axis=(2, 3))
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        raise SeriesCapError(
+            f"the Neumann sum at row {i}, z = {zs[j]:.6g} is not finite: "
+            f"the powers J^k, k <= {K[i, j]}, leave the float range"
+        )
+    return values, tails, rho[:, 0], K
 
 
 def resolvent_block(

@@ -388,13 +388,10 @@ def check_exponential_moments(seeds, flow):
     for seed in seeds:
         traj = flow(seed)
         state = traj.state_at(0)
-        rho = norm_bound(state)
-        entry = (1.0 + abs(state.a[0])) ** 2
-        u0 = moments_from_j(state, 60, require_locality=False)
         rest = IntegratorConfig(t_end=max(ts) - _FLOW["t_end"], h=_FLOW["h"])
         later = integrate(traj.state_at(traj.n_samples - 1), rest)
         for t in ts:
-            em = exponential_moments(u0, t, n_max, rho, entry_coeff=entry)
+            em = exponential_moments(state, t, n_max)
             on = traj if t <= _FLOW["t_end"] else later
             direct = moments_from_j(on.state_at(on.index_of(t)), n_max)
             worst.add(em.functional.moments - direct.moments)

@@ -609,3 +609,38 @@ def test_resolvent_series_inputs_must_be_finite_and_positive(capsys, flags):
 def test_series_moments_at_nonfinite_time_are_a_configuration_error(capsys, t):
     assert run(["moments", "--method", "series", "--t", t]) == 2
     assert "t must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t,why", [
+    ("0.0005", "integration horizon 0.0005 is not an integer multiple of h=0.001"),
+    ("-0.5", "integration horizon must be finite and >= 0, got -0.5"),
+], ids=["off-grid", "negative"])
+def test_moments_time_errors_name_the_horizon_not_a_missing_flag(capsys, t, why):
+    # moments has --t, not --t-end: the messages named the field t_end
+    assert run(["moments", "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {why}\n"
+    assert captured.out == ""
+
+
+def test_series_moments_past_the_order_limit_are_a_configuration_error(capsys):
+    assert run(["moments", "--method", "series", "--n-max", "56", "--t", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: series needs moments up to")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    # rho / |z| = 2/3 at the margin: 5e-324 * 2/3 rounds back up to 5e-324,
+    # so the geometric bound never falls below the tolerance
+    ["--m", "12", "--t-end", "0", "--angles", "1", "--radius-mult", "1.5",
+     "--tol", "5e-324"],
+    # about 1,400 powers of J: they overflow, and 0 * inf summed to NaN
+    ["--m", "64", "--angles", "4", "--radius-mult", "1.5", "--tol", "1e-250"],
+], ids=["term-cap", "powers-overflow"])
+def test_neumann_sums_past_the_float_range_are_a_quiet_numerical_abort(argv):
+    proc = _run_fresh(["resolvent", *argv])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("numerical abort: "), proc.stderr

@@ -7,6 +7,7 @@ from kostant_toda import (
     MARGIN,
     IntegratorConfig,
     LatticeState,
+    SeriesCapError,
     ZTooSmallError,
     b_block,
     c0_block,
@@ -18,7 +19,6 @@ from kostant_toda import (
     generating_ode_residual,
     integrate,
     moments_from_j,
-    neumann_terms_needed,
     norm_bound,
     random_state,
     resolvent_block,
@@ -60,13 +60,18 @@ def test_margin_enforced():
 
 
 def test_terms_needed_monotone():
-    n_loose = neumann_terms_needed(2.0, 5.0, 1e-6)
-    n_tight = neumann_terms_needed(2.0, 5.0, 1e-12)
-    n_far = neumann_terms_needed(2.0, 50.0, 1e-12)
-    assert n_loose < n_tight
-    assert n_far < n_tight
-    # the advertised count really reaches the tolerance
-    assert (2.0 / 5.0) ** (n_tight + 1) / (5.0 - 2.0) < 1e-12
+    st = random_state(0, 12)
+    rho = norm_bound(st)
+    loose = resolvent_block(st, 2.5 * rho, tol=1e-6)
+    tight = resolvent_block(st, 2.5 * rho, tol=1e-12)
+    far = resolvent_block(st, 25.0 * rho, tol=1e-12)
+    assert loose.terms_used < tight.terms_used
+    assert far.terms_used < tight.terms_used
+    # each count is the least whose geometric bound reaches the tolerance
+    for rb, tol in ((loose, 1e-6), (tight, 1e-12), (far, 1e-12)):
+        ratio, gap = rho / abs(rb.z), abs(rb.z) - rho
+        assert ratio ** rb.terms_used / gap < tol <= ratio ** (rb.terms_used - 1) / gap
+        assert rb.tail_bound == ratio ** rb.terms_used / gap
 
 
 def test_generating_function_conjugation():
@@ -114,8 +119,8 @@ def test_stacked_stencil_matches_lone_sums_bit_for_bit(seed, neumann_by_hand):
     z, t = spectral_ring(traj, 4)[1], 0.1
     st, points = traj.stencil(t)
     states = (st, *points)
-    K = max(neumann_terms_needed(norm_bound(s), abs(z), 1e-12) for s in states)
-    r = [neumann_by_hand(s, z, 1e-12, K + 1)[0] for s in states]
+    terms = max(resolvent_block(s, z, tol=1e-12).terms_used for s in states)
+    r = [neumann_by_hand(s, z, 1e-12, terms)[0] for s in states]
     f = [c0_block(-s.a[0]) @ v @ c0_block(s.a[0]) for s, v in zip(states, r)]
     eye = np.eye(2, dtype=np.complex128)
     rhs = r[0] @ (z * eye - b_block(st, 1)) - eye + commutator(r[0], d_block(st, 0))
@@ -241,21 +246,38 @@ def test_closed_form_reads_only_the_first_sample_and_converges_at_fourth_order()
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
 def test_neumann_terms_need_a_positive_tolerance(tol):
+    st = random_state(0, 10)
     with pytest.raises(ValueError, match="tolerance must be > 0"):
-        neumann_terms_needed(2.0, 5.0, tol)
+        resolvent_block(st, 2.0 * norm_bound(st), tol=tol)
 
 
-@pytest.mark.parametrize("rho,z_abs", [(2.0, float("nan")), (float("nan"), 5.0)])
-def test_neumann_terms_refuse_nan_input(rho, z_abs):
-    # the guard was z_abs <= rho, which NaN passes, and 0 terms came back
-    with pytest.raises(ZTooSmallError):
-        neumann_terms_needed(rho, z_abs, 1e-10)
+def _at_the_margin(m):
+    st = random_state(0, m)
+    rho = norm_bound(st)
+    return st, resolvent.outside_margin(MARGIN * rho, 1.0, rho)
 
 
 def test_neumann_terms_are_capped():
-    # rho / |z| = 1 - 1e-9 would need about 5e10 terms
-    with pytest.raises(RuntimeError, match="more than 100000 terms"):
-        neumann_terms_needed(1.0, 1.0 + 1e-9, 1e-12)
+    # rho / |z| = 2/3 at the margin: the bound stalls at 5e-324, since
+    # 5e-324 * 2/3 rounds back up to it, and would need endless terms
+    st, z = _at_the_margin(12)
+    with pytest.raises(SeriesCapError, match="more than 100000 terms"):
+        resolvent_block(st, z, tol=5e-324)
+
+
+def test_neumann_sum_past_the_float_range_is_refused_quietly():
+    # about 1,400 powers of J at m = 64 overflow, and 0 * inf summed to NaN
+    # under a finite tail bound
+    st, z = _at_the_margin(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesCapError, match="row 0, z = .* is not finite"):
+            resolvent_block(st, z, tol=1e-250)
+        with pytest.raises(SeriesCapError, match="row 1, z = .* is not finite"):
+            resolvent_sweep(
+                np.stack([st.a / 4, st.a]), np.stack([st.b / 4, st.b]),
+                np.stack([st.c / 4, st.c]), [z], 1e-250,
+            )
 
 
 def test_nan_z_is_refused_by_the_margin():
@@ -294,7 +316,8 @@ def test_sweep_is_single_calls_bit_for_bit_in_stacks_of_any_size(
         ]
         rho = [norm_bound(s) for s in states]
         zs = 2.5 * max(rho) * np.exp(2j * np.pi * np.arange(7) / 7)
-        n = [max(neumann_terms_needed(r, abs(z), tol) for z in zs) for r in rho]
+        n = [max(resolvent_block(s, complex(z), tol).terms_used - 1 for z in zs)
+             for s in states]
         assert (max(n) + 1 >= m) == (tol == 1e-14)
         lows = range(0, len(states), stack)
         if stack == 3:
