@@ -241,7 +241,9 @@ def _cmd_resolvent(ns) -> int:
     cols = ["t", "z_re", "z_im", *("r" + c for c in block), "tail_bound"]
     if ns.closed_form:
         cols += ["cf" + c for c in block] + ["max_diff"]
-    values, tails = resolvent_sweep(traj.a[rows], traj.b[rows], traj.c[rows], zs, ns.tol)
+    values, tails = resolvent_sweep(
+        traj.a[rows], traj.b[rows], traj.c[rows], zs, ns.tol, traj.ts[rows]
+    )
     cells = [
         np.repeat(traj.ts[rows], zs.size),
         np.tile(zs.real, len(rows)),

@@ -191,40 +191,231 @@ class Trajectory:
         write_csv(stream, cols, np.column_stack([self.ts, bands]))
 
 
-# A table of at least this many fields is formatted by two processes. Fork
-# plus wait costs 1.5-3.4 ms (2-core Linux box, CPython 3.11, numpy loaded,
-# about 56 MB resident) against about 0.6 us per %.17g field, so the helper
-# pays for itself from about 10,000 fields; the cut leaves a margin, so the
-# resolvent CLI's 4,848-field tables at --angles 4 stay serial while its
-# 68k-field --angles 32 sweeps and simulate's 374k-field tables split.
+# A table of at least this many fields is formatted by two processes. At
+# about 0.17 us per field for _format_fields (0.25 us with the stream's
+# write), fork, wait and the copy of the helper's text through the pipe
+# cost more than the helper saves up to about 70,000 fields, and less from
+# about 100,000 (alternating in-process write_csv runs to a file, 2-core
+# Linux box, CPython 3.11): simulate's 374k-field tables take 65-71 ms on
+# two processes against 89-94 ms on one. The resolvent CLI's 4,848-field
+# tables at --angles 4 stay serial; its 68k-field --angles 32 sweeps split,
+# about 2 ms slower than one process.
 FORK_FIELDS = 50_000
 
+# Fields per _format_fields call: keeps every temporary cache-sized.
+_BLOCK_FIELDS = 2048
 
-def _write_rows(write, row_fmt, rows) -> None:
-    for row in rows:
-        write(row_fmt % tuple(row.tolist()))
+# Decimal exponents X whose fields _format_fields decides itself: |X| <= 99,
+# so the exponent form has two exponent digits.
+_X_MAX = 99
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+# Half less the margin a decided fraction keeps from a tie.
+_TIE = 0.5 - 2.0**-30
+
+
+def _veltkamp(v):
+    """Split doubles v into head + tail, each of at most 26 significant bits."""
+    t = v * _SPLIT
+    head = t - (t - v)
+    return head, v - head
+
+
+def _pow10_pairs():
+    """(hi, lo, head, tail) of 10^q, q = 16 - X for X = -_X_MAX.._X_MAX.
+
+    hi is 10^q rounded to a double and lo the rounded remainder 10^q - hi,
+    both from exact integer arithmetic (int to float and int / int round
+    correctly), so hi + lo is 10^q to a relative 2^-106; head and tail
+    split hi for Dekker's product.
+    """
+    hi, lo = [], []
+    for q in range(16 + _X_MAX, 15 - _X_MAX, -1):
+        if q >= 0:
+            n = 10**q
+            hi.append(float(n))
+            lo.append(float(n - int(hi[-1])))
+        else:
+            d = 10**-q
+            hi.append(1 / d)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * d) / (d * den))
+    hi = np.array(hi)
+    return (hi, np.array(lo), *_veltkamp(hi))
+
+
+def _templates():
+    """Field templates by X (rows X + _X_MAX without the point, the next
+    2 _X_MAX + 1 rows with it) and the digits each X never strips.
+
+    A field is 44 cells: sign, five for %g's "0.000" prefix, 17 digits
+    with a point cell after each of the first 16, four for "e+XX", and the
+    separator. Unused cells hold 0.
+    """
+    xs = range(-_X_MAX, _X_MAX + 1)
+    cells = np.zeros((2, len(xs), 44), dtype=np.uint8)
+    int_digits = np.ones(len(xs), dtype=np.uint8)
+    for i, x in enumerate(xs):
+        if -4 <= x < 0:
+            cells[:, i, 1 : 2 - x] = np.frombuffer(b"0." + b"0" * (-1 - x), np.uint8)
+        elif 0 <= x < 17:
+            int_digits[i] = x + 1
+            if x < 16:
+                cells[1, i, 7 + 2 * x] = ord(".")
+        else:
+            cells[1, i, 7] = ord(".")
+            cells[:, i, 39:43] = np.frombuffer(b"e%+03d" % x, np.uint8)
+    return cells.reshape(-1, 44), int_digits
+
+
+def _digit_tables():
+    """The text of 0..9999 as four digits, one uint32 each, and at
+    j * 10,000 + g the digits of group j (digits 4j+1..4j+4 of 17) of value
+    g up to its last nonzero one: 0 when g is 0."""
+    g = np.arange(10_000.0)
+    text = np.empty((g.size, 4), dtype=np.uint8)
+    sig = np.zeros(g.size, dtype=np.intp)
+    for i, d in enumerate((1000.0, 100.0, 10.0, 1.0)):
+        digit = (np.floor(g / d) - 10 * np.floor(g / (10 * d))).astype(np.intp)
+        text[:, i] = digit + ord("0")
+        sig[digit > 0] = i + 1
+    last = np.zeros((4, g.size), dtype=np.uint8)
+    for j in range(4):
+        last[j] = np.where(sig > 0, sig + 4 * j + 1, 0)
+    return text.view(np.uint32).ravel(), last.ravel()
+
+
+_HI, _LO, _HI_HEAD, _HI_TAIL = _pow10_pairs()
+_TEMPLATES, _INT_DIGITS = _templates()
+_DIGITS4, _LAST = _digit_tables()
+_GROUP_BASE = np.array([0, 10_000, 20_000, 30_000])
+# for k = 0..17 digits kept of 17, the masks of the bytes kept in the
+# little-endian words of digits 1..8 and 9..16
+_KEEP_BYTES = np.array(
+    [[(1 << 8 * min(max(k - j, 0), 8)) - 1 for j in (1, 9)] for k in range(18)],
+    dtype="<u8",
+)
+
+
+def _format_fields(x, sep) -> bytes:
+    """The text of '%.17g' % x[i] + chr(sep[i]) for every i, joined, for
+    doubles x and separator bytes sep; byte for byte that of %.
+
+    Digits. With X the estimate floor(log10 |x|), q = 16 - X and 10^q =
+    hi + lo (_pow10_pairs), v = |x| 10^q is formed as p + r: Dekker's exact
+    product |x| hi = p + e (Numer. Math. 18, 1971) and r = e + |x| lo. The
+    error of p + r is at most about 2^-104 v, so 2^-47 for v < 2^57. The
+    17 digits N = round(v) are decided, as p + floor(r + 0.5), only when
+    p lies in (10^16 + 64, 10^17 - 64), which proves that X is exact and
+    N has 17 digits, and the fraction r - floor(r + 0.5) is farther than
+    2^-30 from -1/2 and 1/2, which proves the rounding. Every other field
+    is written by '%.17g' % x itself, as Grisu3 leaves the cases it cannot
+    decide to an exact algorithm (Loitsch, PLDI 2010): non-finite,
+    subnormal and |X| > 99 fields, near ties, powers of ten (v = 10^16, on
+    the window's edge) and an estimate off by one near them. So the text
+    is exact whenever the error bound holds. +-0 is written here as "0" and
+    "-0". A field left to % costs 0.35-0.55 us against about 0.17 us.
+
+    Text, as %g: fixed form for -4 <= X < 17 with trailing zeros and a
+    bare point removed, else d.ddd then e and a signed exponent of at
+    least two digits; "-" when the sign bit is set. Each field fills one
+    44-cell template (_templates), its digits coming four at a time from
+    _DIGITS4, and bytes.translate squeezes out the unused 0 cells.
+    """
+    n = x.size
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.floor(np.log10(a))
+    fast = np.abs(est) <= _X_MAX
+    xi = (np.where(fast, est, 0.0) + _X_MAX).astype(np.intp)
+    # the other fields go through as 1: 0 comes out as the digit 1, which
+    # the first digit cell lowers to 0, and the rest are written by %
+    a = np.where(fast, a, 1.0)
+    a_head, a_tail = _veltkamp(a)
+    head, tail = _HI_HEAD.take(xi), _HI_TAIL.take(xi)
+    p = a * _HI.take(xi)
+    r = (((a_head * head - p) + a_head * tail) + a_tail * head) + a_tail * tail
+    r += a * _LO.take(xi)
+    k = np.floor(r + 0.5)
+    decided = fast & (np.abs(p - 5.5e16) < 4.5e16 - 64) & (np.abs(r - k) < _TIE)
+    # N = p + k as its first digit and four groups of four, in exact float
+    # operations: p / 1e8 may round up to the next integer, which the carry
+    # mends, every other floor of a quotient is exact, each product of such
+    # a floor and a power of ten has at most 53 significant bits, and each
+    # difference is an integer below 2^53
+    high = np.floor(p / 1e8)
+    low = p - high * 1e8 + k
+    carry = np.floor(low / 1e8)
+    high += carry
+    low -= carry * 1e8
+    digits = np.empty((n, 5))
+    digits[:, 0] = np.floor(high / 1e8)
+    high -= digits[:, 0] * 1e8
+    digits[:, 1] = np.floor(high / 1e4)
+    digits[:, 2] = high - digits[:, 1] * 1e4
+    digits[:, 3] = np.floor(low / 1e4)
+    digits[:, 4] = low - digits[:, 3] * 1e4
+    digits = digits.astype(np.intp)
+    lead, groups = digits[:, 0], digits[:, 1:]
+    last = _LAST.take(groups + _GROUP_BASE)
+    kept = np.maximum(np.maximum(last[:, 0], last[:, 1]), np.maximum(last[:, 2], last[:, 3]))
+    int_digits = _INT_DIGITS.take(xi)
+    np.maximum(kept, int_digits, out=kept)
+    words = _DIGITS4.take(groups).view("<u8")  # digits 1..8 and 9..16
+    words &= _KEEP_BYTES.take(kept, axis=0)
+    zero = x == 0
+    # the template with the point when a digit after it is kept
+    out = _TEMPLATES.take(xi + (kept > int_digits) * (2 * _X_MAX + 1), axis=0)
+    out[:, 0] = np.signbit(x) * ord("-")
+    out[:, 6] = lead + ord("0") - zero
+    out[:, 8:39:2] = words.view(np.uint8)
+    out[:, 43] = sep
+    # each field left to % keeps only its separator and a 1 that marks it
+    others = np.flatnonzero(~(decided | zero))
+    out[others, :43] = 0
+    out[others, 0] = 1
+    text = out.tobytes().translate(None, b"\0")
+    if not others.size:
+        return text
+    pieces = [None] * (2 * others.size + 1)
+    pieces[0::2] = text.split(b"\1")
+    pieces[1::2] = [b"%.17g" % v for v in x[others].tolist()]
+    return b"".join(pieces)
+
+
+def _write_rows(write, rows) -> None:
+    """Write the CSV lines of the float rows (n, k) to write, as str, about
+    _BLOCK_FIELDS fields at a time."""
+    n_rows, n_cols = rows.shape
+    step = max(1, _BLOCK_FIELDS // max(1, n_cols))
+    sep = np.full((step, n_cols), ord(","), dtype=np.uint8)
+    sep[:, -1] = ord("\n")
+    sep = sep.ravel()
+    for lo in range(0, n_rows, step):
+        fields = rows[lo : lo + step].ravel()
+        write(_format_fields(fields, sep[: fields.size]).decode("ascii"))
 
 
 def write_csv(stream, columns, table) -> None:
     """Write a float table as CSV to a text stream: a header line, then
     %.17g per field.
 
-    %.17g round-trips every double exactly; each row is one string
-    operation on its Python floats. The text costs about 0.6 us per field
-    and no shorter round-trip format is faster (repr 1.0 us, numpy's
-    astype("U32") 1.1 us), so a table of FORK_FIELDS or more is formatted
-    on two cores: after the header, a forked helper formats the rows from
-    the middle one on with the same row loop and sends its text through a
-    pipe, while this process writes the rows before the middle, then
-    copies the helper's complete lines into the stream in 64 KiB chunks.
-    The helper only formats strings and calls os.write, and it leaves by
-    os._exit on every path, so it never flushes the buffers it inherited.
+    %.17g round-trips every double exactly. The fields are formatted a
+    block of rows at a time by _format_fields, a numpy kernel whose text is
+    byte for byte that of %, at about 0.17 us per field against about
+    0.6 us for % on each row's Python floats. A table of FORK_FIELDS or
+    more is formatted on two cores: after the header, a forked helper
+    formats the rows from the middle one on with the same block loop and
+    sends its text through a pipe, while this process writes the rows
+    before the middle, then copies the helper's complete lines into the
+    stream in 64 KiB chunks. The helper only formats text and calls
+    os.write, and it leaves by os._exit on every path, so it never flushes
+    the buffers it inherited.
     If it exits non-zero or sends fewer lines than it owes, this process
     formats the missing rows itself: a failed helper costs time, never
     bytes. On any exception, KeyboardInterrupt included, the helper is
     killed and reaped before the exception propagates, so no process
     outlives the call. Smaller tables, hosts without os.fork or
-    os.sched_getaffinity, and processes allowed one CPU run the same row
+    os.sched_getaffinity, and processes allowed one CPU run the same block
     loop over all rows here.
 
     On CPython 3.12 and later, os.fork in a process that runs threads, such
@@ -235,24 +426,23 @@ def write_csv(stream, columns, table) -> None:
     Opening a file is the caller's (cli._emit). Kept out of __all__ so that
     tracers time it as part of its caller.
     """
-    table = np.asarray(table)
-    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    table = np.asarray(table, dtype=np.float64)
     stream.write(",".join(columns) + "\n")
     split = len(table) // 2
     helper = None
     if table.size >= FORK_FIELDS and _two_cpus():
-        helper = _start_helper(row_fmt, table[split:])
+        helper = _start_helper(table[split:])
     if helper is None:
-        _write_rows(stream.write, row_fmt, table)
+        _write_rows(stream.write, table)
         return
     pid, r = helper
     try:
-        _write_rows(stream.write, row_fmt, table[:split])
+        _write_rows(stream.write, table[:split])
         done = _copy_lines(r, stream)
         os.waitpid(pid, 0)
         pid = None
         # A failed helper sent whole lines only; the rest are formatted here.
-        _write_rows(stream.write, row_fmt, table[split + done :])
+        _write_rows(stream.write, table[split + done :])
     finally:
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
@@ -268,7 +458,7 @@ def _two_cpus() -> bool:
     )
 
 
-def _start_helper(row_fmt, rows):
+def _start_helper(rows):
     """Fork a helper that sends the text of rows through a pipe and exits:
     (its pid, the pipe's read end), or None when no process can be made."""
     r, w = os.pipe()
@@ -282,7 +472,7 @@ def _start_helper(row_fmt, rows):
         code = 1
         try:
             os.close(r)
-            _send_rows(w, row_fmt, rows)
+            _send_rows(w, rows)
             code = 0
         finally:
             os._exit(code)
@@ -290,14 +480,14 @@ def _start_helper(row_fmt, rows):
     return pid, r
 
 
-def _send_rows(fd, row_fmt, rows) -> None:
+def _send_rows(fd, rows) -> None:
     """Format rows in full, then write their text to fd (the helper's part).
 
     A pipe holds 64 KiB and the parent reads only after its own rows, so
     writing as it went would stall the helper for most of the parent's work.
     """
     parts = []
-    _write_rows(parts.append, row_fmt, rows)
+    _write_rows(parts.append, rows)
     data = memoryview("".join(parts).encode("ascii"))
     while data:
         data = data[os.write(fd, data) :]

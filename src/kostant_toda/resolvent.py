@@ -7,12 +7,12 @@ For |z| > ||J|| the (1,1) block of the resolvent of J expands as
 summed here with a certified geometric tail bound derived from the norm
 bound rho: stopping after terms 0..K leaves at most
 (rho/|z|)^{K+1} / (|z| - rho). All entry points enforce the safety margin
-|z| >= 1.5 rho. A tolerance that needs more than 100000 terms, or powers
-of J that leave the float range, raise SeriesCapError. Every sum comes
-from one kernel over band rows: `resolvent_block` runs it on one state,
-`resolvent_sweep` on many, and the ODE residuals on the states of a
-central-difference stencil. The conjugated block F(z) = C0^{-1} R(z) C0
-is the generating function of the moment blocks.
+|z| >= 1.5 rho. A tolerance whose bound stops shrinking before it is
+reached, or powers of J that leave the float range, raise SeriesCapError.
+Every sum comes from one kernel over band rows: `resolvent_block` runs it
+on one state, `resolvent_sweep` on many, and the ODE residuals on the
+states of a central-difference stencil. The conjugated block
+F(z) = C0^{-1} R(z) C0 is the generating function of the moment blocks.
 
 Along the flow, R satisfies a first-order matrix ODE whose solution has
 the closed form
@@ -105,21 +105,27 @@ def _terms_needed(rho: np.ndarray, z_abs: np.ndarray, tol: float) -> np.ndarray:
     with z_abs > rho; tol must be > 0.
 
     Each count comes from the scalar loop's float operations, run over
-    every (row, z) at once. More than 100000 terms raise SeriesCapError,
-    as when the bound stalls at the smallest subnormal above tol.
+    every (row, z) at once. The first pass that leaves a bound at or above
+    tol unchanged raises SeriesCapError, since no later pass would move
+    it: the bound stalls so at the smallest subnormal when ratio > 1/2, and
+    at inf. Every other pass shrinks each such bound, so the loop ends.
     """
     if not tol > 0:
         raise ValueError(f"series tolerance must be > 0, got {tol}")
     ratio, bound = rho / z_abs, 1.0 / (z_abs - rho)
     K = np.full(bound.shape, -1)
     more = bound >= tol
-    passes = 0
     while more.any():
-        passes += 1
-        if passes > 100001:
-            raise SeriesCapError(f"series needs more than 100000 terms for tol={tol}")
         K += more
-        bound *= ratio
+        shrunk = bound * ratio
+        stalled = more & (shrunk == bound)
+        if stalled.any():
+            i = np.argmax(stalled)
+            raise SeriesCapError(
+                f"the series tail bound stops shrinking at {bound.flat[i]:.3g} "
+                f">= tol={tol} after {K.flat[i] + 1} terms"
+            )
+        bound = shrunk
         more = bound >= tol
     return np.maximum(K, 0, out=K)
 
@@ -170,7 +176,20 @@ def _neumann_sums(a, b, c, zs, terms: np.ndarray) -> np.ndarray:
     return sums.reshape(S, nz, 2, 2)
 
 
-def _neumann_rows(a, b, c, zs, tol: float):
+def _refuse_nonfinite(values, zs, K, where) -> None:
+    """Raise SeriesCapError at the first (row, z) whose sum in values
+    (S, nz, 2, 2) is not finite; where(i) names row i, K (S, nz) holds the
+    largest powers summed."""
+    finite = np.isfinite(values).all(axis=(2, 3))
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        raise SeriesCapError(
+            f"the Neumann sum at {where(i)}, z = {zs[j]:.6g} is not finite: "
+            f"the powers J^k, k <= {K[i, j]}, leave the float range"
+        )
+
+
+def _neumann_rows(a, b, c, zs, tol: float, ts=None):
     """The certified Neumann sums of the band rows a (S, m), b (S, m - 1),
     c (S, m - 2) at the points zs: values (S, nz, 2, 2), tail bounds
     (S, nz), norm bounds (S,) and the largest powers summed K (S, nz).
@@ -181,7 +200,8 @@ def _neumann_rows(a, b, c, zs, tol: float):
     bounds come from norm_bound_stack, the counts from _terms_needed and
     the tails from _tail_bound, with each |z| in z's own scalar type. A
     sum that is not finite, its powers of J past the float range, raises
-    SeriesCapError naming the first such (row, z).
+    SeriesCapError naming the first such (row, z): the row by its time in
+    ts when given, else by its index.
     """
     a, b, c = (np.asarray(x, dtype=np.complex128) for x in (a, b, c))
     finite = np.isfinite(np.hstack((a, b, c))).all(axis=1)
@@ -201,13 +221,10 @@ def _neumann_rows(a, b, c, zs, tol: float):
         for p, row in zip(rho[:, 0].tolist(), K.tolist())
     ]).reshape(K.shape)
     values = _neumann_sums(a, b, c, zs, K + 1)
-    finite = np.isfinite(values).all(axis=(2, 3))
-    if not finite.all():
-        i, j = np.unravel_index(np.argmin(finite), finite.shape)
-        raise SeriesCapError(
-            f"the Neumann sum at row {i}, z = {zs[j]:.6g} is not finite: "
-            f"the powers J^k, k <= {K[i, j]}, leave the float range"
-        )
+    if ts is None:
+        _refuse_nonfinite(values, zs, K, lambda i: f"row {i}")
+    else:
+        _refuse_nonfinite(values, zs, K, lambda i: f"t = {ts[i]:.6g}")
     return values, tails, rho[:, 0], K
 
 
@@ -227,14 +244,18 @@ def resolvent_block(
     )
 
 
-def resolvent_sweep(a, b, c, zs, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def resolvent_sweep(
+    a, b, c, zs, tol: float, ts=None
+) -> tuple[np.ndarray, np.ndarray]:
     """resolvent_block(state, complex(z), tol) at every band row and point z.
 
-    Row i of the bands a (S, m), b (S, m - 1) and c (S, m - 2) is one state.
-    Returns the values (S, nz, 2, 2) and tail bounds (S, nz) of those calls,
-    bit for bit, from one pass of the kernel they share (_neumann_rows).
+    Row i of the bands a (S, m), b (S, m - 1) and c (S, m - 2) is one state,
+    at time ts[i] if the times ts (S,) are given; an abort names the time,
+    else the row. Returns the values (S, nz, 2, 2) and tail bounds (S, nz)
+    of those calls, bit for bit, from one pass of the kernel they share
+    (_neumann_rows).
     """
-    values, tails, _, _ = _neumann_rows(a, b, c, [complex(z) for z in zs], tol)
+    values, tails, _, _ = _neumann_rows(a, b, c, [complex(z) for z in zs], tol, ts)
     return values, tails
 
 
@@ -257,7 +278,8 @@ def _series_stencil(
     C0^{-1} = c0_block(-a_1). The band rows of the states (st, *points) of
     traj.stencil(t) are summed by _neumann_sums, each with the same number
     of terms: the smallest that certifies tol at all of them, so the
-    truncation error is smooth in time.
+    truncation error is smooth in time. A sum that is not finite raises
+    SeriesCapError naming t and z.
     """
     st, points = traj.stencil(t)
     states = (st, *points)
@@ -266,7 +288,10 @@ def _series_stencil(
     for r in rho.tolist():
         _check_margin(z, r, " along the stencil")
     needed = int(_terms_needed(rho[:, None], np.array([abs(z)]), tol).max())
-    values = _neumann_sums(a, b, c, [z], np.full((len(states), 1), needed + 1))[:, 0]
+    K = np.full((len(states), 1), needed)
+    values = _neumann_sums(a, b, c, [z], K + 1)
+    _refuse_nonfinite(values, [z], K, lambda i: f"t = {t:.6g}")
+    values = values[:, 0]
     if conjugate:
         values = [
             c0_block(-s.a[0]) @ v @ c0_block(s.a[0]) for s, v in zip(states, values)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import os
 import pathlib
@@ -17,6 +18,7 @@ from kostant_toda import (
     integrate,
     random_state,
     resolvent_block,
+    resolvent_sweep,
 )
 from kostant_toda.resolvent import spectral_ring
 from kostant_toda.verify import CheckReport
@@ -48,6 +50,54 @@ def test_simulate_benchmark_csv_is_the_serial_bytes(tmp_path, monkeypatch, capsy
     assert forks == [1]
     two = (tmp_path / "two.csv").read_bytes()
     assert two == (tmp_path / "one.csv").read_bytes() and two.count(b"\n") == 2_002
+    traj = integrate(random_state(0, 32), IntegratorConfig(t_end=1.0, h=5e-4))
+    table = np.column_stack([traj.ts, traj.samples.view(np.float64)])
+    assert two == _savetxt(two[: two.index(b"\n")].decode(), table)
+
+
+def _savetxt(header, table) -> bytes:
+    """The CSV bytes numpy writes for table under header, %.17g per field."""
+    with io.StringIO() as buf:
+        np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=header, comments="")
+        return buf.getvalue().encode("ascii")
+
+
+def _real_state_file(tmp_path):
+    """A real instance whose imaginary parts are written as -0.0."""
+    st = random_state(3, 12)
+    path = tmp_path / "real.json"
+    bands = {x: [[v, -0.0] for v in getattr(st, x).real.tolist()] for x in "abc"}
+    path.write_text(json.dumps(bands))
+    return path
+
+
+def test_real_state_simulate_csv_is_savetxt(tmp_path, capsys):
+    # every imaginary part starts at -0, so the table holds signed zeros;
+    # 1,001 rows of 67 fields take the two-process path on two CPUs
+    path, out = _real_state_file(tmp_path), tmp_path / "traj.csv"
+    assert run(["simulate", "--state", str(path), "--out", str(out)]) == 0
+    traj = integrate(cli._load_state(str(path)), IntegratorConfig(t_end=1.0, h=1e-3))
+    table = np.column_stack([traj.ts, traj.samples.view(np.float64)])
+    got = out.read_bytes()
+    assert got == _savetxt(got[: got.index(b"\n")].decode(), table)
+    assert b",-0," in got and b",0," in got
+
+
+def test_real_state_resolvent_csv_is_savetxt(tmp_path, capsys):
+    path, out = _real_state_file(tmp_path), tmp_path / "ring.csv"
+    assert run(["resolvent", "--state", str(path), "--angles", "4", "--out", str(out)]) == 0
+    traj = integrate(cli._load_state(str(path)), IntegratorConfig(t_end=1.0, h=1e-3))
+    zs = spectral_ring(traj, 4)
+    rows = list(range(0, traj.n_samples, 100))
+    values, tails = resolvent_sweep(traj.a[rows], traj.b[rows], traj.c[rows], zs, 1e-10)
+    table = np.column_stack([
+        np.repeat(traj.ts[rows], 4), np.tile(zs.real, len(rows)),
+        np.tile(zs.imag, len(rows)), values.reshape(-1, 4).view(np.float64),
+        tails.ravel(),
+    ])
+    got = out.read_bytes()
+    assert got == _savetxt(got[: got.index(b"\n")].decode(), table)
+    assert b",0," in got  # R's imaginary parts at the real ring point
 
 
 def test_simulate_stdout(capsys):
@@ -543,14 +593,24 @@ def test_json_stdout_matches_out_file(tmp_path, capsys, argv):
     assert out.read_bytes() == text.encode()
 
 
-def _run_fresh(argv):
+def _run_fresh(argv, module="kostant_toda.cli"):
     """The CLI in a fresh interpreter, so that numpy's warnings reach stderr
     as they would on the command line."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "kostant_toda.cli", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env)
+
+
+def test_package_runs_as_the_command_line(capsys):
+    # python -m kostant_toda gives main's bytes and exit codes
+    argv = ["simulate", "--seed", "1", "--m", "6", "--t-end", "0.01", "--h", "0.001"]
+    proc = _run_fresh(argv, module="kostant_toda")
+    assert run(argv) == 0
+    assert proc.returncode == 0 and proc.stdout == capsys.readouterr().out
+    proc = _run_fresh(["resolvent", "--tol", "0"], module="kostant_toda")
+    assert proc.returncode == 2 and "must be finite and > 0" in proc.stderr
 
 
 def test_overflow_prints_only_the_abort_line():
@@ -644,3 +704,14 @@ def test_neumann_sums_past_the_float_range_are_a_quiet_numerical_abort(argv):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stderr.startswith("numerical abort: "), proc.stderr
+
+
+def test_neumann_abort_names_the_sample_time(capsys):
+    # the written rows are every 100th sample here, and the first sum that
+    # overflows is at sample 1000, written as row 10
+    argv = ["resolvent", "--m", "64", "--angles", "4", "--radius-mult", "1.5",
+            "--tol", "1e-250"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: the Neumann sum at t = 1, z = 33.0786+0j "
+                          "is not finite"), err

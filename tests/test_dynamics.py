@@ -232,6 +232,59 @@ def test_write_csv_is_savetxt_byte_for_byte(n_rows):
     assert buf.getvalue() == want.getvalue()
 
 
+def _kernel_corpus(rng):
+    """About 1.2 million doubles for the CSV field kernel, shuffled."""
+    xs = np.arange(-99, 100)  # every decimal exponent the kernel decides
+    parts = [
+        # 17 digits at every X, in the fixed and the exponent form
+        (rng.uniform(1, 10, (2_000, xs.size)) * 10.0**xs).ravel(),
+        # short expansions: trailing zeros stripped, integer zeros kept
+        np.ldexp(rng.integers(1, 2**20, 200_000), rng.integers(-40, 40, 200_000)),
+        rng.integers(1, 10**5, 100_000) * 10.0 ** rng.integers(0, 12, 100_000),
+    ]
+    # exact ties m/4 and m/8, odd m < 2^53, and s 2^-(q+1) with s 5^q odd
+    # and of 17 or 18 digits: 10^q |x| is then a half-integer
+    odd = rng.integers(0, 2**52, 100_000) * 2 + 1
+    parts += [odd / 4, odd / 8]
+    for q in range(25):
+        lo, hi = -(-2 * 10**16 // 5**q), 2 * 10**17 // 5**q
+        if lo < min(hi, 2**53):
+            s = rng.integers(lo // 2, min(hi, 2**53) // 2, 2_000) * 2 + 1
+            parts.append(np.ldexp(s.astype(np.float64), -q - 1))
+    # powers of ten, and 3 ulps either side of them
+    near = [10.0 ** np.arange(-330, 309)]
+    for direction in (np.inf, 0.0):
+        x = near[0]
+        for _ in range(3):
+            x = np.nextafter(x, direction)
+            near.append(x)
+    parts += near
+    parts += [
+        np.array([0.0, np.inf, np.nan, 1e16, 1e17, 2.2250738585072014e-308]),
+        rng.integers(1, 2**52, 50_000).view(np.float64),  # subnormals
+        10.0 ** rng.uniform(100, 308, 50_000),  # outside the window
+        10.0 ** rng.uniform(-307, -100, 50_000),
+        rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+    ]
+    x = np.concatenate(parts)
+    x.view(np.uint64)[:] ^= rng.integers(0, 2, x.size, dtype=np.uint64) << np.uint64(63)
+    return rng.permutation(np.concatenate([x, [-0.0, -np.inf]]))
+
+
+def test_field_kernel_is_17g_byte_for_byte():
+    x = _kernel_corpus(np.random.default_rng(20))
+    assert x.size >= 10**6
+    table = x[: x.size - x.size % 8].reshape(-1, 8)
+    row_fmt = ",".join(["%.17g"] * 8) + "\n"
+    want = "".join(row_fmt % tuple(row) for row in table.tolist())
+    parts = []
+    dynamics._write_rows(parts.append, table)
+    got = "".join(parts)
+    if got != want:
+        bad = [(w, g) for w, g in zip(want.split("\n"), got.split("\n")) if w != g]
+        pytest.fail(f"{len(bad)} rows differ, first {bad[0]}")
+
+
 # Values whose text %.17g and savetxt must agree on, placed in both halves
 SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310]
 
@@ -310,22 +363,22 @@ def _rows_spy(monkeypatch, in_helper):
     loop, recording how many rows each of its calls formats."""
     parent, real, calls = os.getpid(), dynamics._write_rows, []
 
-    def rows(write, row_fmt, table):
+    def rows(write, table):
         if os.getpid() != parent:
-            return in_helper(real, write, row_fmt, table)
+            return in_helper(real, write, table)
         calls.append(len(table))
-        return real(write, row_fmt, table)
+        return real(write, table)
 
     monkeypatch.setattr(dynamics, "_write_rows", rows)
     return calls
 
 
-def _raise_in_helper(real, write, row_fmt, table):
+def _raise_in_helper(real, write, table):
     raise RuntimeError("helper failed")
 
 
-def _three_rows_and_a_half(real, write, row_fmt, table):
-    real(write, row_fmt, table[:3])
+def _three_rows_and_a_half(real, write, table):
+    real(write, table[:3])
     write("1.5,2")  # a partial line, then a clean exit
 
 
@@ -354,12 +407,22 @@ class _BrokenStream(io.StringIO):
         return super().write(text)
 
 
-# The header and 2,500 rows are this process's writes; the next one copies
-# the helper's first chunk, while the helper may still block on the pipe.
-@pytest.mark.parametrize("writes", [100, 2_501])
+# The stream fails at the first write of a phase: this process's own rows,
+# after the header, or the copy of the helper's text, which may still
+# block on the pipe.
+@pytest.mark.parametrize("phase", ["rows", "copy"])
 @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()])
-def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(forks, exc, writes):
-    stream = _BrokenStream(exc, writes)
+def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(
+    forks, monkeypatch, exc, phase
+):
+    stream = _BrokenStream(exc, 1 if phase == "rows" else 10**9)
+    real = dynamics._copy_lines
+
+    def copy_lines(fd, sink):
+        sink.writes = 0
+        return real(fd, sink)
+
+    monkeypatch.setattr(dynamics, "_copy_lines", copy_lines)
     with pytest.raises(type(exc)):
         write_csv(stream, [f"x{j}" for j in range(10)], _table(5_001, 10))
     assert forks == [1]

@@ -261,8 +261,34 @@ def test_neumann_terms_are_capped():
     # rho / |z| = 2/3 at the margin: the bound stalls at 5e-324, since
     # 5e-324 * 2/3 rounds back up to it, and would need endless terms
     st, z = _at_the_margin(12)
-    with pytest.raises(SeriesCapError, match="more than 100000 terms"):
+    with pytest.raises(SeriesCapError, match="stops shrinking at 4.94e-324"):
         resolvent_block(st, z, tol=5e-324)
+
+
+def test_stalled_bound_is_refused_at_the_pass_that_stalls():
+    # the scalar loop's passes up to the first that leaves the bound as it
+    # was: about 1,900 at the margin, where the cap ran 100,001
+    st, z = _at_the_margin(12)
+    rho = norm_bound(st)
+    ratio, bound, passes = rho / abs(z), 1.0 / (abs(z) - rho), 0
+    while bound * ratio != bound:
+        bound *= ratio
+        passes += 1
+    assert bound == 5e-324 and 1_000 < passes < 3_000
+    with pytest.raises(SeriesCapError, match=f"after {passes + 1} terms"):
+        resolvent_block(st, z, tol=5e-324)
+
+
+@pytest.mark.parametrize("law", [resolvent_ode_residual, generating_ode_residual])
+def test_stencil_sum_past_the_float_range_is_refused(law):
+    # about 1,400 powers of J at m = 64 overflow at this tolerance; the
+    # stencil summed them to an all-NaN defect without a word
+    traj = integrate(random_state(0, 64), IntegratorConfig(t_end=0.01, h=1e-3))
+    z = spectral_ring(traj, 4, 1.5)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesCapError, match=r"at t = 0.005, z = .* is not finite"):
+            law(traj, z, 0.005, tol=1e-250)
 
 
 def test_neumann_sum_past_the_float_range_is_refused_quietly():
