@@ -11,7 +11,6 @@ from .backends import HAS_NUMBA, active_backend
 from .core import (
     LatticeState,
     TruncationTooSmallError,
-    a_block,
     b_block,
     c0_block,
     c_block,
@@ -46,12 +45,11 @@ from .moments import (
 )
 from .polynomials import (
     VectorPolynomial,
+    characteristic_identity,
     derivative_law_residual,
     scalar_polys,
     shift_coeffs,
-    stacked_eigen_residual,
     vector_polys,
-    vector_recurrence_residual,
 )
 from .resolvent import (
     MARGIN,
@@ -87,13 +85,13 @@ __all__ = [
     "VectorPolynomial",
     "ZTooSmallError",
     "__version__",
-    "a_block",
     "active_backend",
     "apply_u",
     "b_block",
     "c0_block",
     "c_block",
     "central_diff",
+    "characteristic_identity",
     "closed_form_resolvent",
     "commutator",
     "d_block",
@@ -118,7 +116,5 @@ __all__ = [
     "run_suite",
     "scalar_polys",
     "shift_coeffs",
-    "stacked_eigen_residual",
     "vector_polys",
-    "vector_recurrence_residual",
 ]

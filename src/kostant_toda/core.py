@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "LatticeState",
     "TruncationTooSmallError",
-    "a_block",
     "b_block",
     "c0_block",
     "c_block",
@@ -190,16 +189,7 @@ def norm_bound_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.max(rows, axis=1)
 
 
-# Fixed 2x2 blocks of the partition. A is the constant superdiagonal block;
 # C0 is the normalization block attached to the first diagonal entry.
-
-_A = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
-
-
-def a_block() -> np.ndarray:
-    return _A.copy()
-
-
 def c0_block(a1: complex) -> np.ndarray:
     return np.array([[1.0, 0.0], [-a1, 1.0]], dtype=np.complex128)
 

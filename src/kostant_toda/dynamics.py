@@ -191,16 +191,17 @@ class Trajectory:
         write_csv(stream, cols, np.column_stack([self.ts, bands]))
 
 
-# A table of at least this many fields is formatted by two processes. At
-# about 0.17 us per field for _format_fields (0.25 us with the stream's
-# write), fork, wait and the copy of the helper's text through the pipe
-# cost more than the helper saves up to about 70,000 fields, and less from
-# about 100,000 (alternating in-process write_csv runs to a file, 2-core
-# Linux box, CPython 3.11): simulate's 374k-field tables take 65-71 ms on
-# two processes against 89-94 ms on one. The resolvent CLI's 4,848-field
+# A table of at least this many fields is formatted by two processes. With
+# write_csv at about 0.15 us per field on one, fork, wait and the copy of the
+# helper's text through the pipe cost more than the helper saves at 50,000
+# fields and less from 60,000 on (alternating in-process write_csv runs to a
+# file of simulate's table cut to size, medians of three rounds of 21-31,
+# 2-core Linux box, CPython 3.11): one process against two took 7.4-8.1
+# against 7.9-9.1 ms at 50k fields, 8.7-9.4 against 8.0-8.9 ms at 60k, and
+# 51-57 against 40-43 ms for simulate's 374k. The resolvent CLI's 4,848-field
 # tables at --angles 4 stay serial; its 68k-field --angles 32 sweeps split,
-# about 2 ms slower than one process.
-FORK_FIELDS = 50_000
+# 9.4-9.5 against 10.5 ms on one process.
+FORK_FIELDS = 60_000
 
 # Fields per _format_fields call: keeps every temporary cache-sized.
 _BLOCK_FIELDS = 2048
@@ -401,8 +402,8 @@ def write_csv(stream, columns, table) -> None:
 
     %.17g round-trips every double exactly. The fields are formatted a
     block of rows at a time by _format_fields, a numpy kernel whose text is
-    byte for byte that of %, at about 0.17 us per field against about
-    0.6 us for % on each row's Python floats. A table of FORK_FIELDS or
+    byte for byte that of %, at about 0.14 us per field against about
+    0.4 us for % on each row's Python floats. A table of FORK_FIELDS or
     more is formatted on two cores: after the header, a forked helper
     formats the rows from the middle one on with the same block loop and
     sends its text through a pipe, while this process writes the rows

@@ -46,8 +46,9 @@ def test_criterion_01_isospectrality(reports):
     _verdict(
         r.passed and r.threshold == 1e-6,
         "criterion 1 spectrum preserved along the flow",
-        f"max relative eigenvalue drift {r.max_residual:.3e} <= 1e-06 "
-        f"(m=8, h=1e-3, t in [0,1], 10 seeds)",
+        f"max relative det(zI - J) drift or (zI - J) p = P_m e_m defect "
+        f"{r.max_residual:.3e} <= 1e-06 "
+        f"(m=8, h=1e-3, t in [0,1], 16 points at |z| = 1.5 rho, 10 seeds)",
     )
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from kostant_toda import (
     LatticeState,
-    a_block,
     b_block,
     c0_block,
     c_block,
@@ -49,9 +48,10 @@ def test_block_partition():
     # below it, zero elsewhere
     st = random_state(1, 8)
     zero = np.zeros((2, 2), dtype=complex)
+    a_blk = np.array([[0, 0], [1, 0]], dtype=complex)  # constant superdiagonal block
     k = st.m // 2
     blocks = [
-        [b_block(st, i + 1) if j == i else a_block() if j == i + 1
+        [b_block(st, i + 1) if j == i else a_blk if j == i + 1
          else c_block(st, j + 1) if i == j + 1 else zero for j in range(k)]
         for i in range(k)
     ]
@@ -61,15 +61,14 @@ def test_block_partition():
 def test_named_blocks_match_dense():
     st = random_state(2, 10)
     J = st.dense()
-    assert np.array_equal(a_block(), np.array([[0, 0], [1, 0]], dtype=complex))
     # 2x2 block (i, j) covers rows 2i-1, 2i and cols 2j-1, 2j (1-based)
     for n in range(1, 5):
         assert np.array_equal(b_block(st, n), J[2 * n - 2 : 2 * n, 2 * n - 2 : 2 * n])
     for n in range(1, 4):
         assert np.array_equal(c_block(st, n), J[2 * n : 2 * n + 2, 2 * n - 2 : 2 * n])
-    # superdiagonal blocks are all A
+    # superdiagonal blocks are all A = [[0, 0], [1, 0]]
     for n in range(1, 5):
-        assert np.array_equal(J[2 * n - 2 : 2 * n, 2 * n : 2 * n + 2], a_block())
+        assert np.array_equal(J[2 * n - 2 : 2 * n, 2 * n : 2 * n + 2], [[0, 0], [1, 0]])
     # D_n is the diagonal block of the strictly lower part
     L = np.tril(J, -1)
     for n in range(0, 5):

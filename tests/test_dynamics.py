@@ -324,9 +324,9 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# 10 columns: 4,999 rows are just under FORK_FIELDS, 5,000 rows reach it,
+# 12 columns: 4,999 rows are just under FORK_FIELDS, 5,000 rows reach it,
 # 5,001 rows are one more and odd, and 2 wide rows give each process one.
-@pytest.mark.parametrize("shape", [(4_999, 10), (5_000, 10), (5_001, 10), (2, 25_000)])
+@pytest.mark.parametrize("shape", [(4_999, 12), (5_000, 12), (5_001, 12), (2, 30_000)])
 @pytest.mark.parametrize("sink", ["string", "file"])
 def test_two_process_write_csv_is_savetxt_byte_for_byte(forks, tmp_path, shape, sink):
     table = _table(*shape)
@@ -342,7 +342,7 @@ def test_two_process_write_csv_is_savetxt_byte_for_byte(forks, tmp_path, shape, 
         got = path.read_text()
     assert got == _savetxt(cols, table)
     assert len(forks) == (table.size >= dynamics.FORK_FIELDS)
-    assert dynamics.FORK_FIELDS == 50_000  # the sizes above straddle it
+    assert dynamics.FORK_FIELDS == 60_000  # the sizes above straddle it
     _no_child_left()
 
 
@@ -352,10 +352,10 @@ def test_no_process_to_spare_writes_serially(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", fork)
-    table = _table(5_001, 10)
+    table = _table(5_001, 12)
     buf = io.StringIO()
-    write_csv(buf, [f"x{j}" for j in range(10)], table)
-    assert buf.getvalue() == _savetxt([f"x{j}" for j in range(10)], table)
+    write_csv(buf, [f"x{j}" for j in range(12)], table)
+    assert buf.getvalue() == _savetxt([f"x{j}" for j in range(12)], table)
 
 
 def _rows_spy(monkeypatch, in_helper):
@@ -386,8 +386,8 @@ def _three_rows_and_a_half(real, write, table):
                                                    (_three_rows_and_a_half, 2_498)])
 def test_failed_helper_costs_time_not_bytes(forks, monkeypatch, helper, finished_here):
     calls = _rows_spy(monkeypatch, helper)
-    table = _table(5_001, 10)
-    cols = [f"x{j}" for j in range(10)]
+    table = _table(5_001, 12)
+    cols = [f"x{j}" for j in range(12)]
     buf = io.StringIO()
     write_csv(buf, cols, table)
     assert buf.getvalue() == _savetxt(cols, table)
@@ -424,6 +424,6 @@ def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(
 
     monkeypatch.setattr(dynamics, "_copy_lines", copy_lines)
     with pytest.raises(type(exc)):
-        write_csv(stream, [f"x{j}" for j in range(10)], _table(5_001, 10))
+        write_csv(stream, [f"x{j}" for j in range(12)], _table(5_001, 12))
     assert forks == [1]
     _no_child_left()

@@ -3,14 +3,16 @@ import pytest
 
 from kostant_toda import (
     IntegratorConfig,
+    LatticeState,
+    characteristic_identity,
     derivative_law_residual,
     integrate,
+    norm_bound,
+    polynomials,
     random_state,
     scalar_polys,
     shift_coeffs,
-    stacked_eigen_residual,
     vector_polys,
-    vector_recurrence_residual,
 )
 from kostant_toda.polynomials import VectorPolynomial
 
@@ -75,30 +77,39 @@ def test_vector_polys_length_cap():
         vector_polys(st, 4)
 
 
+def _ring(state):
+    # the isospectrality check's 16 points at |z| = 1.5 rho
+    return 1.5 * norm_bound(state) * np.exp(2j * np.pi * np.arange(16) / 16)
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_block_recurrence(seed):
+def test_characteristic_identity_gives_the_determinant(seed):
+    # P_m is det(zI - J), on the verify ring and at random points nearer the spectrum
     st = random_state(seed, 12)
-    vps = vector_polys(st, 5)
     rng = np.random.default_rng(seed)
-    for _ in range(3):
-        z = 2 * (rng.standard_normal() + 1j * rng.standard_normal())
-        for n in range(1, 5):
-            # exact identity, so the defect must sit at roundoff relative
-            # to the size of the polynomial values entering it
-            scale = max(
-                float(np.max(np.abs(vps[k].eval(z)))) for k in (n - 1, n, n + 1)
-            )
-            scale = max(1.0, scale * (abs(z) + 3.0))
-            assert vector_recurrence_residual(st, n, z) < 1e-13 * scale
+    inside = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    zs = np.concatenate([_ring(st), inside])
+    p_m, defect = characteristic_identity(st, zs)
+    det = np.array([np.linalg.det(z * np.eye(st.m) - st.dense()) for z in zs])
+    assert np.max(np.abs(p_m - det) / np.abs(det)) < 1e-11
+    assert np.max(defect[:16]) < 1e-14
+    assert np.max(defect) < 1e-10
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_stacked_eigen_relation(seed):
-    # (J - zI) applied to the stacked polynomial vector vanishes on all
-    # rows but the last
-    st = random_state(seed, 12)
-    z = 0.4 + 1.1j
-    assert stacked_eigen_residual(st, z) < 1e-10
+def test_characteristic_identity_sees_b_read_one_index_off(monkeypatch):
+    # a recurrence that reads b[n] where it should read b[n - 1] puts the
+    # identity's defect at 2e-2..5e-2 on the ring, against 4e-16 unmutated
+    states = [random_state(seed, 8) for seed in range(4)]
+    for st in states:
+        assert np.max(characteristic_identity(st, _ring(st))[1]) < 1e-14
+    exact = polynomials.scalar_polys
+
+    def shifted_b(state, count):
+        return exact(LatticeState(state.a, np.roll(state.b, -1), state.c, state.t), count)
+
+    monkeypatch.setattr(polynomials, "scalar_polys", shifted_b)
+    for st in states:
+        assert np.min(characteristic_identity(st, _ring(st))[1]) > 1e-2
 
 
 def test_eigenvector_from_characteristic_root():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kostant_toda import resolvent, verify
+from kostant_toda.dynamics import CorruptionSpec
 from kostant_toda.moments import MomentFunctional, moments_from_recurrence
 from kostant_toda.verify import (
     CONTROL_FLOOR,
@@ -204,3 +205,40 @@ def test_suite_integrates_each_flow_once(monkeypatch):
     run_suite(seeds=[0, 1], control="freeze-b")
     assert calls and max(calls.values()) == 1, [n for n in calls.values() if n > 1]
     assert max(starts.values()) == 1, [n for n in starts.values() if n > 1]
+
+
+def test_isospectrality_on_100_seeds_holds_the_identity_at_roundoff(monkeypatch):
+    # the check passes on seeds 0..99, and the identity behind it holds to
+    # 1e-14 at t = 0 and t = 1 on every one of them
+    defects = []
+    exact = verify.characteristic_identity
+
+    def recording(state, zs):
+        p_m, defect = exact(state, zs)
+        defects.append(defect)
+        return p_m, defect
+
+    monkeypatch.setattr(verify, "characteristic_identity", recording)
+    r = verify.check_isospectrality(range(100))
+    assert r.passed and r.threshold == 1e-6, r.max_residual
+    assert r.instance["n_angles"] == 16 and r.instance["z"] == "1.5 rho(J(0)) ring"
+    assert len(defects) == 200
+    assert np.max(defects) <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def clean_drift():
+    return {seed: verify.check_isospectrality([seed]).max_residual for seed in (0, 1)}
+
+
+@pytest.mark.parametrize("kind", CONTROL_KINDS)
+def test_isospectrality_detects_a_corrupted_flow(monkeypatch, clean_drift, kind):
+    # a 2e-3 defect in the flow moves P_m at least 1e4 times further than
+    # RK4's own error does: 2.9e-5..4.3e-4 against 1.6e-13 and 7.1e-13
+    spec = CorruptionSpec(kind, 2e-3)
+    integrate = verify.integrate
+    monkeypatch.setattr(
+        verify, "integrate", lambda state, cfg: integrate(state, cfg, corruption=spec)
+    )
+    for seed, clean in clean_drift.items():
+        assert verify.check_isospectrality([seed]).max_residual >= 1e4 * clean
