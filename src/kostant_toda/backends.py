@@ -24,16 +24,12 @@ modes; `_rhs` is a single call of it, which `dynamics.kostant_rhs` uses.
 Both stay out of `__all__` so that tracers wrapping the public functions
 leave the RK4 stages alone.
 
-Packed state layout, length 3m - 3 complex entries: the bands.
+Packed state layout, length 3m - 3 complex entries: the bands, sliced
+by `unpack_bands` alone.
 
   y[0:m]            a, diagonal coefficients
   y[m:2m-1]         b, first subdiagonal
   y[2m-1:3m-3]      c, second subdiagonal
-
-The closed-form resolvent needs nothing else from the flow: it reads C0(t)
-and N(t) off the factorization of e^{(t - t0) J(t0)}
-(resolvent.closed_form_resolvent). `_rhs` reads no time, and takes a
-(3m - 3, n) array as n rows side by side.
 
 A corruption (dynamics.CorruptionSpec, or None) bends the flow on purpose
 for the negative controls of the verification harness.
@@ -80,10 +76,10 @@ def unpack_bands(y: np.ndarray, m: int):
 def _flow(y, dy, m, corruption):
     """The flow bound to rows y and dy: calling it writes y's derivative into dy.
 
-    Every view is sliced here once, so a call only runs ufuncs into them:
-    6 for the clean flow, each with its operands in the order of the
-    formulas (b * diff, not diff * b), so the bits do not depend on how
-    often the views are rebuilt. a' at the band ends, b_1 and -b_{m-1}, are
+    Every view is taken here once, the bands from unpack_bands, so a call
+    only runs ufuncs into them: 6 for the clean flow, each with its
+    operands in the order of the formulas (b * diff, not diff * b), so the
+    bits do not depend on how often the views are rebuilt. a' at the band ends, b_1 and -b_{m-1}, are
     item copies; numpy's complex scalar negation flips both sign bits, as
     the ufunc does, and on a 2-D y the same lines copy rows. b' and c'
     share one multiply of the contiguous [b, c] by
@@ -92,15 +88,15 @@ def _flow(y, dy, m, corruption):
     in numpy's complex multiply anyway. Columns of a 2-D y are rows.
     """
     add, subtract, multiply = np.add, np.subtract, np.multiply
-    a, b, c = y[:m], y[m : 2 * m - 1], y[2 * m - 1 : 3 * m - 3]
-    da, db, dc = dy[:m], dy[m : 2 * m - 1], dy[2 * m - 1 : 3 * m - 3]
-    bc, dbc = y[m : 3 * m - 3], dy[m : 3 * m - 3]
+    a, b, c = unpack_bands(y, m)
+    da, db, dc = unpack_bands(dy, m)
+    bc, dbc = y[len(a) :], dy[len(a) :]  # [b, c]: the row past a
     a_hi1, a_lo1, a_hi2, a_lo2 = a[1:], a[:-1], a[2:], a[:-2]
-    b_hi, b_lo, da_mid = b[1:], b[:-1], da[1 : m - 1]
-    db_lo, db_hi = db[: m - 2], db[1:]
+    b_hi, b_lo, da_mid = b[1:], b[:-1], da[1:-1]
+    db_lo, db_hi = db[:-1], db[1:]
     # a's differences beside b and c, then mag * c in the c part
     diff = np.empty(bc.shape, dtype=np.complex128)
-    diff_b, diff_c = diff[: m - 1], diff[m - 1 :]
+    diff_b, diff_c = diff[: len(b)], diff[len(b) :]
 
     kind = scale = None
     if corruption is not None:
@@ -112,9 +108,9 @@ def _flow(y, dy, m, corruption):
         scale = np.array(mag, dtype=np.complex128)
 
     def flow():
-        dy[0] = y[m]
+        da[0] = b[0]
         subtract(b_hi, b_lo, da_mid)
-        dy[m - 1] = -y[2 * m - 2]
+        da[-1] = -b[-1]
 
         subtract(a_hi1, a_lo1, diff_b)
         subtract(a_hi2, a_lo2, diff_c)

@@ -194,6 +194,16 @@ def c0_block(a1: complex) -> np.ndarray:
     return np.array([[1.0, 0.0], [-a1, 1.0]], dtype=np.complex128)
 
 
+def c0_conjugate(blocks: np.ndarray, a1: complex) -> np.ndarray:
+    """C0^{-1} X C0 for each 2x2 block X of blocks, C0 = c0_block(a1):
+    the normalization of moments and of the generating function.
+
+    C0^{-1} is c0_block(-a1) exactly, and the products run left to right.
+    Kept out of __all__ with dense_stack.
+    """
+    return c0_block(-a1) @ blocks @ c0_block(a1)
+
+
 def b_block(state: LatticeState, n: int) -> np.ndarray:
     """Diagonal block n >= 1: [[a_{2n-1}, 1], [b_{2n-1}, a_{2n}]]."""
     if not 1 <= n <= state.m // 2:

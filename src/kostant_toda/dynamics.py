@@ -103,8 +103,7 @@ class IntegratorConfig:
             raise ValueError(
                 f"integration horizon must be finite and >= 0, got {self.t_end}"
             )
-        n = round(self.t_end / self.h)
-        if abs(n * self.h - self.t_end) > 1e-9 * max(1.0, abs(self.t_end)):
+        if _grid_index(self.t_end, 0.0, self.h) is None:
             raise ValueError(
                 f"integration horizon {self.t_end} is not an integer multiple "
                 f"of h={self.h}"
@@ -112,7 +111,22 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.t_end / self.h)
+        return _grid_index(self.t_end, 0.0, self.h)
+
+
+def _grid_index(t: float, t0: float, h: float) -> int | None:
+    """The k with t = t0 + k h to within 1e-9 relative, or None.
+
+    A quotient (t - t0) / h that is not finite, as when it overflows, has
+    no such k and raises ValueError naming the step count.
+    """
+    q = (t - t0) / h
+    if not np.isfinite(q):
+        raise ValueError(f"the step count ({t} - {t0}) / {h} is not finite")
+    k = round(q)
+    if abs(t0 + k * h - t) > 1e-9 * max(1.0, abs(t)):
+        return None
+    return k
 
 
 def kostant_rhs(state: LatticeState):
@@ -149,10 +163,8 @@ class Trajectory:
 
     def index_of(self, t: float) -> int:
         """Grid index of time t; t must lie on the grid."""
-        i = int(round((t - self.t0) / self.h))
-        if not 0 <= i < self.n_samples or abs(self.t0 + i * self.h - t) > 1e-9 * max(
-            1.0, abs(t)
-        ):
+        i = _grid_index(t, self.t0, self.h)
+        if i is None or not 0 <= i < self.n_samples:
             raise ValueError(f"t={t} is not on the integration grid")
         return i
 

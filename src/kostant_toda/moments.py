@@ -31,6 +31,7 @@ from .core import (
     LatticeState,
     TruncationTooSmallError,
     c0_block,
+    c0_conjugate,
     c_block,
     leading_power_blocks,
     norm_bound,
@@ -149,10 +150,8 @@ def moments_from_j(state: LatticeState, n_max: int) -> MomentFunctional:
         raise TruncationTooSmallError(
             f"order n_max={n_max} needs m >= n_max + 2 = {n_max + 2}, got m={state.m}"
         )
-    c0 = c0_block(state.a[0])
-    c0i = c0_block(-state.a[0])
     blocks = leading_power_blocks(state.dense()[None], n_max)[0]
-    return MomentFunctional(c0i @ blocks @ c0)
+    return MomentFunctional(c0_conjugate(blocks, state.a[0]))
 
 
 def moments_from_recurrence(state: LatticeState, n_max: int) -> MomentFunctional:
@@ -284,7 +283,7 @@ def exponential_moments(state: LatticeState, t: float, n_max: int) -> Exponentia
             f"above the limit of {SERIES_ORDERS}"
         )
     blocks = leading_power_blocks(state.dense()[None], K + n_max)[0]
-    moments0 = c0_block(-state.a[0]) @ blocks @ c0_block(state.a[0])
+    moments0 = c0_conjugate(blocks, state.a[0])
 
     w = np.empty(K + 1)
     w[0] = 1.0

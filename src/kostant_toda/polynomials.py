@@ -117,9 +117,10 @@ def derivative_law_residual(
 ) -> np.ndarray:
     """Defect (2,) of d/dt Bv_n(z0) = -C_n Bv_{n-1}(z0) - D_n Bv_n(z0) at time t.
 
-    The time derivative is taken by central differences of the polynomial
-    coefficients on the trajectory grid (delta = 2h), so on the
-    true flow the residual is limited by the delta^2 stencil error.
+    The time derivative is central_diff of the polynomial coefficients at
+    the points of Trajectory.stencil, delta = STENCIL_HALFWIDTH * h apart
+    from t, so on the true flow the residual is limited by the delta^2
+    stencil error.
     """
     st, points = traj.stencil(t)
     # coefficients of P_{2n} then P_{2n+1}, in one array per stencil point

@@ -43,7 +43,7 @@ import numpy as np
 from .core import (
     LatticeState,
     b_block,
-    c0_block,
+    c0_conjugate,
     commutator,
     d_block,
     dense_stack,
@@ -59,6 +59,7 @@ from .dynamics import Trajectory, central_diff, integrate  # noqa: F401
 from .moments import SeriesCapError, moments_from_j
 
 __all__ = [
+    "MARGIN",
     "ResolventBlock",
     "ZTooSmallError",
     "closed_form_resolvent",
@@ -91,12 +92,21 @@ class ResolventBlock:
     tail_bound: float
 
 
-def _check_margin(z: complex, rho: float, where: str = "") -> None:
-    if not abs(z) >= MARGIN * rho:
+def _check_margin(zs, rho, where: str = "") -> list:
+    """The moduli [abs(z) for z in zs], each in z's own scalar type, once
+    every z clears the margin MARGIN * rho of every norm bound in rho (a
+    float or an array). ZTooSmallError names the first (row, z) inside it,
+    rows outermost, and where follows the message."""
+    abs_zs = [abs(z) for z in zs]
+    rho = np.reshape(rho, (-1, 1))
+    inside = ~(np.array(abs_zs) >= MARGIN * rho)
+    if inside.any():
+        i, j = np.unravel_index(np.argmax(inside), inside.shape)
         raise ZTooSmallError(
-            f"|z| = {abs(z):.6g} is below the safety margin "
-            f"{MARGIN} * rho = {MARGIN * rho:.6g}{where}"
+            f"|z| = {abs_zs[j]:.6g} is below the safety margin "
+            f"{MARGIN} * rho = {MARGIN * float(rho[i, 0]):.6g}{where}"
         )
+    return abs_zs
 
 
 def _terms_needed(rho: np.ndarray, z_abs: np.ndarray, tol: float) -> np.ndarray:
@@ -194,28 +204,22 @@ def _neumann_rows(a, b, c, zs, tol: float, ts=None):
     c (S, m - 2) at the points zs: values (S, nz, 2, 2), tail bounds
     (S, nz), norm bounds (S,) and the largest powers summed K (S, nz).
 
-    A row that is not finite raises ValueError. The margin is checked at
-    every (row, z) in that order before any sum, so the first violation
-    raised is the one a loop over rows and points meets first. The norm
-    bounds come from norm_bound_stack, the counts from _terms_needed and
-    the tails from _tail_bound, with each |z| in z's own scalar type. A
-    sum that is not finite, its powers of J past the float range, raises
-    SeriesCapError naming the first such (row, z): the row by its time in
-    ts when given, else by its index.
+    A row that is not finite raises ValueError, and _check_margin refuses
+    a point inside the margin before any sum. The norm bounds come from
+    norm_bound_stack, the counts from _terms_needed and the tails from
+    _tail_bound, with each |z| in z's own scalar type. A sum that is not
+    finite, its powers of J past the float range, raises SeriesCapError
+    naming the first such (row, z): the row by its time in ts when given,
+    else by its index.
     """
     a, b, c = (np.asarray(x, dtype=np.complex128) for x in (a, b, c))
     finite = np.isfinite(np.hstack((a, b, c))).all(axis=1)
     if not finite.all():
         raise ValueError(f"a, b and c entries must be finite (row {np.argmin(finite)})")
     rho = norm_bound_stack(a, b, c)[:, None]
-    abs_zs = [abs(z) for z in zs]
-    z_abs = np.array(abs_zs)
-    inside = ~(z_abs >= MARGIN * rho)
-    if inside.any():
-        i, j = np.unravel_index(np.argmax(inside), inside.shape)
-        _check_margin(zs[j], float(rho[i, 0]))
+    abs_zs = _check_margin(zs, rho)
     # the margin keeps rho / |z| <= 1 / MARGIN < 1, so every count is finite
-    K = _terms_needed(rho, z_abs, tol)
+    K = _terms_needed(rho, np.array(abs_zs), tol)
     tails = np.array([
         [_tail_bound(p, za, k) for za, k in zip(abs_zs, row)]
         for p, row in zip(rho[:, 0].tolist(), K.tolist())
@@ -274,8 +278,8 @@ def _series_stencil(
 ):
     """State st at t, the series value there, and its central time derivative.
 
-    The value is R(z), or with conjugate F(z) = C0^{-1} R(z) C0, where
-    C0^{-1} = c0_block(-a_1). The band rows of the states (st, *points) of
+    The value is R(z), or with conjugate F(z) = C0^{-1} R(z) C0
+    (c0_conjugate). The band rows of the states (st, *points) of
     traj.stencil(t) are summed by _neumann_sums, each with the same number
     of terms: the smallest that certifies tol at all of them, so the
     truncation error is smooth in time. A sum that is not finite raises
@@ -285,17 +289,14 @@ def _series_stencil(
     states = (st, *points)
     a, b, c = (np.stack([getattr(s, x) for s in states]) for x in "abc")
     rho = norm_bound_stack(a, b, c)
-    for r in rho.tolist():
-        _check_margin(z, r, " along the stencil")
-    needed = int(_terms_needed(rho[:, None], np.array([abs(z)]), tol).max())
+    abs_z = _check_margin([z], rho, " along the stencil")
+    needed = int(_terms_needed(rho[:, None], np.array(abs_z), tol).max())
     K = np.full((len(states), 1), needed)
     values = _neumann_sums(a, b, c, [z], K + 1)
     _refuse_nonfinite(values, [z], K, lambda i: f"t = {t:.6g}")
     values = values[:, 0]
     if conjugate:
-        values = [
-            c0_block(-s.a[0]) @ v @ c0_block(s.a[0]) for s, v in zip(states, values)
-        ]
+        values = [c0_conjugate(v, s.a[0]) for s, v in zip(states, values)]
     return st, values[0], central_diff(values[1:], traj.h)
 
 
@@ -374,9 +375,7 @@ def closed_form_resolvent(traj: Trajectory, zs) -> np.ndarray:
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     state = traj.state_at(0)
-    rho0 = norm_bound(state)
-    for z in zs:
-        _check_margin(z, rho0, f" at t = {state.t:.6g}")
+    _check_margin(zs, norm_bound(state), f" at t = {state.t:.6g}")
     m, n = traj.m, traj.n_samples
     J0 = state.dense()
     first_two = np.eye(m, 2, dtype=np.complex128)

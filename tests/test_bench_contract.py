@@ -19,9 +19,12 @@ import kostant_toda
 from kostant_toda import (
     IntegratorConfig,
     backends,
+    core,
     dynamics,
     exponential_moments,
+    moments,
     norm_bound,
+    polynomials,
     random_state,
     resolvent,
     verify,
@@ -76,6 +79,19 @@ def test_run_record_fields():
 def test_integrate_is_one_object_in_every_namespace():
     assert verify.integrate is resolvent.integrate is dynamics.integrate
     assert kostant_toda.integrate is dynamics.integrate
+
+
+def test_package_exports_exactly_the_module_lists():
+    # each module's __all__ is the one list of its public names; the
+    # package re-exports their union and its version, each as the object
+    # its module defines
+    modules = (backends, core, dynamics, moments, polynomials, resolvent, verify)
+    union = {name for module in modules for name in module.__all__}
+    assert set(kostant_toda.__all__) == union | {"__version__"}
+    assert len(kostant_toda.__all__) == len(union) + 1
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(kostant_toda, name) is getattr(module, name), name
 
 
 def test_tracer_hooks_count_an_integration_and_come_off(bench):

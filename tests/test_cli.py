@@ -243,6 +243,19 @@ def test_sample_array_too_big_for_memory_is_a_configuration_error(capsys):
     assert "(1000000000001, 33)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--h", "1e-320", "--t-end", "1"],
+    ["resolvent", "--t-end", "1e300", "--h", "1e-10"],
+    ["moments", "--method", "power", "--t", "1e300", "--h", "1e-300"],
+])
+def test_step_count_that_overflows_is_a_configuration_error(capsys, argv):
+    # t_end / h overflows to inf, which round() refused with a traceback
+    assert run(argv + ["--m", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "step count" in err and "is not finite" in err
+
+
 def test_ring_too_big_for_memory_is_a_configuration_error(capsys):
     # 10^15 angles: the ring's int64 arange alone is 7.1 PiB, more than any
     # address space, so the allocation fails at once and touches no memory

@@ -57,6 +57,15 @@ def test_integrator_config_validation():
         IntegratorConfig(t_end=1.0, h=0.0)
 
 
+def test_step_count_that_overflows_is_refused():
+    # 1 / 1e-320 and 1e308 / 1e-3 overflow to inf: no grid index exists
+    with pytest.raises(ValueError, match="step count .* is not finite"):
+        IntegratorConfig(t_end=1.0, h=1e-320)
+    traj = integrate(random_state(4, 8), IntegratorConfig(t_end=0.01, h=1e-3))
+    with pytest.raises(ValueError, match="step count .* is not finite"):
+        traj.index_of(1e308)
+
+
 def test_corruption_spec_validation():
     with pytest.raises(ValueError):
         CorruptionSpec("no-such-kind", 1.0)

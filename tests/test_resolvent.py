@@ -159,11 +159,35 @@ def test_closed_form_from_a_later_start_time():
         assert np.max(np.abs(paths[-1, iz] - dense_resolvent_block(end, z))) < 1e-4
 
 
+def _margin_message(z_abs, rho, where):
+    return (
+        f"|z| = {z_abs:.6g} is below the safety margin "
+        f"{MARGIN} * rho = {MARGIN * rho:.6g}{where}"
+    )
+
+
 def test_closed_form_margin_at_start():
+    # the first point inside the margin of J0 is named, with J0's time
     st = random_state(2, 10)
     traj = integrate(st, IntegratorConfig(t_end=0.01, h=1e-3))
-    with pytest.raises(ZTooSmallError):
-        closed_form_resolvent(traj, [0.5 * norm_bound(st)])
+    rho = norm_bound(st)
+    with pytest.raises(ZTooSmallError) as refused:
+        closed_form_resolvent(traj, [2.0 * rho, 0.5 * rho, 0.4 * rho])
+    assert str(refused.value) == _margin_message(0.5 * rho, rho, " at t = 0")
+
+
+@pytest.mark.parametrize("residual", [resolvent_ode_residual, generating_ode_residual])
+def test_stencil_margin_names_the_first_state_inside_it(residual):
+    # z clears the margin at t - delta but not at t: the state at t, the
+    # stencil's first, is named
+    traj = integrate(random_state(2, 10), IntegratorConfig(t_end=0.01, h=1e-3))
+    rho = traj.norm_bounds()
+    i = int(np.argmax(rho[2:-2])) + 2
+    z = MARGIN * rho[i - 2] + 0.5 * (rho[i] - rho[i - 2])
+    assert MARGIN * rho[i - 2] <= z < MARGIN * rho[i]
+    with pytest.raises(ZTooSmallError) as refused:
+        residual(traj, z, traj.ts[i])
+    assert str(refused.value) == _margin_message(z, rho[i], " along the stencil")
 
 
 @pytest.mark.parametrize("seed", [0, 830])

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kostant_toda import resolvent, verify
+from kostant_toda import backends, resolvent, verify
 from kostant_toda.dynamics import CorruptionSpec
 from kostant_toda.moments import MomentFunctional, moments_from_recurrence
 from kostant_toda.verify import (
@@ -205,6 +205,22 @@ def test_suite_integrates_each_flow_once(monkeypatch):
     run_suite(seeds=[0, 1], control="freeze-b")
     assert calls and max(calls.values()) == 1, [n for n in calls.values() if n > 1]
     assert max(starts.values()) == 1, [n for n in starts.values() if n > 1]
+
+
+def test_suite_on_one_seed_stays_within_its_step_budget(monkeypatch):
+    # base flow 4,000 steps, its continuation to t = 1 4,000, the three
+    # controls on two seeds 24,000 and the isospectrality flow 1,000: a check
+    # that integrates a side flow of its own shows up here
+    steps = []
+    rk4 = backends.rk4_trajectory
+
+    def counting(y0, m, n_steps, h, corruption=None):
+        steps.append(n_steps)
+        return rk4(y0, m, n_steps, h, corruption)
+
+    monkeypatch.setattr(backends, "rk4_trajectory", counting)
+    run_suite(seeds=[0])
+    assert 0 < sum(steps) <= 33_000, steps
 
 
 def test_isospectrality_on_100_seeds_holds_the_identity_at_roundoff(monkeypatch):
