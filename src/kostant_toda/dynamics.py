@@ -443,7 +443,7 @@ def write_csv(stream, columns, table) -> None:
     stream.write(",".join(columns) + "\n")
     split = len(table) // 2
     helper = None
-    if table.size >= FORK_FIELDS and _two_cpus():
+    if table.size >= FORK_FIELDS and hasattr(os, "fork") and backends._two_cpus():
         helper = _start_helper(table[split:])
     if helper is None:
         _write_rows(stream.write, table)
@@ -461,14 +461,6 @@ def write_csv(stream, columns, table) -> None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         os.close(r)
-
-
-def _two_cpus() -> bool:
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) > 1
-    )
 
 
 def _start_helper(rows):

@@ -368,7 +368,8 @@ def test_resolvent_sweep(tmp_path, monkeypatch):
                 "--h", "0.001", "--angles", "4", "--stride", "50",
                 "--closed-form", "--out", str(out)]) == 0
     assert steps == [100]  # the closed form reads the sweep's one flow
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 12  # times 0, 50, 100 x 4 angles
     assert max(float(r["max_diff"]) for r in rows) < 1e-8
     assert all(float(r["tail_bound"]) <= 1e-10 for r in rows)
