@@ -19,14 +19,12 @@ method and its global error O(h^4) are as in Hairer, Nørsett & Wanner,
 *Solving Ordinary Differential Equations I* (2nd ed., Springer 1993),
 Chapter II.
 
-A sample array of PREFAULT_BYTES (32 MiB) or more, on Linux, in a
-process allowed two CPUs, has its pages faulted in ahead of the loop by
-one helper thread: madvise(MADV_POPULATE_WRITE) through ctypes, which
-releases the GIL, a PREFAULT_CHUNK at a time. The advice maps pages and
-writes nothing to them, so every sample keeps its bits; a kernel before
-5.14 refuses it, and RK4 then faults the pages in itself as before. The
-thread is stopped and joined before rk4_trajectory returns or raises.
-`_two_cpus` is the package's one test of how many CPUs it may use.
+A sample array of PREFAULT_BYTES (32 MiB) or more, on Linux, has its
+pages faulted in before the loop starts by one synchronous call,
+madvise(MADV_POPULATE_WRITE) through ctypes over the array's page-aligned
+interior. The advice maps pages and writes nothing to them, so every
+sample keeps its bits; its result is ignored, since after a refusal (a
+kernel before 5.14 answers EINVAL) RK4 faults the pages in itself.
 
 `_flow` holds the one copy of the flow formulas and of the corruption
 modes; `_rhs` is a single call of it, which `dynamics.kostant_rhs` uses.
@@ -46,13 +44,11 @@ for the negative controls of the verification harness.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import importlib.util
 import os
 import sys
-import threading
 
 import numpy as np
 
@@ -63,9 +59,8 @@ C_FLOOR = 1e-12  # the integrator aborts once some |c_n| falls below this
 FLOOR_BLOCK = 64  # stored steps per test of the c floor
 # Sample arrays this large are faulted in ahead of RK4. glibc maps a block of
 # 32 MiB or more afresh on every allocation; a smaller one can reuse heap
-# pages already mapped, where the helper thread only costs time.
+# pages already mapped, where the advice only costs time.
 PREFAULT_BYTES = 32 << 20
-PREFAULT_CHUNK = 4 << 20  # bytes per madvise call; the stop flag is read between calls
 MADV_POPULATE_WRITE = 23  # Linux 5.14 and later; older kernels answer EINVAL
 
 __all__ = [
@@ -157,11 +152,6 @@ def _rhs(y, dy, m, corruption):
     _flow(y, dy, m, corruption)()
 
 
-def _two_cpus() -> bool:
-    """Whether this process may run on more than one CPU."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-
-
 @functools.cache
 def _libc_madvise():
     f = ctypes.CDLL(None, use_errno=True).madvise
@@ -171,45 +161,8 @@ def _libc_madvise():
 
 
 def _madvise(addr: int, length: int, advice: int) -> int:
-    """madvise(2) through ctypes, which releases the GIL: 0, or the errno."""
+    """madvise(2) through ctypes: 0, or the errno."""
     return ctypes.get_errno() if _libc_madvise()(addr, length, advice) else 0
-
-
-def _populate(addr: int, end: int, stop: threading.Event) -> None:
-    """Fault in the pages [addr, end) a chunk at a time until stop is set."""
-    while addr < end and not stop.is_set():
-        n = min(PREFAULT_CHUNK, end - addr)
-        if _madvise(addr, n, MADV_POPULATE_WRITE):  # refused: RK4 faults them in
-            return
-        addr += n
-
-
-@contextlib.contextmanager
-def _faulted_in(out: np.ndarray):
-    """Fault in the pages of out on a helper thread for the body's duration.
-
-    Only for an out of PREFAULT_BYTES or more, on Linux, in a process
-    allowed two CPUs; the advice maps pages without writing to them, so no
-    stored value can change. On exit the helper is stopped and joined: it
-    finishes at most the chunk it is in.
-    """
-    helper = stop = None
-    if out.nbytes >= PREFAULT_BYTES and sys.platform.startswith("linux") and _two_cpus():
-        page = os.sysconf("SC_PAGESIZE")
-        start = -(-out.ctypes.data // page) * page
-        end = (out.ctypes.data + out.nbytes) // page * page
-        stop = threading.Event()
-        helper = threading.Thread(target=_populate, args=(start, end, stop), daemon=True)
-        try:
-            helper.start()
-        except RuntimeError:  # no thread to spare: RK4 faults the pages in itself
-            helper = None
-    try:
-        yield
-    finally:
-        if helper is not None:
-            stop.set()
-            helper.join()
 
 
 def rk4_trajectory(y0, m, n_steps, h, corruption=None):
@@ -220,10 +173,9 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None):
     it does when the bands overflow (rows past that index are unspecified).
     Overflow is reported by status alone: numpy's warnings are silenced.
     A samples array too big to allocate raises ValueError naming its size.
-    One of PREFAULT_BYTES or more, on Linux with two CPUs allowed, is
-    faulted in by a helper thread while the loop fills it; the helper writes
-    nothing, so the samples keep their bits, and it is joined before this
-    function returns or raises.
+    One of PREFAULT_BYTES or more, on Linux, is faulted in by one
+    madvise call before the loop; the advice writes nothing, so the samples
+    keep their bits.
     """
     y0 = np.ascontiguousarray(y0, dtype=np.complex128)
     L = y0.size
@@ -247,7 +199,13 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None):
     )
     add, multiply = np.add, np.multiply
     c_rows = unpack_bands(out.T, m)[2].T
-    with _faulted_in(out), np.errstate(over="ignore", invalid="ignore"):
+    if out.nbytes >= PREFAULT_BYTES and sys.platform.startswith("linux"):
+        # map the page-aligned interior; after a refusal RK4 faults it in
+        page = os.sysconf("SC_PAGESIZE")
+        start = -(-out.ctypes.data // page) * page
+        end = (out.ctypes.data + out.nbytes) // page * page
+        _madvise(start, max(end - start, 0), MADV_POPULATE_WRITE)
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, FLOOR_BLOCK):
             hi = min(lo + FLOOR_BLOCK, n_steps)
             for k in range(lo + 1, hi + 1):

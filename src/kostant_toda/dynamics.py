@@ -395,9 +395,9 @@ def _format_fields(x, sep) -> bytes:
     return b"".join(pieces)
 
 
-def _write_rows(write, rows) -> None:
-    """Write the CSV lines of the float rows (n, k) to write, as str, about
-    _BLOCK_FIELDS fields at a time."""
+def _csv_blocks(rows):
+    """The CSV lines of the float rows (n, k) as bytes, about _BLOCK_FIELDS
+    fields per block."""
     n_rows, n_cols = rows.shape
     step = max(1, _BLOCK_FIELDS // max(1, n_cols))
     sep = np.full((step, n_cols), ord(","), dtype=np.uint8)
@@ -405,7 +405,21 @@ def _write_rows(write, rows) -> None:
     sep = sep.ravel()
     for lo in range(0, n_rows, step):
         fields = rows[lo : lo + step].ravel()
-        write(_format_fields(fields, sep[: fields.size]).decode("ascii"))
+        yield _format_fields(fields, sep[: fields.size])
+
+
+def _write_rows(write, rows) -> None:
+    """Write the CSV lines of the float rows (n, k) to write, as str."""
+    for block in _csv_blocks(rows):
+        write(block.decode("ascii"))
+        # one block alive at a time: holding it while the next is formatted
+        # raised resolvent-neumann's peak RSS by 3 MB
+        del block
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on more than one CPU."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
 def write_csv(stream, columns, table) -> None:
@@ -418,7 +432,7 @@ def write_csv(stream, columns, table) -> None:
     0.4 us for % on each row's Python floats. A table of FORK_FIELDS or
     more is formatted on two cores: after the header, a forked helper
     formats the rows from the middle one on with the same block loop and
-    sends its text through a pipe, while this process writes the rows
+    sends its bytes through a pipe, while this process writes the rows
     before the middle, then copies the helper's complete lines into the
     stream in 64 KiB chunks. The helper only formats text and calls
     os.write, and it leaves by os._exit on every path, so it never flushes
@@ -443,7 +457,7 @@ def write_csv(stream, columns, table) -> None:
     stream.write(",".join(columns) + "\n")
     split = len(table) // 2
     helper = None
-    if table.size >= FORK_FIELDS and hasattr(os, "fork") and backends._two_cpus():
+    if table.size >= FORK_FIELDS and hasattr(os, "fork") and _two_cpus():
         helper = _start_helper(table[split:])
     if helper is None:
         _write_rows(stream.write, table)
@@ -491,9 +505,7 @@ def _send_rows(fd, rows) -> None:
     A pipe holds 64 KiB and the parent reads only after its own rows, so
     writing as it went would stall the helper for most of the parent's work.
     """
-    parts = []
-    _write_rows(parts.append, rows)
-    data = memoryview("".join(parts).encode("ascii"))
+    data = memoryview(b"".join(_csv_blocks(rows)))
     while data:
         data = data[os.write(fd, data) :]
 
@@ -502,9 +514,14 @@ def _copy_lines(fd, stream) -> int:
     """Copy the complete lines read from fd until EOF to stream; their count."""
     lines, tail = 0, b""
     while chunk := os.read(fd, 1 << 16):
-        chunk = tail + chunk
         cut = chunk.rfind(b"\n") + 1
-        stream.write(chunk[:cut].decode("ascii"))
+        if not cut:  # the line goes on past this chunk
+            tail += chunk
+            continue
+        # the line begun before, then this chunk's whole lines, decoded from
+        # a view: the decoding is the chunk's one copy
+        stream.write(tail.decode("ascii"))
+        stream.write(str(memoryview(chunk)[:cut], "ascii"))
         lines += chunk.count(b"\n", 0, cut)
         tail = chunk[cut:]
     return lines

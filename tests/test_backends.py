@@ -200,20 +200,25 @@ def test_clean_step_stays_within_its_ufunc_budget(monkeypatch, n_steps):
 
 
 @pytest.fixture
-def prefault(monkeypatch):
-    """Every sample array takes the prefault path; returns the ranges its
-    helper threads were started on."""
+def advised(monkeypatch):
+    """The (addr, length, advice) of each madvise call, which still goes
+    to the kernel."""
+    calls = []
+    madvise = backends._madvise
+
+    def counted(*call):
+        calls.append(call)
+        return madvise(*call)
+
+    monkeypatch.setattr(backends, "_madvise", counted)
+    return calls
+
+
+@pytest.fixture
+def prefault(advised, monkeypatch):
+    """Every sample array takes the advice; returns its madvise calls."""
     monkeypatch.setattr(backends, "PREFAULT_BYTES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    started = []
-    populate = backends._populate
-
-    def counted(addr, end, stop):
-        started.append((addr, end))
-        populate(addr, end, stop)
-
-    monkeypatch.setattr(backends, "_populate", counted)
-    return started
+    return advised
 
 
 linux_only = pytest.mark.skipif(
@@ -235,34 +240,42 @@ def test_prefaulted_kernel_is_the_frozen_loop_bit_for_bit(prefault, corruption):
 
 
 @linux_only
-def test_prefault_advises_the_page_aligned_interior_in_chunks(prefault, monkeypatch):
-    calls = []
-    monkeypatch.setattr(backends, "PREFAULT_CHUNK", 1 << 20)
-    monkeypatch.setattr(backends, "_madvise", lambda *call: calls.append(call) or 0)
+def test_prefault_advises_the_page_aligned_interior_once(advised, monkeypatch):
+    # a real sample array past PREFAULT_BYTES: m = 1024 for 700 steps, 34 MB
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
     st = random_state(1024, 1024)
-    out, status = backends.rk4_trajectory(pack_state(st.a, st.b, st.c), 1024, 70, 1e-4)
-    assert status == 0
+    y0 = pack_state(st.a, st.b, st.c)
+    out, status = backends.rk4_trajectory(y0, 1024, 700, 1e-4)
+    assert out.nbytes >= backends.PREFAULT_BYTES
+    want, _ = _frozen_rk4(y0, 1024, 700, 1e-4, None)
+    assert status == 0 and out.tobytes() == want.tobytes()
     page = os.sysconf("SC_PAGESIZE")
-    (start, end), = prefault
+    (start, length, advice), = advised
     assert out.ctypes.data <= start < out.ctypes.data + page
-    assert out.ctypes.data + out.nbytes - page < end <= out.ctypes.data + out.nbytes
-    assert start % page == end % page == 0
-    # 3.5 MB in chunks of 1 MiB, each starting where the last ended
-    assert [c[0] for c in calls] == list(range(start, end, 1 << 20))
-    assert sum(c[1] for c in calls) == end - start
-    assert all(c[2] == backends.MADV_POPULATE_WRITE for c in calls)
+    assert out.ctypes.data + out.nbytes - page < start + length <= out.ctypes.data + out.nbytes
+    assert start % page == length % page == 0
+    assert advice == backends.MADV_POPULATE_WRITE
 
 
 @linux_only
-def test_refused_advice_leaves_the_samples_and_stops_the_helper(prefault, monkeypatch):
+def test_refused_advice_leaves_the_samples(prefault, monkeypatch):
     # a kernel before 5.14 answers MADV_POPULATE_WRITE with EINVAL
-    calls = []
-    monkeypatch.setattr(backends, "PREFAULT_CHUNK", 1 << 20)
-    monkeypatch.setattr(backends, "_madvise", lambda *call: calls.append(call) or errno.EINVAL)
+    monkeypatch.setattr(backends, "_madvise", lambda *call: prefault.append(call) or errno.EINVAL)
     st = random_state(1024, 1024)
     assert _assert_same_run(pack_state(st.a, st.b, st.c), 1024, 70, 1e-4, None) == 0
     assert len(prefault) == 1
-    assert len(calls) == 1
+
+
+@linux_only
+def test_one_cpu_host_keeps_the_samples(prefault, monkeypatch):
+    # the advice does not depend on how many CPUs the process may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    st = random_state(1024, 1024)
+    assert _assert_same_run(pack_state(st.a, st.b, st.c), 1024, 70, 1e-4, None) == 0
+    assert len(prefault) == 1
 
 
 @linux_only
@@ -274,56 +287,3 @@ def test_advice_maps_pages_without_writing_to_them():
     err = backends._madvise(start, 2 * page, backends.MADV_POPULATE_WRITE)
     assert err in (0, errno.EINVAL)
     assert x.tobytes() == before
-
-
-@pytest.fixture
-def held_helper(prefault, monkeypatch):
-    """A helper that holds on until it is told to stop, so a call that
-    returned without stopping and joining it leaves it running."""
-
-    def hold(addr, end, stop):
-        prefault.append((addr, end))
-        assert stop.wait(10)
-
-    monkeypatch.setattr(backends, "_populate", hold)
-    return prefault
-
-
-@linux_only
-def test_no_helper_outlives_a_return(held_helper):
-    before = threading.active_count()
-    st = random_state(816, 12)
-    _, status = backends.rk4_trajectory(pack_state(st.a, st.b, st.c), 12, 130, 1e-3)
-    assert status == 0
-    assert held_helper and threading.active_count() == before
-
-
-@linux_only
-def test_no_helper_outlives_a_floor_abort(held_helper):
-    before = threading.active_count()
-    test_floor_crossed_inside_a_block_names_the_first_failing_step(120)
-    assert len(held_helper) == 2  # the kernel's run and integrate's
-    assert threading.active_count() == before
-
-
-@linux_only
-def test_no_helper_outlives_an_exception_in_the_loop(held_helper, monkeypatch):
-    before = threading.active_count()
-
-    def broken(*args, **kwargs):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(np, "abs", broken)  # the floor test of the first block
-    st = random_state(816, 12)
-    with pytest.raises(KeyboardInterrupt):
-        backends.rk4_trajectory(pack_state(st.a, st.b, st.c), 12, 130, 1e-3)
-    assert held_helper and threading.active_count() == before
-
-
-def test_one_cpu_starts_no_helper(held_helper, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    before = threading.active_count()
-    st = random_state(1024, 1024)
-    assert _assert_same_run(pack_state(st.a, st.b, st.c), 1024, 70, 1e-4, None) == 0
-    assert not held_helper
-    assert threading.active_count() == before

@@ -368,27 +368,27 @@ def test_no_process_to_spare_writes_serially(monkeypatch):
 
 
 def _rows_spy(monkeypatch, in_helper):
-    """Replace the row loop: the helper runs in_helper, this process the real
-    loop, recording how many rows each of its calls formats."""
-    parent, real, calls = os.getpid(), dynamics._write_rows, []
+    """Replace the block generator: the helper runs in_helper, this process
+    the real generator, recording how many rows each of its calls formats."""
+    parent, real, calls = os.getpid(), dynamics._csv_blocks, []
 
-    def rows(write, table):
+    def blocks(table):
         if os.getpid() != parent:
-            return in_helper(real, write, table)
+            return in_helper(real, table)
         calls.append(len(table))
-        return real(write, table)
+        return real(table)
 
-    monkeypatch.setattr(dynamics, "_write_rows", rows)
+    monkeypatch.setattr(dynamics, "_csv_blocks", blocks)
     return calls
 
 
-def _raise_in_helper(real, write, table):
+def _raise_in_helper(real, table):
     raise RuntimeError("helper failed")
 
 
-def _three_rows_and_a_half(real, write, table):
-    real(write, table[:3])
-    write("1.5,2")  # a partial line, then a clean exit
+def _three_rows_and_a_half(real, table):
+    yield from real(table[:3])
+    yield b"1.5,2"  # a partial line, then a clean exit
 
 
 @pytest.mark.parametrize("helper,finished_here", [(_raise_in_helper, 2_501),
