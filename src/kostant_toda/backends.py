@@ -26,6 +26,11 @@ interior. The advice maps pages and writes nothing to them, so every
 sample keeps its bits; its result is ignored, since after a refusal (a
 kernel before 5.14 answers EINVAL) RK4 faults the pages in itself.
 
+A caller may hand in the array to fill, whose rows may be strided (the
+sample columns of dynamics' shared CSV table), and a hook that is told,
+once per block of FLOOR_BLOCK steps that passes the floor test, how many
+rows are final; the step's 36 ufunc calls do not change.
+
 `_flow` holds the one copy of the flow formulas and of the corruption
 modes; `_rhs` is a single call of it, which `dynamics.kostant_rhs` uses.
 Both stay out of `__all__` so that tracers wrapping the public functions
@@ -165,26 +170,30 @@ def _madvise(addr: int, length: int, advice: int) -> int:
     return ctypes.get_errno() if _libc_madvise()(addr, length, advice) else 0
 
 
-def rk4_trajectory(y0, m, n_steps, h, corruption=None):
+def rk4_trajectory(y0, m, n_steps, h, corruption=None, out=None, on_rows=None):
     """Integrate the packed state; returns (samples, status).
 
     samples has shape (n_steps + 1, len(y0)); status is 0 on success or the
     1-based step index at which min |c| fell below C_FLOOR or turned NaN, as
     it does when the bands overflow (rows past that index are unspecified).
     Overflow is reported by status alone: numpy's warnings are silenced.
-    A samples array too big to allocate raises ValueError naming its size.
-    One of PREFAULT_BYTES or more, on Linux, is faulted in by one
-    madvise call before the loop; the advice writes nothing, so the samples
-    keep their bits.
+    samples is out when given, a complex128 array of that shape whose rows
+    may be strided; else a new array, and one too big to allocate raises
+    ValueError naming its size. One of PREFAULT_BYTES or more, on Linux,
+    is faulted in by one madvise call before the loop; the advice writes
+    nothing, so the samples keep their bits. on_rows, when given, is
+    called once per block of FLOOR_BLOCK steps that passes the floor test,
+    with the count c of rows now final: rows [0, c) keep their values.
     """
     y0 = np.ascontiguousarray(y0, dtype=np.complex128)
     L = y0.size
     if L != 3 * m - 3:
         raise ValueError(f"packed state length {L} != 3*m - 3 = {3 * m - 3}")
-    try:
-        out = np.empty((n_steps + 1, L), dtype=np.complex128)
-    except MemoryError as exc:  # numpy's message names the shape and the size
-        raise ValueError(f"cannot store the trajectory: {exc}") from None
+    if out is None:
+        try:
+            out = np.empty((n_steps + 1, L), dtype=np.complex128)
+        except MemoryError as exc:  # numpy's message names the shape and the size
+            raise ValueError(f"cannot store the trajectory: {exc}") from None
     out[0] = y0
     y = y0.copy()
     K = np.empty((4, L), dtype=np.complex128)
@@ -200,10 +209,11 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None):
     add, multiply = np.add, np.multiply
     c_rows = unpack_bands(out.T, m)[2].T
     if out.nbytes >= PREFAULT_BYTES and sys.platform.startswith("linux"):
-        # map the page-aligned interior; after a refusal RK4 faults it in
+        # map the page-aligned interior of the rows' span; after a refusal
+        # RK4 faults it in
         page = os.sysconf("SC_PAGESIZE")
         start = -(-out.ctypes.data // page) * page
-        end = (out.ctypes.data + out.nbytes) // page * page
+        end = (out.ctypes.data + out.strides[0] * n_steps + out[-1].nbytes) // page * page
         _madvise(start, max(end - start, 0), MADV_POPULATE_WRITE)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, FLOOR_BLOCK):
@@ -231,4 +241,6 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None):
             failed = np.flatnonzero(~(cmin >= C_FLOOR))
             if failed.size:
                 return out, lo + 1 + int(failed[0])
+            if on_rows is not None:
+                on_rows(hi + 1)
     return out, 0

@@ -31,6 +31,7 @@ from .dynamics import (
     CorruptionSpec,
     IntegratorConfig,
     integrate,
+    integrate_for_csv,
     write_csv,
 )
 from .moments import (
@@ -206,8 +207,9 @@ def _config_flags(path: str, command: str) -> list[str]:
 def _cmd_simulate(ns) -> int:
     state = _instance(ns)
     corruption = CorruptionSpec(ns.corruption, ns.magnitude) if ns.corruption else None
-    traj = integrate(state, IntegratorConfig(t_end=ns.t_end, h=ns.h), corruption)
-    _emit(ns.out, f"{traj.n_samples} samples", traj.to_csv)
+    cfg = IntegratorConfig(t_end=ns.t_end, h=ns.h)
+    with integrate_for_csv(state, cfg, corruption) as traj:
+        _emit(ns.out, f"{traj.n_samples} samples", traj.to_csv)
     return 0
 
 

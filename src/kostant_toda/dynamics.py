@@ -17,6 +17,8 @@ first sample (resolvent.closed_form_resolvent), not off the integrator.
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 import os
 import signal
 from dataclasses import dataclass
@@ -156,6 +158,9 @@ class Trajectory:
         self.t0 = t0
         self.ts = t0 + h * np.arange(samples.shape[0])
         self.a, self.b, self.c = (x.T for x in backends.unpack_bands(samples.T, m))
+        # the CSV table whose columns after t are samples, and the helper
+        # formatting it, when integrate_for_csv made them
+        self._table = self._helper = None
 
     @property
     def n_samples(self) -> int:
@@ -199,8 +204,12 @@ class Trajectory:
         for name, count in (("a", m), ("b", m - 1), ("c", m - 2)):
             for n in range(1, count + 1):
                 cols += [f"{name}{n}_re", f"{name}{n}_im"]
-        bands = self.samples.view(np.float64)  # re, im interleaved
-        write_csv(stream, cols, np.column_stack([self.ts, bands]))
+        table = self._table
+        if table is None:
+            bands = self.samples.view(np.float64)  # re, im interleaved
+            table = np.column_stack([self.ts, bands])
+        helper, self._helper = self._helper, None  # a helper finishes once
+        write_csv(stream, cols, table, helper)
 
 
 # A table of at least this many fields is formatted by two processes. With
@@ -215,8 +224,15 @@ class Trajectory:
 # 9.4-9.5 against 10.5 ms on one process.
 FORK_FIELDS = 60_000
 
-# Fields per _format_fields call: keeps every temporary cache-sized.
-_BLOCK_FIELDS = 2048
+# Fields per _format_fields call. Its temporaries peak near 300 bytes a
+# field, so a block of 8,192 takes about 2.4 MB, close to a core's 2 MiB L2
+# on the 2-core Xeon this was measured on (lscpu's 4 MiB is both cores').
+# Forked to_csv of simulate's table (m = 32, 2,001 rows, before the helper
+# ran beside RK4) took a median of 77, 71, 67, 67 and 88 ms at 2k, 4k, 8k,
+# 16k and 32k fields per block over 15 alternating in-process rounds at
+# seed 7, and perfbench's simulate-csv-t1 wall_rel went from 7.84 to 7.28
+# with 8k (medians of 8 alternating pairs at seed 7, 6 won).
+_BLOCK_FIELDS = 8192
 
 # Decimal exponents X whose fields _format_fields decides itself: |X| <= 99,
 # so the exponent form has two exponent digits.
@@ -300,6 +316,9 @@ def _digit_tables():
 _HI, _LO, _HI_HEAD, _HI_TAIL = _pow10_pairs()
 _TEMPLATES, _INT_DIGITS = _templates()
 _DIGITS4, _LAST = _digit_tables()
+# the first 43 cells of the fields inf, -inf and nan
+_NONFINITE = np.array([list(t.ljust(43, b"\0")) for t in (b"inf", b"-inf", b"nan")],
+                      dtype=np.uint8)
 _GROUP_BASE = np.array([0, 10_000, 20_000, 30_000])
 # for k = 0..17 digits kept of 17, the masks of the bytes kept in the
 # little-endian words of digits 1..8 and 9..16
@@ -322,11 +341,13 @@ def _format_fields(x, sep) -> bytes:
     N has 17 digits, and the fraction r - floor(r + 0.5) is farther than
     2^-30 from -1/2 and 1/2, which proves the rounding. Every other field
     is written by '%.17g' % x itself, as Grisu3 leaves the cases it cannot
-    decide to an exact algorithm (Loitsch, PLDI 2010): non-finite,
-    subnormal and |X| > 99 fields, near ties, powers of ten (v = 10^16, on
-    the window's edge) and an estimate off by one near them. So the text
-    is exact whenever the error bound holds. +-0 is written here as "0" and
-    "-0". A field left to % costs 0.35-0.55 us against about 0.17 us.
+    decide to an exact algorithm (Loitsch, PLDI 2010): subnormal and
+    |X| > 99 fields, near ties, powers of ten (v = 10^16, on the window's
+    edge) and an estimate off by one near them. So the text is exact
+    whenever the error bound holds. +-0, +-inf and nan are written from
+    templates, as % writes them: "0", "-0", "inf", "-inf", and "nan"
+    whatever its sign bit. A field left to % costs 0.35-0.55 us against
+    about 0.17 us.
 
     Text, as %g: fixed form for -4 <= X < 17 with trailing zeros and a
     bare point removed, else d.ddd then e and a signed exponent of at
@@ -376,14 +397,19 @@ def _format_fields(x, sep) -> bytes:
     words = _DIGITS4.take(groups).view("<u8")  # digits 1..8 and 9..16
     words &= _KEEP_BYTES.take(kept, axis=0)
     zero = x == 0
+    finite = np.isfinite(x)
     # the template with the point when a digit after it is kept
     out = _TEMPLATES.take(xi + (kept > int_digits) * (2 * _X_MAX + 1), axis=0)
     out[:, 0] = np.signbit(x) * ord("-")
     out[:, 6] = lead + ord("0") - zero
     out[:, 8:39:2] = words.view(np.uint8)
     out[:, 43] = sep
+    special = np.flatnonzero(~finite)
+    if special.size:
+        v = x[special]
+        out[special, :43] = _NONFINITE.take(np.where(np.isnan(v), 2, np.signbit(v)), axis=0)
     # each field left to % keeps only its separator and a 1 that marks it
-    others = np.flatnonzero(~(decided | zero))
+    others = np.flatnonzero(~(decided | zero) & finite)
     out[others, :43] = 0
     out[others, 0] = 1
     text = out.tobytes().translate(None, b"\0")
@@ -395,11 +421,16 @@ def _format_fields(x, sep) -> bytes:
     return b"".join(pieces)
 
 
+def _block_rows(n_cols):
+    """Rows per block of a table n_cols wide: about _BLOCK_FIELDS fields."""
+    return max(1, _BLOCK_FIELDS // max(1, n_cols))
+
+
 def _csv_blocks(rows):
     """The CSV lines of the float rows (n, k) as bytes, about _BLOCK_FIELDS
     fields per block."""
     n_rows, n_cols = rows.shape
-    step = max(1, _BLOCK_FIELDS // max(1, n_cols))
+    step = _block_rows(n_cols)
     sep = np.full((step, n_cols), ord(","), dtype=np.uint8)
     sep[:, -1] = ord("\n")
     sep = sep.ravel()
@@ -422,28 +453,37 @@ def _two_cpus() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
-def write_csv(stream, columns, table) -> None:
+def _forks(fields: int) -> bool:
+    """Whether a table of this many fields is formatted by two processes."""
+    return fields >= FORK_FIELDS and hasattr(os, "fork") and _two_cpus()
+
+
+def write_csv(stream, columns, table, helper=None) -> None:
     """Write a float table as CSV to a text stream: a header line, then
     %.17g per field.
 
     %.17g round-trips every double exactly. The fields are formatted a
     block of rows at a time by _format_fields, a numpy kernel whose text is
-    byte for byte that of %, at about 0.14 us per field against about
-    0.4 us for % on each row's Python floats. A table of FORK_FIELDS or
-    more is formatted on two cores: after the header, a forked helper
-    formats the rows from the middle one on with the same block loop and
-    sends its bytes through a pipe, while this process writes the rows
-    before the middle, then copies the helper's complete lines into the
-    stream in 64 KiB chunks. The helper only formats text and calls
-    os.write, and it leaves by os._exit on every path, so it never flushes
-    the buffers it inherited.
-    If it exits non-zero or sends fewer lines than it owes, this process
-    formats the missing rows itself: a failed helper costs time, never
-    bytes. On any exception, KeyboardInterrupt included, the helper is
-    killed and reaped before the exception propagates, so no process
-    outlives the call. Smaller tables, hosts without os.fork or
-    os.sched_getaffinity, and processes allowed one CPU run the same block
-    loop over all rows here.
+    byte for byte that of %, at about 0.25 us per field on one core with
+    the writes (simulate's 374,187-field table in 94 ms), against 0.8-1.0
+    us for % on each row's Python floats (200,000 normal values).
+
+    A table of FORK_FIELDS or more is formatted on two cores. helper is
+    then a _Helper that has been formatting the rows of table as they
+    became final (integrate_for_csv forks it before RK4), or None, and one
+    is forked here with every row final. This process reads how many rows
+    the helper has formatted, p, and leaves it rows [0, s) with s = p +
+    (n - p) // 2: the two format at the same rate, so each takes half of
+    what is left, and on a complete table the helper takes the first half.
+    This process formats rows [s, n) and holds their text, writes the
+    header, copies the helper's complete lines into the stream in 64 KiB
+    chunks, then writes its own. If the helper exits non-zero or sends
+    fewer lines than it owes, this process formats the missing rows
+    itself: a failed helper costs time, never bytes. On any exception,
+    KeyboardInterrupt included, the helper is killed and reaped before the
+    exception propagates, so no process outlives the call. Smaller tables,
+    hosts without os.fork or os.sched_getaffinity, and processes allowed
+    one CPU run the same block loop over all rows here.
 
     On CPython 3.12 and later, os.fork in a process that runs threads, such
     as numpy's BLAS pool, raises a DeprecationWarning; it is left
@@ -454,76 +494,175 @@ def write_csv(stream, columns, table) -> None:
     tracers time it as part of its caller.
     """
     table = np.asarray(table, dtype=np.float64)
-    stream.write(",".join(columns) + "\n")
-    split = len(table) // 2
-    helper = None
-    if table.size >= FORK_FIELDS and hasattr(os, "fork") and _two_cpus():
-        helper = _start_helper(table[split:])
+    header = ",".join(columns) + "\n"
+    if helper is None and _forks(table.size):
+        helper = _Helper.fork(table)
     if helper is None:
+        stream.write(header)
         _write_rows(stream.write, table)
         return
-    pid, r = helper
-    try:
-        _write_rows(stream.write, table[:split])
-        done = _copy_lines(r, stream)
-        os.waitpid(pid, 0)
-        pid = None
-        # A failed helper sent whole lines only; the rest are formatted here.
-        _write_rows(stream.write, table[split + done :])
-    finally:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(r)
+    with helper:
+        helper.finish(stream, header)
 
 
-def _start_helper(rows):
-    """Fork a helper that sends the text of rows through a pipe and exits:
-    (its pid, the pipe's read end), or None when no process can be made."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the caller formats every row
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            _send_rows(w, rows)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
+class _Helper:
+    """A forked process that formats the leading rows of a float table
+    while this one works on, then sends their text through a pipe.
 
-
-def _send_rows(fd, rows) -> None:
-    """Format rows in full, then write their text to fd (the helper's part).
-
-    A pipe holds 64 KiB and the parent reads only after its own rows, so
-    writing as it went would stall the helper for most of the parent's work.
+    This process talks to it over one pipe in 8-byte signed counts: c >= 0
+    says that rows [0, c) are final, and the stop ~s (-1 - s) that every
+    row is and that the helper's share is rows [0, s). The helper formats
+    the final rows in order, a block at a time, and after each block stores
+    how many it has formatted in a shared slot, from which finish chooses
+    s. After the stop it writes the text of its share to a second pipe and
+    exits. It only formats text and calls os.read, os.write and fcntl,
+    and it leaves by os._exit on every path, so it never flushes the
+    buffers it inherited.
     """
-    data = memoryview(b"".join(_csv_blocks(rows)))
-    while data:
-        data = data[os.write(fd, data) :]
+
+    def __init__(self, table, pid, counts_fd, text_fd, progress):
+        self.table, self.pid, self.progress = table, pid, progress
+        self.counts_fd, self.text_fd = counts_fd, text_fd
+        self._open = [counts_fd, text_fd]
+
+    @classmethod
+    def fork(cls, table):
+        """A helper for table, or None when no process can be made."""
+        progress = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+        counts_r, counts_w = os.pipe()
+        text_r, text_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the caller formats every row
+            for fd in (counts_r, counts_w, text_r, text_w):
+                os.close(fd)
+            return None
+        if pid == 0:
+            code = 1
+            try:
+                os.close(counts_w)
+                os.close(text_r)
+                _send_rows(text_w, _helper_blocks(table, counts_r, progress))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(counts_r)
+        os.close(text_w)
+        return cls(table, pid, counts_w, text_r, progress)
+
+    def announce(self, rows: int) -> None:
+        """Tell the helper that rows [0, rows) are final."""
+        # a helper that is gone already owes rows that finish formats
+        with contextlib.suppress(BrokenPipeError):
+            os.write(self.counts_fd, rows.to_bytes(8, "little", signed=True))
+
+    def finish(self, stream, header) -> None:
+        """Stop the helper and write header and every row to stream: the
+        helper's rows [0, s), then this process's rows [s, n)."""
+        n = len(self.table)
+        p = int(self.progress[0])
+        split = p + (n - p) // 2
+        self.announce(~split)
+        own = list(_csv_blocks(self.table[split:]))
+        stream.write(header)
+        sent = _copy_lines(self.text_fd, stream)
+        os.waitpid(self.pid, 0)
+        self.pid = None
+        # A failed helper sent whole lines only; the rest are formatted here.
+        _write_rows(stream.write, self.table[sent:split])
+        for block in own:
+            stream.write(block.decode("ascii"))
+
+    def close(self) -> None:
+        """Kill and reap the helper unless finish reaped it; close the pipes."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        while self._open:
+            os.close(self._open.pop())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _helper_blocks(table, fd, progress):
+    """The helper's text of rows [0, s) of table, in blocks, s from the stop.
+
+    Rows are formatted as the counts read from fd make them final, a block
+    at a time, waiting on fd only when every final row is formatted. Rows
+    begun before the stop came and formatted past it are cut off: they are
+    the other process's.
+    """
+    step = _block_rows(table.shape[1])
+    blocks, starts, ready, done, stop = [], [], 0, 0, None
+    while stop is None or done < stop:
+        os.set_blocking(fd, done == ready)
+        try:
+            data = os.read(fd, 1 << 12)
+        except BlockingIOError:
+            data = None
+        if data == b"":
+            raise EOFError("the counts ended before the stop")
+        for count in np.frombuffer(data or b"", dtype="<i8").tolist():
+            if count < 0:
+                ready = stop = ~count
+            else:
+                ready = count
+        hi = min(ready, done + step)
+        if hi > done:
+            starts.append(done)
+            blocks.append(next(_csv_blocks(table[done:hi])))
+            done = hi
+            progress[0] = done
+    while starts and starts[-1] >= stop:
+        del starts[-1], blocks[-1]
+    if blocks and done > stop:  # the last block kept runs past the stop
+        end = 0
+        for _ in range(stop - starts[-1]):
+            end = blocks[-1].index(b"\n", end) + 1
+        blocks[-1] = blocks[-1][:end]
+    return blocks
+
+
+def _send_rows(fd, blocks) -> None:
+    """Write the helper's blocks of text to fd.
+
+    The helper writes nothing before the stop, because until then the
+    other process runs RK4, and after it that process formats its own rows
+    before it reads: text written as it was formatted would fill the 64 KiB
+    pipe within a few blocks and stall the helper while rows were left.
+    """
+    for block in blocks:
+        data = memoryview(block)
+        while data:
+            data = data[os.write(fd, data) :]
 
 
 def _copy_lines(fd, stream) -> int:
-    """Copy the complete lines read from fd until EOF to stream; their count."""
+    """Copy the complete lines read from fd until EOF to stream; their count.
+
+    Every read goes into one 64 KiB buffer. A new bytes object per read,
+    shrunk to what the pipe held, fragmented the heap: simulate-csv-t1
+    passes kept about 2 MB more of it once the helper ran beside RK4.
+    """
     lines, tail = 0, b""
-    while chunk := os.read(fd, 1 << 16):
-        cut = chunk.rfind(b"\n") + 1
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    while n := os.readv(fd, [buf]):
+        cut = buf.rfind(b"\n", 0, n) + 1
         if not cut:  # the line goes on past this chunk
-            tail += chunk
+            tail += view[:n]
             continue
         # the line begun before, then this chunk's whole lines, decoded from
-        # a view: the decoding is the chunk's one copy
+        # the buffer: the decoding is the chunk's one copy
         stream.write(tail.decode("ascii"))
-        stream.write(str(memoryview(chunk)[:cut], "ascii"))
-        lines += chunk.count(b"\n", 0, cut)
-        tail = chunk[cut:]
+        stream.write(str(view[:cut], "ascii"))
+        lines += buf.count(b"\n", 0, cut)
+        tail = bytes(view[cut:n])
     return lines
 
 
@@ -537,19 +676,70 @@ def integrate(
     Raises CNearZeroError if any |c_n| falls below backends.C_FLOOR or the
     bands overflow.
     """
+    return _integrate(state, cfg, corruption)
+
+
+def _integrate(state, cfg, corruption, **rows) -> Trajectory:
+    """integrate, handing rows (out, on_rows) to backends.rk4_trajectory."""
     c_min0 = float(np.min(np.abs(state.c)))
     if c_min0 < backends.C_FLOOR:
         raise CNearZeroError(state.t, 0, c_min0)
 
     y0 = backends.pack_state(state.a, state.b, state.c)
     samples, status = backends.rk4_trajectory(
-        y0, state.m, cfg.n_steps, cfg.h, corruption
+        y0, state.m, cfg.n_steps, cfg.h, corruption, **rows
     )
     if status:
         c = backends.unpack_bands(samples[status], state.m)[2]
         c_min = float(np.min(np.abs(c)))
         raise CNearZeroError(state.t + status * cfg.h, status, c_min)
     return Trajectory(samples, state.m, cfg.h, state.t)
+
+
+@contextlib.contextmanager
+def integrate_for_csv(state, cfg, corruption=None):
+    """integrate(state, cfg, corruption) for a caller that writes the
+    trajectory's CSV: yields the Trajectory, whose to_csv writes the bytes
+    it writes for integrate's.
+
+    When the table, n_steps + 1 rows of 1 + 2 (3m - 3) fields, is one that
+    write_csv formats on two processes, it is laid out before RK4 in an
+    anonymous mapping shared with a helper forked then, the samples being
+    its columns after t. RK4 announces each block of FLOOR_BLOCK rows that
+    passes the floor test, the helper formats it while RK4 goes on, and
+    to_csv finishes the table. A table too big to store raises ValueError
+    before anything is allocated. Leaving the block on any path, an abort
+    or a KeyboardInterrupt included, kills and reaps a helper that to_csv
+    has not finished. Kept out of __all__, as write_csv.
+    """
+    n_rows, L = cfg.n_steps + 1, 3 * state.m - 3
+    width = 1 + 2 * L
+    if not _forks(n_rows * width):
+        yield _integrate(state, cfg, corruption)
+        return
+    try:
+        table = mmap.mmap(-1, 8 * n_rows * width)
+    except (OSError, OverflowError) as exc:
+        raise ValueError(
+            f"cannot store the trajectory: samples of shape {(n_rows, L)} and "
+            f"their times take {8 * n_rows * width} bytes: {exc}"
+        ) from None
+    table = np.frombuffer(table, dtype=np.float64).reshape(n_rows, width)
+    table[:, 0] = state.t + cfg.h * np.arange(n_rows)
+    helper = _Helper.fork(table)
+    traj = None
+    try:
+        traj = _integrate(
+            state, cfg, corruption, out=table[:, 1:].view(np.complex128),
+            on_rows=None if helper is None else helper.announce,
+        )
+        traj._table, traj._helper = table, helper
+        yield traj
+    finally:
+        if traj is not None:
+            traj._helper = None  # a later to_csv formats the table afresh
+        if helper is not None:
+            helper.close()
 
 
 def central_diff(values, h: float):

@@ -1,7 +1,22 @@
+import os
+
 import numpy as np
 import pytest
 
 from kostant_toda import LatticeState, norm_bound
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped, such as
+    a CSV helper that outlived its writer."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("a child process is still running" if pid == 0 else
+                f"child process {pid} was left unreaped")
 
 
 @pytest.fixture

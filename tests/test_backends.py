@@ -125,6 +125,36 @@ def test_overflowing_kernel_is_the_frozen_loop_bit_for_bit(seed, step):
     assert _assert_same_run(y0, 32, 2000, 1e-3, None) == step
 
 
+@pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c and c.kind)
+def test_strided_out_and_block_hook_keep_the_samples(corruption):
+    # the sample columns of a CSV table after its t column, as
+    # dynamics.integrate_for_csv lays them out
+    st = random_state(830, 12)
+    y0 = pack_state(st.a, st.b, st.c)
+    want, _ = backends.rk4_trajectory(y0, 12, 130, 1e-3, corruption)
+    table = np.zeros((131, 1 + 2 * y0.size))
+    out = table[:, 1:].view(np.complex128)
+    counts = []
+    got, status = backends.rk4_trajectory(y0, 12, 130, 1e-3, corruption, out, counts.append)
+    assert status == 0 and got is out and not table[:, 0].any()
+    assert got.tobytes() == want.tobytes()
+    assert counts == [65, 129, 131]
+
+
+@pytest.mark.parametrize("seed", [32, 816])
+def test_block_hook_hears_only_rows_past_the_floor_test(seed):
+    # seed 32 leaves the finite range at step 1673, inside the block of
+    # steps 1665..1728: the hook hears of rows [0, 1665) at most
+    st = random_state(seed, 32)
+    y0 = pack_state(st.a, st.b, st.c)
+    counts = []
+    samples, status = backends.rk4_trajectory(y0, 32, 2000, 1e-3, None, None, counts.append)
+    assert all(a < b for a, b in zip(counts, counts[1:]))
+    assert counts[-1] == (1665 if seed == 32 else 2001) and status == (1673 if seed == 32 else 0)
+    c_min = np.abs(unpack_bands(samples[: counts[-1]].T, 32)[2]).min(axis=0)
+    assert np.all(c_min >= backends.C_FLOOR)
+
+
 @pytest.mark.parametrize("n_steps", [120, 200])
 def test_floor_crossed_inside_a_block_names_the_first_failing_step(n_steps):
     # c_n' = c_n (a_{n+2} - a_n) = -c_n here, so |c| decays like exp(-t) and

@@ -584,6 +584,29 @@ def test_overflowing_flow_is_a_numerical_abort(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_aborted_simulate_leaves_the_output_file_as_it_was(tmp_path, monkeypatch, capsys,
+                                                           exists):
+    # the CSV helper runs beside RK4 and is reaped at the abort; the file is
+    # opened only after RK4 has succeeded
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "F.csv"
+    if exists:
+        out.write_bytes(b"t\n0\n")
+    assert run(["simulate", "--seed", "32", "--m", "32", "--t-end", "2", "--h", "1e-3",
+                "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical abort: the flow left the finite range")
+    assert captured.out == "" and forks == [1]
+    if exists:
+        assert out.read_bytes() == b"t\n0\n"
+    else:
+        assert not out.exists()
+
+
 def test_verify_seed_three_writes_a_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert run(["verify", "--seeds", "3", "--report", str(report)]) == 0

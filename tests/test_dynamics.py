@@ -1,5 +1,7 @@
 import io
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -281,7 +283,13 @@ def _kernel_corpus(rng):
 
 
 def test_field_kernel_is_17g_byte_for_byte():
-    x = _kernel_corpus(np.random.default_rng(20))
+    # first, NaNs with seven payloads, quiet and signalling, and infinity,
+    # each with either sign bit: 16 fields, so the corpus's own rows stay
+    quiet = 0x7FF8 << 48
+    bits = [quiet, quiet | 1, quiet | 2**50, quiet | 0xDEADBEEF, 2**63 - 1,
+            (2**63 - 1) ^ 2**51, 0x7FF << 52 | 1, 0x7FF << 52]
+    bits = np.array(bits + [b | 2**63 for b in bits], dtype=np.uint64)
+    x = np.concatenate([bits.view(np.float64), _kernel_corpus(np.random.default_rng(20))])
     assert x.size >= 10**6
     table = x[: x.size - x.size % 8].reshape(-1, 8)
     row_fmt = ",".join(["%.17g"] * 8) + "\n"
@@ -328,11 +336,6 @@ def forks(monkeypatch):
     return calls
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # 12 columns: 4,999 rows are just under FORK_FIELDS, 5,000 rows reach it,
 # 5,001 rows are one more and odd, and 2 wide rows give each process one.
 @pytest.mark.parametrize("shape", [(4_999, 12), (5_000, 12), (5_001, 12), (2, 30_000)])
@@ -352,7 +355,6 @@ def test_two_process_write_csv_is_savetxt_byte_for_byte(forks, tmp_path, shape, 
     assert got == _savetxt(cols, table)
     assert len(forks) == (table.size >= dynamics.FORK_FIELDS)
     assert dynamics.FORK_FIELDS == 60_000  # the sizes above straddle it
-    _no_child_left()
 
 
 def test_no_process_to_spare_writes_serially(monkeypatch):
@@ -367,41 +369,54 @@ def test_no_process_to_spare_writes_serially(monkeypatch):
     assert buf.getvalue() == _savetxt([f"x{j}" for j in range(12)], table)
 
 
-def _rows_spy(monkeypatch, in_helper):
-    """Replace the block generator: the helper runs in_helper, this process
-    the real generator, recording how many rows each of its calls formats."""
+def _rows_formatted_here(monkeypatch):
+    """The row count of each _csv_blocks call this process makes."""
     parent, real, calls = os.getpid(), dynamics._csv_blocks, []
 
-    def blocks(table):
-        if os.getpid() != parent:
-            return in_helper(real, table)
-        calls.append(len(table))
-        return real(table)
+    def blocks(rows):
+        if os.getpid() == parent:
+            calls.append(len(rows))
+        return real(rows)
 
     monkeypatch.setattr(dynamics, "_csv_blocks", blocks)
     return calls
 
 
-def _raise_in_helper(real, table):
+def _in_helper(monkeypatch, name, fake):
+    """Run fake in place of dynamics.<name> in the helper only."""
+    parent, real = os.getpid(), getattr(dynamics, name)
+    monkeypatch.setattr(
+        dynamics, name, lambda *args: (real if os.getpid() == parent else fake)(*args)
+    )
+
+
+def _raise_in_helper(*args):
     raise RuntimeError("helper failed")
 
 
-def _three_rows_and_a_half(real, table):
-    yield from real(table[:3])
-    yield b"1.5,2"  # a partial line, then a clean exit
+def _three_rows_and_a_half(fd, blocks):
+    text = b"".join(blocks)
+    end = 0
+    for _ in range(3):
+        end = text.index(b"\n", end) + 1
+    os.write(fd, text[:end] + b"1.5,2")  # a partial line, then a clean exit
 
 
-@pytest.mark.parametrize("helper,finished_here", [(_raise_in_helper, 2_501),
-                                                   (_three_rows_and_a_half, 2_498)])
-def test_failed_helper_costs_time_not_bytes(forks, monkeypatch, helper, finished_here):
-    calls = _rows_spy(monkeypatch, helper)
+HELPER_FAILURES = {"_csv_blocks": _raise_in_helper, "_send_rows": _three_rows_and_a_half}
+
+
+# The helper owes the first 2,500 rows of 5,001 and this process formats
+# the other 2,501, then the rows the helper did not send.
+@pytest.mark.parametrize("name,finished_here", [("_csv_blocks", 2_500), ("_send_rows", 2_497)])
+def test_failed_helper_costs_time_not_bytes(forks, monkeypatch, name, finished_here):
+    calls = _rows_formatted_here(monkeypatch)
+    _in_helper(monkeypatch, name, HELPER_FAILURES[name])
     table = _table(5_001, 12)
     cols = [f"x{j}" for j in range(12)]
     buf = io.StringIO()
     write_csv(buf, cols, table)
     assert buf.getvalue() == _savetxt(cols, table)
-    assert forks == [1] and calls == [2_500, finished_here]
-    _no_child_left()
+    assert forks == [1] and calls == [2_501, finished_here]
 
 
 class _BrokenStream(io.StringIO):
@@ -416,23 +431,115 @@ class _BrokenStream(io.StringIO):
         return super().write(text)
 
 
-# The stream fails at the first write of a phase: this process's own rows,
-# after the header, or the copy of the helper's text, which may still
-# block on the pipe.
-@pytest.mark.parametrize("phase", ["rows", "copy"])
+# The stream fails at the first write of a phase: the header, the copy of
+# the helper's text, which may still block on the pipe, or this process's
+# own rows, written after the helper is reaped.
+@pytest.mark.parametrize("phase", ["header", "copy", "rows"])
 @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()])
 def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(
     forks, monkeypatch, exc, phase
 ):
-    stream = _BrokenStream(exc, 1 if phase == "rows" else 10**9)
+    stream = _BrokenStream(exc, 0 if phase == "header" else 10**9)
     real = dynamics._copy_lines
 
     def copy_lines(fd, sink):
+        if phase == "copy":
+            sink.writes = 0
+        lines = real(fd, sink)
         sink.writes = 0
-        return real(fd, sink)
+        return lines
 
     monkeypatch.setattr(dynamics, "_copy_lines", copy_lines)
     with pytest.raises(type(exc)):
         write_csv(stream, [f"x{j}" for j in range(12)], _table(5_001, 12))
     assert forks == [1]
-    _no_child_left()
+
+
+def test_helper_cuts_rows_formatted_past_the_stop(monkeypatch):
+    # the stop comes after the helper has formatted rows [0, 40) in blocks
+    # of 10: it drops the block [30, 40), keeps rows [20, 25) of the block
+    # before, and reports 40 formatted
+    monkeypatch.setattr(dynamics, "_BLOCK_FIELDS", 120)
+    table = _table(100, 12)
+    progress = np.zeros(1, dtype=np.int64)
+    r, w = os.pipe()
+
+    def stop_after_40():
+        while progress[0] < 40:
+            time.sleep(1e-3)
+        os.write(w, (~25).to_bytes(8, "little", signed=True))
+
+    os.write(w, (40).to_bytes(8, "little", signed=True))
+    stopper = threading.Thread(target=stop_after_40)
+    stopper.start()
+    try:
+        blocks = dynamics._helper_blocks(table, r, progress)
+    finally:
+        stopper.join()
+        os.close(r)
+        os.close(w)
+    assert progress[0] == 40
+    cols = [f"x{j}" for j in range(12)]
+    assert b"".join(blocks).decode() == _savetxt(cols, table[:25]).split("\n", 1)[1]
+
+
+# integrate_for_csv at m = 12 and 1,000 steps: 1,001 rows of 67 fields, a
+# table that reaches FORK_FIELDS
+CSV_STATE, CSV_CFG = random_state(3, 12), IntegratorConfig(t_end=1.0, h=1e-3)
+
+
+def _csv_of(traj):
+    """to_csv's text, and the savetxt text of the trajectory's table."""
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    got = buf.getvalue()
+    table = np.column_stack([traj.ts, traj.samples.view(np.float64)])
+    return got, _savetxt(got[: got.index("\n")].split(","), table)
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+def test_csv_integration_keeps_the_samples_and_the_bytes(forks, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    plain = integrate(CSV_STATE, CSV_CFG)
+    with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
+        assert traj.samples.tobytes() == plain.samples.tobytes()
+        assert traj.ts.tobytes() == plain.ts.tobytes()
+        got, want = _csv_of(traj)
+    plain_table = np.column_stack([plain.ts, plain.samples.view(np.float64)])
+    assert got == want == _savetxt(got[: got.index("\n")].split(","), plain_table)
+    # with two CPUs the one fork is the helper's, before RK4
+    assert forks == [1] * (len(cpus) - 1)
+    assert (traj._table is None) == (len(cpus) == 1)
+
+
+# The helper dies after two blocks, or sends part of its text and exits.
+@pytest.mark.parametrize("name", HELPER_FAILURES)
+def test_helper_that_dies_beside_rk4_costs_time_not_bytes(forks, monkeypatch, name):
+    fake = HELPER_FAILURES[name]
+    if name == "_csv_blocks":
+        real, count = dynamics._csv_blocks, []
+
+        def fake(rows):
+            count.append(1)
+            return real(rows) if len(count) < 3 else _raise_in_helper()
+
+    _in_helper(monkeypatch, name, fake)
+    with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
+        got, want = _csv_of(traj)
+    assert got == want and forks == [1]
+
+
+def test_interrupt_in_the_block_hook_reaches_the_caller(forks, monkeypatch):
+    # the helper is reaped before the interrupt propagates (no_child_left)
+    real = dynamics._Helper.announce
+
+    def announce(self, rows):
+        if rows > 500:
+            raise KeyboardInterrupt
+        real(self, rows)
+
+    monkeypatch.setattr(dynamics._Helper, "announce", announce)
+    with pytest.raises(KeyboardInterrupt):
+        with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG):
+            pytest.fail("RK4 ran to the end")
+    assert forks == [1]
