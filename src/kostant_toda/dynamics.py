@@ -17,6 +17,7 @@ first sample (resolvent.closed_form_resolvent), not off the integrator.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import mmap
 import os
@@ -213,15 +214,17 @@ class Trajectory:
 
 
 # A table of at least this many fields is formatted by two processes. With
-# write_csv at about 0.15 us per field on one, fork, wait and the copy of the
-# helper's text through the pipe cost more than the helper saves at 50,000
-# fields and less from 60,000 on (alternating in-process write_csv runs to a
-# file of simulate's table cut to size, medians of three rounds of 21-31,
-# 2-core Linux box, CPython 3.11): one process against two took 7.4-8.1
-# against 7.9-9.1 ms at 50k fields, 8.7-9.4 against 8.0-8.9 ms at 60k, and
-# 51-57 against 40-43 ms for simulate's 374k. The resolvent CLI's 4,848-field
+# write_csv at about 0.15 us per field on one, fork, wait and the hand-off of
+# the helper's text cost more than the helper saves at 50,000 fields and less
+# from 60,000 on (alternating in-process write_csv runs to a file of
+# simulate's table cut to size, medians of three rounds of 21-31, 2-core
+# Linux box, CPython 3.11): one process against two took 7.4-8.1 against
+# 7.9-9.1 ms at 50k fields, 8.7-9.4 against 8.0-8.9 ms at 60k, and 51-57
+# against 40-43 ms for simulate's 374k. The resolvent CLI's 4,848-field
 # tables at --angles 4 stay serial; its 68k-field --angles 32 sweeps split,
-# 9.4-9.5 against 10.5 ms on one process.
+# 9.4-9.5 against 10.5 ms on one process. These figures were measured when
+# the helper sent its text through a 64 KiB pipe, a slower hand-off than
+# today's in-memory file; the value stands until it is measured again.
 FORK_FIELDS = 60_000
 
 # Fields per _format_fields call. Its temporaries peak near 300 bytes a
@@ -455,7 +458,8 @@ def _two_cpus() -> bool:
 
 def _forks(fields: int) -> bool:
     """Whether a table of this many fields is formatted by two processes."""
-    return fields >= FORK_FIELDS and hasattr(os, "fork") and _two_cpus()
+    return (fields >= FORK_FIELDS and hasattr(os, "fork")
+            and hasattr(os, "memfd_create") and _two_cpus())
 
 
 def write_csv(stream, columns, table, helper=None) -> None:
@@ -476,14 +480,17 @@ def write_csv(stream, columns, table, helper=None) -> None:
     (n - p) // 2: the two format at the same rate, so each takes half of
     what is left, and on a complete table the helper takes the first half.
     This process formats rows [s, n) and holds their text, writes the
-    header, copies the helper's complete lines into the stream in 64 KiB
-    chunks, then writes its own. If the helper exits non-zero or sends
-    fewer lines than it owes, this process formats the missing rows
-    itself: a failed helper costs time, never bytes. On any exception,
-    KeyboardInterrupt included, the helper is killed and reaped before the
-    exception propagates, so no process outlives the call. Smaller tables,
-    hosts without os.fork or os.sched_getaffinity, and processes allowed
-    one CPU run the same block loop over all rows here.
+    header, reaps the helper, copies the helper's text into the stream in
+    64 KiB chunks, then writes its own. If the helper exits non-zero, this
+    process formats rows [0, s) itself: a failed helper costs time, never
+    bytes. Every byte goes through stream.write, so an append-mode file and
+    a text stream's encoding and newline translation see what one process
+    writes. On any exception, KeyboardInterrupt included, the helper is
+    killed and reaped before the exception propagates, so no process
+    outlives the call. Smaller tables, hosts without os.fork,
+    os.memfd_create or os.sched_getaffinity, processes allowed one CPU, and
+    a helper that cannot be made run the same block loop over all rows
+    here.
 
     On CPython 3.12 and later, os.fork in a process that runs threads, such
     as numpy's BLAS pool, raises a DeprecationWarning; it is left
@@ -507,17 +514,18 @@ def write_csv(stream, columns, table, helper=None) -> None:
 
 class _Helper:
     """A forked process that formats the leading rows of a float table
-    while this one works on, then sends their text through a pipe.
+    while this one works on, writing their text to an anonymous in-memory
+    file (os.memfd_create) a block at a time as it goes.
 
-    This process talks to it over one pipe in 8-byte signed counts: c >= 0
+    This process talks to it over a pipe in 8-byte signed counts: c >= 0
     says that rows [0, c) are final, and the stop ~s (-1 - s) that every
     row is and that the helper's share is rows [0, s). The helper formats
-    the final rows in order, a block at a time, and after each block stores
-    how many it has formatted in a shared slot, from which finish chooses
-    s. After the stop it writes the text of its share to a second pipe and
-    exits. It only formats text and calls os.read, os.write and fcntl,
-    and it leaves by os._exit on every path, so it never flushes the
-    buffers it inherited.
+    the final rows in order, a block at a time, writes each block to the
+    file, and stores how many rows it has formatted in a shared slot, from
+    which finish chooses s. At the stop it truncates the file where row s
+    begins and exits 0. It only formats text and calls os.read, os.write,
+    os.pread, os.ftruncate and fcntl, and it leaves by os._exit on every
+    path, so it never flushes the buffers it inherited.
     """
 
     def __init__(self, table, pid, counts_fd, text_fd, progress):
@@ -527,28 +535,28 @@ class _Helper:
 
     @classmethod
     def fork(cls, table):
-        """A helper for table, or None when no process can be made."""
+        """A helper for table, or None when no process or file can be made."""
         progress = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-        counts_r, counts_w = os.pipe()
-        text_r, text_w = os.pipe()
+        fds = []
         try:
+            fds += os.pipe()
+            fds.append(os.memfd_create("csv"))
             pid = os.fork()
-        except OSError:  # no process to spare: the caller formats every row
-            for fd in (counts_r, counts_w, text_r, text_w):
+        except OSError:  # nothing to spare: the caller formats every row
+            for fd in fds:
                 os.close(fd)
             return None
+        counts_r, counts_w, text_fd = fds
         if pid == 0:
             code = 1
             try:
                 os.close(counts_w)
-                os.close(text_r)
-                _send_rows(text_w, _helper_blocks(table, counts_r, progress))
+                _helper_rows(table, counts_r, text_fd, progress)
                 code = 0
             finally:
                 os._exit(code)
         os.close(counts_r)
-        os.close(text_w)
-        return cls(table, pid, counts_w, text_r, progress)
+        return cls(table, pid, counts_w, text_fd, progress)
 
     def announce(self, rows: int) -> None:
         """Tell the helper that rows [0, rows) are final."""
@@ -565,16 +573,24 @@ class _Helper:
         self.announce(~split)
         own = list(_csv_blocks(self.table[split:]))
         stream.write(header)
-        sent = _copy_lines(self.text_fd, stream)
-        os.waitpid(self.pid, 0)
+        _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        # A failed helper sent whole lines only; the rest are formatted here.
-        _write_rows(stream.write, self.table[sent:split])
+        if status:
+            _write_rows(stream.write, self.table[:split])
+        else:
+            # one reused buffer: a new bytes object per chunk fragmented
+            # the heap once the helper ran beside RK4
+            buf = bytearray(1 << 16)
+            view, at = memoryview(buf), 0
+            while k := os.preadv(self.text_fd, [buf], at):
+                stream.write(str(view[:k], "ascii"))
+                at += k
         for block in own:
             stream.write(block.decode("ascii"))
 
     def close(self) -> None:
-        """Kill and reap the helper unless finish reaped it; close the pipes."""
+        """Kill and reap the helper unless finish reaped it; close the
+        pipe and the file."""
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
@@ -589,20 +605,24 @@ class _Helper:
         self.close()
 
 
-def _helper_blocks(table, fd, progress):
-    """The helper's text of rows [0, s) of table, in blocks, s from the stop.
+def _helper_rows(table, counts_fd, text_fd, progress) -> None:
+    """Write the helper's text of rows [0, s) of table to text_fd, s from
+    the stop.
 
-    Rows are formatted as the counts read from fd make them final, a block
-    at a time, waiting on fd only when every final row is formatted. Rows
-    begun before the stop came and formatted past it are cut off: they are
-    the other process's.
+    Rows are formatted as the counts read from counts_fd make them final,
+    a block at a time, and each block is written as soon as it is
+    formatted; the helper waits on counts_fd only when every final row is
+    formatted. Rows begun before the stop came and formatted past it are
+    the other process's: the file is cut where row s begins.
     """
     step = _block_rows(table.shape[1])
-    blocks, starts, ready, done, stop = [], [], 0, 0, None
-    while stop is None or done < stop:
-        os.set_blocking(fd, done == ready)
+    # the first row and the byte offset of each block, then the end
+    rows, offsets, ready, stop = [0], [0], 0, None
+    while stop is None or rows[-1] < stop:
+        done = rows[-1]
+        os.set_blocking(counts_fd, done == ready)
         try:
-            data = os.read(fd, 1 << 12)
+            data = os.read(counts_fd, 1 << 12)
         except BlockingIOError:
             data = None
         if data == b"":
@@ -614,56 +634,20 @@ def _helper_blocks(table, fd, progress):
                 ready = count
         hi = min(ready, done + step)
         if hi > done:
-            starts.append(done)
-            blocks.append(next(_csv_blocks(table[done:hi])))
-            done = hi
-            progress[0] = done
-    while starts and starts[-1] >= stop:
-        del starts[-1], blocks[-1]
-    if blocks and done > stop:  # the last block kept runs past the stop
-        end = 0
-        for _ in range(stop - starts[-1]):
-            end = blocks[-1].index(b"\n", end) + 1
-        blocks[-1] = blocks[-1][:end]
-    return blocks
-
-
-def _send_rows(fd, blocks) -> None:
-    """Write the helper's blocks of text to fd.
-
-    The helper writes nothing before the stop, because until then the
-    other process runs RK4, and after it that process formats its own rows
-    before it reads: text written as it was formatted would fill the 64 KiB
-    pipe within a few blocks and stall the helper while rows were left.
-    """
-    for block in blocks:
-        data = memoryview(block)
-        while data:
-            data = data[os.write(fd, data) :]
-
-
-def _copy_lines(fd, stream) -> int:
-    """Copy the complete lines read from fd until EOF to stream; their count.
-
-    Every read goes into one 64 KiB buffer. A new bytes object per read,
-    shrunk to what the pipe held, fragmented the heap: simulate-csv-t1
-    passes kept about 2 MB more of it once the helper ran beside RK4.
-    """
-    lines, tail = 0, b""
-    buf = bytearray(1 << 16)
-    view = memoryview(buf)
-    while n := os.readv(fd, [buf]):
-        cut = buf.rfind(b"\n", 0, n) + 1
-        if not cut:  # the line goes on past this chunk
-            tail += view[:n]
-            continue
-        # the line begun before, then this chunk's whole lines, decoded from
-        # the buffer: the decoding is the chunk's one copy
-        stream.write(tail.decode("ascii"))
-        stream.write(str(view[:cut], "ascii"))
-        lines += buf.count(b"\n", 0, cut)
-        tail = bytes(view[cut:n])
-    return lines
+            text = memoryview(next(_csv_blocks(table[done:hi])))
+            rows.append(hi)
+            offsets.append(offsets[-1] + len(text))
+            while text:
+                text = text[os.write(text_fd, text) :]
+            del text  # an empty slice still holds the block
+            progress[0] = hi
+    i = bisect.bisect_right(rows, stop) - 1
+    end = 0
+    if rows[i] < stop:  # block i runs past the stop
+        text = os.pread(text_fd, offsets[i + 1] - offsets[i], offsets[i])
+        for _ in range(stop - rows[i]):
+            end = text.index(b"\n", end) + 1
+    os.ftruncate(text_fd, offsets[i] + end)
 
 
 def integrate(

@@ -1,3 +1,4 @@
+import contextlib
 import os
 
 import numpy as np
@@ -17,6 +18,30 @@ def no_child_left():
         return
     pytest.fail("a child process is still running" if pid == 0 else
                 f"child process {pid} was left unreaped")
+
+
+def _open_fds():
+    """What each open file descriptor of this process refers to."""
+    fds = {}
+    for fd in os.listdir("/proc/self/fd"):
+        # the descriptor of the listing itself is closed by now
+        with contextlib.suppress(FileNotFoundError):
+            fds[fd] = os.readlink(f"/proc/self/fd/{fd}")
+    return fds
+
+
+@pytest.fixture(autouse=True)
+def no_fd_left():
+    """Fail a test that leaves a file descriptor open, such as a CSV
+    helper's file or pipe. Hosts without /proc/self/fd go unchecked."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = _open_fds()
+    yield
+    left = {fd: to for fd, to in _open_fds().items() if before.get(fd) != to}
+    if left:
+        pytest.fail(f"file descriptors left open: {left}")
 
 
 @pytest.fixture

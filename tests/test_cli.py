@@ -630,14 +630,31 @@ def test_json_stdout_matches_out_file(tmp_path, capsys, argv):
     assert out.read_bytes() == text.encode()
 
 
-def _run_fresh(argv, module="kostant_toda.cli"):
+def _run_fresh(argv, module="kostant_toda.cli", stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, so that numpy's warnings reach stderr
     as they would on the command line."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", module, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env)
+
+
+def test_simulate_appends_to_an_append_mode_stdout(tmp_path):
+    # stdout opened O_APPEND, as by `simulate ... >> f`, on which sendfile
+    # fails: the helper's text reaches it through the stream
+    out = tmp_path / "traj.csv"
+    out.write_bytes(b"earlier text\n")
+    with open(out, "ab") as fh:
+        proc = _run_fresh(["simulate", "--m", "32", "--t-end", "1", "--h", "5e-4"],
+                          stdout=fh)
+    assert proc.returncode == 0 and proc.stderr == ""
+    got = out.read_bytes()
+    assert got.startswith(b"earlier text\n")
+    csv_text = got[len(b"earlier text\n"):]
+    traj = integrate(random_state(0, 32), IntegratorConfig(t_end=1.0, h=5e-4))
+    table = np.column_stack([traj.ts, traj.samples.view(np.float64)])
+    assert csv_text == _savetxt(csv_text[: csv_text.index(b"\n")].decode(), table)
 
 
 def test_package_runs_as_the_command_line(capsys):

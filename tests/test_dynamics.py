@@ -1,5 +1,7 @@
+import errno
 import io
 import os
+import signal
 import threading
 import time
 
@@ -382,11 +384,11 @@ def _rows_formatted_here(monkeypatch):
     return calls
 
 
-def _in_helper(monkeypatch, name, fake):
-    """Run fake in place of dynamics.<name> in the helper only."""
-    parent, real = os.getpid(), getattr(dynamics, name)
+def _in_helper(monkeypatch, module, name, fake):
+    """Run fake in place of module.<name> in the helper only."""
+    parent, real = os.getpid(), getattr(module, name)
     monkeypatch.setattr(
-        dynamics, name, lambda *args: (real if os.getpid() == parent else fake)(*args)
+        module, name, lambda *args: (real if os.getpid() == parent else fake)(*args)
     )
 
 
@@ -394,29 +396,37 @@ def _raise_in_helper(*args):
     raise RuntimeError("helper failed")
 
 
-def _three_rows_and_a_half(fd, blocks):
-    text = b"".join(blocks)
+_write = os.write
+
+
+def _killed_mid_line(fd, data):
+    """Write three rows and a half of the first block, then die as a
+    process killed from outside does."""
+    text = bytes(data)
     end = 0
     for _ in range(3):
         end = text.index(b"\n", end) + 1
-    os.write(fd, text[:end] + b"1.5,2")  # a partial line, then a clean exit
+    _write(fd, text[: end + 5])
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
-HELPER_FAILURES = {"_csv_blocks": _raise_in_helper, "_send_rows": _three_rows_and_a_half}
+# where each failure is faked in the helper, and the fake
+HELPER_FAILURES = {"_csv_blocks": (dynamics, _raise_in_helper), "write": (os, _killed_mid_line)}
 
 
 # The helper owes the first 2,500 rows of 5,001 and this process formats
-# the other 2,501, then the rows the helper did not send.
-@pytest.mark.parametrize("name,finished_here", [("_csv_blocks", 2_500), ("_send_rows", 2_497)])
-def test_failed_helper_costs_time_not_bytes(forks, monkeypatch, name, finished_here):
+# the other 2,501, then the 2,500 the failed helper did not hand over.
+@pytest.mark.parametrize("name", HELPER_FAILURES)
+def test_failed_helper_costs_time_not_bytes(forks, monkeypatch, name):
     calls = _rows_formatted_here(monkeypatch)
-    _in_helper(monkeypatch, name, HELPER_FAILURES[name])
+    module, fake = HELPER_FAILURES[name]
+    _in_helper(monkeypatch, module, name, fake)
     table = _table(5_001, 12)
     cols = [f"x{j}" for j in range(12)]
     buf = io.StringIO()
     write_csv(buf, cols, table)
     assert buf.getvalue() == _savetxt(cols, table)
-    assert forks == [1] and calls == [2_501, finished_here]
+    assert forks == [1] and calls == [2_501, 2_500]
 
 
 class _BrokenStream(io.StringIO):
@@ -431,56 +441,55 @@ class _BrokenStream(io.StringIO):
         return super().write(text)
 
 
-# The stream fails at the first write of a phase: the header, the copy of
-# the helper's text, which may still block on the pipe, or this process's
-# own rows, written after the helper is reaped.
+# The stream fails at the first write of a phase: the header, written while
+# the helper formats its share, the copy of the helper's text, or this
+# process's own rows, written last.
 @pytest.mark.parametrize("phase", ["header", "copy", "rows"])
 @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()])
-def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(
-    forks, monkeypatch, exc, phase
-):
-    stream = _BrokenStream(exc, 0 if phase == "header" else 10**9)
-    real = dynamics._copy_lines
-
-    def copy_lines(fd, sink):
-        if phase == "copy":
-            sink.writes = 0
-        lines = real(fd, sink)
-        sink.writes = 0
-        return lines
-
-    monkeypatch.setattr(dynamics, "_copy_lines", copy_lines)
+def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(forks, exc, phase):
+    table, cols = _table(5_001, 12), [f"x{j}" for j in range(12)]
+    # a clean run writes the header, the copy's chunks, then the blocks of
+    # this process's rows [2500, 5001)
+    clean = _BrokenStream(None, 10**9)
+    write_csv(clean, cols, table)
+    own = len(list(dynamics._csv_blocks(table[2_500:])))
+    first = {"header": 0, "copy": 1, "rows": 10**9 - clean.writes - own}
+    assert first["rows"] > first["copy"]
     with pytest.raises(type(exc)):
-        write_csv(stream, [f"x{j}" for j in range(12)], _table(5_001, 12))
-    assert forks == [1]
+        write_csv(_BrokenStream(exc, first[phase]), cols, table)
+    assert forks == [1, 1]
 
 
 def test_helper_cuts_rows_formatted_past_the_stop(monkeypatch):
     # the stop comes after the helper has formatted rows [0, 40) in blocks
-    # of 10: it drops the block [30, 40), keeps rows [20, 25) of the block
-    # before, and reports 40 formatted
+    # of 10: it cuts its file where row s begins, inside the block [20, 30),
+    # on the edge of the block [30, 40), or at the end, and reports 40
+    # formatted
     monkeypatch.setattr(dynamics, "_BLOCK_FIELDS", 120)
     table = _table(100, 12)
-    progress = np.zeros(1, dtype=np.int64)
-    r, w = os.pipe()
-
-    def stop_after_40():
-        while progress[0] < 40:
-            time.sleep(1e-3)
-        os.write(w, (~25).to_bytes(8, "little", signed=True))
-
-    os.write(w, (40).to_bytes(8, "little", signed=True))
-    stopper = threading.Thread(target=stop_after_40)
-    stopper.start()
-    try:
-        blocks = dynamics._helper_blocks(table, r, progress)
-    finally:
-        stopper.join()
-        os.close(r)
-        os.close(w)
-    assert progress[0] == 40
     cols = [f"x{j}" for j in range(12)]
-    assert b"".join(blocks).decode() == _savetxt(cols, table[:25]).split("\n", 1)[1]
+    for stop in (25, 30, 40):
+        progress = np.zeros(1, dtype=np.int64)
+        r, w = os.pipe()
+        text_fd = os.memfd_create("rows")
+
+        def stop_after_40():
+            while progress[0] < 40:
+                time.sleep(1e-3)
+            os.write(w, (~stop).to_bytes(8, "little", signed=True))
+
+        os.write(w, (40).to_bytes(8, "little", signed=True))
+        stopper = threading.Thread(target=stop_after_40)
+        stopper.start()
+        try:
+            dynamics._helper_rows(table, r, text_fd, progress)
+            text = os.pread(text_fd, 1 << 20, 0)
+        finally:
+            stopper.join()
+            for fd in (r, w, text_fd):
+                os.close(fd)
+        assert progress[0] == 40
+        assert text.decode() == _savetxt(cols, table[:stop]).split("\n", 1)[1]
 
 
 # integrate_for_csv at m = 12 and 1,000 steps: 1,001 rows of 67 fields, a
@@ -512,10 +521,10 @@ def test_csv_integration_keeps_the_samples_and_the_bytes(forks, monkeypatch, cpu
     assert (traj._table is None) == (len(cpus) == 1)
 
 
-# The helper dies after two blocks, or sends part of its text and exits.
+# The helper dies after two blocks, or is killed after writing part of a line.
 @pytest.mark.parametrize("name", HELPER_FAILURES)
 def test_helper_that_dies_beside_rk4_costs_time_not_bytes(forks, monkeypatch, name):
-    fake = HELPER_FAILURES[name]
+    module, fake = HELPER_FAILURES[name]
     if name == "_csv_blocks":
         real, count = dynamics._csv_blocks, []
 
@@ -523,10 +532,54 @@ def test_helper_that_dies_beside_rk4_costs_time_not_bytes(forks, monkeypatch, na
             count.append(1)
             return real(rows) if len(count) < 3 else _raise_in_helper()
 
-    _in_helper(monkeypatch, name, fake)
+    _in_helper(monkeypatch, module, name, fake)
     with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
         got, want = _csv_of(traj)
     assert got == want and forks == [1]
+
+
+@pytest.mark.parametrize(
+    "open_args", [{"mode": "a"}, {"mode": "w", "newline": "\r\n"}], ids=["append", "crlf"]
+)
+def test_forked_csv_goes_through_the_stream(forks, monkeypatch, tmp_path, open_args):
+    # to_csv of a forked table writes what the serial path writes through
+    # the same stream: an append-mode file keeps its text, and a newline
+    # setting translates every line
+    def to_csv(traj, name):
+        path = tmp_path / name
+        path.write_text("earlier text\n")
+        with open(path, **open_args) as fh:
+            traj.to_csv(fh)
+        return path.read_bytes()
+
+    with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
+        forked = to_csv(traj, "forked.csv")
+        # the helper is spent: on one CPU the same table is written serially
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = to_csv(traj, "serial.csv")
+    assert forked == serial and forks == [1]
+    if open_args["mode"] == "a":
+        assert forked.startswith(b"earlier text\nt,")
+    else:
+        assert forked.count(b"\r\n") == forked.count(b"\n") == 1_002
+
+
+@pytest.mark.parametrize("refusal", ["raises", "missing"])
+def test_no_memfd_to_spare_writes_serially(forks, monkeypatch, refusal):
+    def memfd_create(name, flags=0):
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    if refusal == "raises":
+        monkeypatch.setattr(os, "memfd_create", memfd_create)
+    else:
+        monkeypatch.delattr(os, "memfd_create")
+    table, cols = _table(5_001, 12), [f"x{j}" for j in range(12)]
+    buf = io.StringIO()
+    write_csv(buf, cols, table)
+    assert buf.getvalue() == _savetxt(cols, table)
+    with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
+        got, want = _csv_of(traj)
+    assert got == want and forks == []
 
 
 def test_interrupt_in_the_block_hook_reaches_the_caller(forks, monkeypatch):
