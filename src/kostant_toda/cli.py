@@ -26,14 +26,8 @@ import sys
 import numpy as np
 
 from .core import LatticeState, random_state
-from .dynamics import (
-    CNearZeroError,
-    CorruptionSpec,
-    IntegratorConfig,
-    integrate,
-    integrate_for_csv,
-    write_csv,
-)
+from .csvio import integrate_for_csv, write_csv
+from .dynamics import CNearZeroError, CorruptionSpec, IntegratorConfig, integrate
 from .moments import (
     SeriesCapError,
     exponential_moments,

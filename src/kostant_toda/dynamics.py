@@ -17,11 +17,6 @@ first sample (resolvent.closed_form_resolvent), not off the integrator.
 
 from __future__ import annotations
 
-import bisect
-import contextlib
-import mmap
-import os
-import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +155,7 @@ class Trajectory:
         self.ts = t0 + h * np.arange(samples.shape[0])
         self.a, self.b, self.c = (x.T for x in backends.unpack_bands(samples.T, m))
         # the CSV table whose columns after t are samples, and the helper
-        # formatting it, when integrate_for_csv made them
+        # formatting it, when csvio.integrate_for_csv made them
         self._table = self._helper = None
 
     @property
@@ -200,454 +195,9 @@ class Trajectory:
 
     def to_csv(self, stream) -> None:
         """Write t, Re/Im of every band entry to a text stream, one row per sample."""
-        m = self.m
-        cols = ["t"]
-        for name, count in (("a", m), ("b", m - 1), ("c", m - 2)):
-            for n in range(1, count + 1):
-                cols += [f"{name}{n}_re", f"{name}{n}_im"]
-        table = self._table
-        if table is None:
-            bands = self.samples.view(np.float64)  # re, im interleaved
-            table = np.column_stack([self.ts, bands])
-        helper, self._helper = self._helper, None  # a helper finishes once
-        write_csv(stream, cols, table, helper)
+        from .csvio import write_trajectory  # csvio imports this module
 
-
-# A table of at least this many fields is formatted by two processes. With
-# write_csv at about 0.15 us per field on one, fork, wait and the hand-off of
-# the helper's text cost more than the helper saves at 50,000 fields and less
-# from 60,000 on (alternating in-process write_csv runs to a file of
-# simulate's table cut to size, medians of three rounds of 21-31, 2-core
-# Linux box, CPython 3.11): one process against two took 7.4-8.1 against
-# 7.9-9.1 ms at 50k fields, 8.7-9.4 against 8.0-8.9 ms at 60k, and 51-57
-# against 40-43 ms for simulate's 374k. The resolvent CLI's 4,848-field
-# tables at --angles 4 stay serial; its 68k-field --angles 32 sweeps split,
-# 9.4-9.5 against 10.5 ms on one process. These figures were measured when
-# the helper sent its text through a 64 KiB pipe, a slower hand-off than
-# today's in-memory file; the value stands until it is measured again.
-FORK_FIELDS = 60_000
-
-# Fields per _format_fields call. Its temporaries peak near 300 bytes a
-# field, so a block of 8,192 takes about 2.4 MB, close to a core's 2 MiB L2
-# on the 2-core Xeon this was measured on (lscpu's 4 MiB is both cores').
-# Forked to_csv of simulate's table (m = 32, 2,001 rows, before the helper
-# ran beside RK4) took a median of 77, 71, 67, 67 and 88 ms at 2k, 4k, 8k,
-# 16k and 32k fields per block over 15 alternating in-process rounds at
-# seed 7, and perfbench's simulate-csv-t1 wall_rel went from 7.84 to 7.28
-# with 8k (medians of 8 alternating pairs at seed 7, 6 won).
-_BLOCK_FIELDS = 8192
-
-# Decimal exponents X whose fields _format_fields decides itself: |X| <= 99,
-# so the exponent form has two exponent digits.
-_X_MAX = 99
-_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
-# Half less the margin a decided fraction keeps from a tie.
-_TIE = 0.5 - 2.0**-30
-
-
-def _veltkamp(v):
-    """Split doubles v into head + tail, each of at most 26 significant bits."""
-    t = v * _SPLIT
-    head = t - (t - v)
-    return head, v - head
-
-
-def _pow10_pairs():
-    """(hi, lo, head, tail) of 10^q, q = 16 - X for X = -_X_MAX.._X_MAX.
-
-    hi is 10^q rounded to a double and lo the rounded remainder 10^q - hi,
-    both from exact integer arithmetic (int to float and int / int round
-    correctly), so hi + lo is 10^q to a relative 2^-106; head and tail
-    split hi for Dekker's product.
-    """
-    hi, lo = [], []
-    for q in range(16 + _X_MAX, 15 - _X_MAX, -1):
-        if q >= 0:
-            n = 10**q
-            hi.append(float(n))
-            lo.append(float(n - int(hi[-1])))
-        else:
-            d = 10**-q
-            hi.append(1 / d)
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * d) / (d * den))
-    hi = np.array(hi)
-    return (hi, np.array(lo), *_veltkamp(hi))
-
-
-def _templates():
-    """Field templates by X (rows X + _X_MAX without the point, the next
-    2 _X_MAX + 1 rows with it) and the digits each X never strips.
-
-    A field is 44 cells: sign, five for %g's "0.000" prefix, 17 digits
-    with a point cell after each of the first 16, four for "e+XX", and the
-    separator. Unused cells hold 0.
-    """
-    xs = range(-_X_MAX, _X_MAX + 1)
-    cells = np.zeros((2, len(xs), 44), dtype=np.uint8)
-    int_digits = np.ones(len(xs), dtype=np.uint8)
-    for i, x in enumerate(xs):
-        if -4 <= x < 0:
-            cells[:, i, 1 : 2 - x] = np.frombuffer(b"0." + b"0" * (-1 - x), np.uint8)
-        elif 0 <= x < 17:
-            int_digits[i] = x + 1
-            if x < 16:
-                cells[1, i, 7 + 2 * x] = ord(".")
-        else:
-            cells[1, i, 7] = ord(".")
-            cells[:, i, 39:43] = np.frombuffer(b"e%+03d" % x, np.uint8)
-    return cells.reshape(-1, 44), int_digits
-
-
-def _digit_tables():
-    """The text of 0..9999 as four digits, one uint32 each, and at
-    j * 10,000 + g the digits of group j (digits 4j+1..4j+4 of 17) of value
-    g up to its last nonzero one: 0 when g is 0."""
-    g = np.arange(10_000.0)
-    text = np.empty((g.size, 4), dtype=np.uint8)
-    sig = np.zeros(g.size, dtype=np.intp)
-    for i, d in enumerate((1000.0, 100.0, 10.0, 1.0)):
-        digit = (np.floor(g / d) - 10 * np.floor(g / (10 * d))).astype(np.intp)
-        text[:, i] = digit + ord("0")
-        sig[digit > 0] = i + 1
-    last = np.zeros((4, g.size), dtype=np.uint8)
-    for j in range(4):
-        last[j] = np.where(sig > 0, sig + 4 * j + 1, 0)
-    return text.view(np.uint32).ravel(), last.ravel()
-
-
-_HI, _LO, _HI_HEAD, _HI_TAIL = _pow10_pairs()
-_TEMPLATES, _INT_DIGITS = _templates()
-_DIGITS4, _LAST = _digit_tables()
-# the first 43 cells of the fields inf, -inf and nan
-_NONFINITE = np.array([list(t.ljust(43, b"\0")) for t in (b"inf", b"-inf", b"nan")],
-                      dtype=np.uint8)
-_GROUP_BASE = np.array([0, 10_000, 20_000, 30_000])
-# for k = 0..17 digits kept of 17, the masks of the bytes kept in the
-# little-endian words of digits 1..8 and 9..16
-_KEEP_BYTES = np.array(
-    [[(1 << 8 * min(max(k - j, 0), 8)) - 1 for j in (1, 9)] for k in range(18)],
-    dtype="<u8",
-)
-
-
-def _format_fields(x, sep) -> bytes:
-    """The text of '%.17g' % x[i] + chr(sep[i]) for every i, joined, for
-    doubles x and separator bytes sep; byte for byte that of %.
-
-    Digits. With X the estimate floor(log10 |x|), q = 16 - X and 10^q =
-    hi + lo (_pow10_pairs), v = |x| 10^q is formed as p + r: Dekker's exact
-    product |x| hi = p + e (Numer. Math. 18, 1971) and r = e + |x| lo. The
-    error of p + r is at most about 2^-104 v, so 2^-47 for v < 2^57. The
-    17 digits N = round(v) are decided, as p + floor(r + 0.5), only when
-    p lies in (10^16 + 64, 10^17 - 64), which proves that X is exact and
-    N has 17 digits, and the fraction r - floor(r + 0.5) is farther than
-    2^-30 from -1/2 and 1/2, which proves the rounding. Every other field
-    is written by '%.17g' % x itself, as Grisu3 leaves the cases it cannot
-    decide to an exact algorithm (Loitsch, PLDI 2010): subnormal and
-    |X| > 99 fields, near ties, powers of ten (v = 10^16, on the window's
-    edge) and an estimate off by one near them. So the text is exact
-    whenever the error bound holds. +-0, +-inf and nan are written from
-    templates, as % writes them: "0", "-0", "inf", "-inf", and "nan"
-    whatever its sign bit. A field left to % costs 0.35-0.55 us against
-    about 0.17 us.
-
-    Text, as %g: fixed form for -4 <= X < 17 with trailing zeros and a
-    bare point removed, else d.ddd then e and a signed exponent of at
-    least two digits; "-" when the sign bit is set. Each field fills one
-    44-cell template (_templates), its digits coming four at a time from
-    _DIGITS4, and bytes.translate squeezes out the unused 0 cells.
-    """
-    n = x.size
-    a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = np.floor(np.log10(a))
-    fast = np.abs(est) <= _X_MAX
-    xi = (np.where(fast, est, 0.0) + _X_MAX).astype(np.intp)
-    # the other fields go through as 1: 0 comes out as the digit 1, which
-    # the first digit cell lowers to 0, and the rest are written by %
-    a = np.where(fast, a, 1.0)
-    a_head, a_tail = _veltkamp(a)
-    head, tail = _HI_HEAD.take(xi), _HI_TAIL.take(xi)
-    p = a * _HI.take(xi)
-    r = (((a_head * head - p) + a_head * tail) + a_tail * head) + a_tail * tail
-    r += a * _LO.take(xi)
-    k = np.floor(r + 0.5)
-    decided = fast & (np.abs(p - 5.5e16) < 4.5e16 - 64) & (np.abs(r - k) < _TIE)
-    # N = p + k as its first digit and four groups of four, in exact float
-    # operations: p / 1e8 may round up to the next integer, which the carry
-    # mends, every other floor of a quotient is exact, each product of such
-    # a floor and a power of ten has at most 53 significant bits, and each
-    # difference is an integer below 2^53
-    high = np.floor(p / 1e8)
-    low = p - high * 1e8 + k
-    carry = np.floor(low / 1e8)
-    high += carry
-    low -= carry * 1e8
-    digits = np.empty((n, 5))
-    digits[:, 0] = np.floor(high / 1e8)
-    high -= digits[:, 0] * 1e8
-    digits[:, 1] = np.floor(high / 1e4)
-    digits[:, 2] = high - digits[:, 1] * 1e4
-    digits[:, 3] = np.floor(low / 1e4)
-    digits[:, 4] = low - digits[:, 3] * 1e4
-    digits = digits.astype(np.intp)
-    lead, groups = digits[:, 0], digits[:, 1:]
-    last = _LAST.take(groups + _GROUP_BASE)
-    kept = np.maximum(np.maximum(last[:, 0], last[:, 1]), np.maximum(last[:, 2], last[:, 3]))
-    int_digits = _INT_DIGITS.take(xi)
-    np.maximum(kept, int_digits, out=kept)
-    words = _DIGITS4.take(groups).view("<u8")  # digits 1..8 and 9..16
-    words &= _KEEP_BYTES.take(kept, axis=0)
-    zero = x == 0
-    finite = np.isfinite(x)
-    # the template with the point when a digit after it is kept
-    out = _TEMPLATES.take(xi + (kept > int_digits) * (2 * _X_MAX + 1), axis=0)
-    out[:, 0] = np.signbit(x) * ord("-")
-    out[:, 6] = lead + ord("0") - zero
-    out[:, 8:39:2] = words.view(np.uint8)
-    out[:, 43] = sep
-    special = np.flatnonzero(~finite)
-    if special.size:
-        v = x[special]
-        out[special, :43] = _NONFINITE.take(np.where(np.isnan(v), 2, np.signbit(v)), axis=0)
-    # each field left to % keeps only its separator and a 1 that marks it
-    others = np.flatnonzero(~(decided | zero) & finite)
-    out[others, :43] = 0
-    out[others, 0] = 1
-    text = out.tobytes().translate(None, b"\0")
-    if not others.size:
-        return text
-    pieces = [None] * (2 * others.size + 1)
-    pieces[0::2] = text.split(b"\1")
-    pieces[1::2] = [b"%.17g" % v for v in x[others].tolist()]
-    return b"".join(pieces)
-
-
-def _block_rows(n_cols):
-    """Rows per block of a table n_cols wide: about _BLOCK_FIELDS fields."""
-    return max(1, _BLOCK_FIELDS // max(1, n_cols))
-
-
-def _csv_blocks(rows):
-    """The CSV lines of the float rows (n, k) as bytes, about _BLOCK_FIELDS
-    fields per block."""
-    n_rows, n_cols = rows.shape
-    step = _block_rows(n_cols)
-    sep = np.full((step, n_cols), ord(","), dtype=np.uint8)
-    sep[:, -1] = ord("\n")
-    sep = sep.ravel()
-    for lo in range(0, n_rows, step):
-        fields = rows[lo : lo + step].ravel()
-        yield _format_fields(fields, sep[: fields.size])
-
-
-def _write_rows(write, rows) -> None:
-    """Write the CSV lines of the float rows (n, k) to write, as str."""
-    for block in _csv_blocks(rows):
-        write(block.decode("ascii"))
-        # one block alive at a time: holding it while the next is formatted
-        # raised resolvent-neumann's peak RSS by 3 MB
-        del block
-
-
-def _two_cpus() -> bool:
-    """Whether this process may run on more than one CPU."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-
-
-def _forks(fields: int) -> bool:
-    """Whether a table of this many fields is formatted by two processes."""
-    return (fields >= FORK_FIELDS and hasattr(os, "fork")
-            and hasattr(os, "memfd_create") and _two_cpus())
-
-
-def write_csv(stream, columns, table, helper=None) -> None:
-    """Write a float table as CSV to a text stream: a header line, then
-    %.17g per field.
-
-    %.17g round-trips every double exactly. The fields are formatted a
-    block of rows at a time by _format_fields, a numpy kernel whose text is
-    byte for byte that of %, at about 0.25 us per field on one core with
-    the writes (simulate's 374,187-field table in 94 ms), against 0.8-1.0
-    us for % on each row's Python floats (200,000 normal values).
-
-    A table of FORK_FIELDS or more is formatted on two cores. helper is
-    then a _Helper that has been formatting the rows of table as they
-    became final (integrate_for_csv forks it before RK4), or None, and one
-    is forked here with every row final. This process reads how many rows
-    the helper has formatted, p, and leaves it rows [0, s) with s = p +
-    (n - p) // 2: the two format at the same rate, so each takes half of
-    what is left, and on a complete table the helper takes the first half.
-    This process formats rows [s, n) and holds their text, writes the
-    header, reaps the helper, copies the helper's text into the stream in
-    64 KiB chunks, then writes its own. If the helper exits non-zero, this
-    process formats rows [0, s) itself: a failed helper costs time, never
-    bytes. Every byte goes through stream.write, so an append-mode file and
-    a text stream's encoding and newline translation see what one process
-    writes. On any exception, KeyboardInterrupt included, the helper is
-    killed and reaped before the exception propagates, so no process
-    outlives the call. Smaller tables, hosts without os.fork,
-    os.memfd_create or os.sched_getaffinity, processes allowed one CPU, and
-    a helper that cannot be made run the same block loop over all rows
-    here.
-
-    On CPython 3.12 and later, os.fork in a process that runs threads, such
-    as numpy's BLAS pool, raises a DeprecationWarning; it is left
-    unsilenced. The helper runs no code that could meet a lock held by such
-    a thread. This path is tested on CPython 3.11; 3.12 is untested.
-
-    Opening a file is the caller's (cli._emit). Kept out of __all__ so that
-    tracers time it as part of its caller.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    header = ",".join(columns) + "\n"
-    if helper is None and _forks(table.size):
-        helper = _Helper.fork(table)
-    if helper is None:
-        stream.write(header)
-        _write_rows(stream.write, table)
-        return
-    with helper:
-        helper.finish(stream, header)
-
-
-class _Helper:
-    """A forked process that formats the leading rows of a float table
-    while this one works on, writing their text to an anonymous in-memory
-    file (os.memfd_create) a block at a time as it goes.
-
-    This process talks to it over a pipe in 8-byte signed counts: c >= 0
-    says that rows [0, c) are final, and the stop ~s (-1 - s) that every
-    row is and that the helper's share is rows [0, s). The helper formats
-    the final rows in order, a block at a time, writes each block to the
-    file, and stores how many rows it has formatted in a shared slot, from
-    which finish chooses s. At the stop it truncates the file where row s
-    begins and exits 0. It only formats text and calls os.read, os.write,
-    os.pread, os.ftruncate and fcntl, and it leaves by os._exit on every
-    path, so it never flushes the buffers it inherited.
-    """
-
-    def __init__(self, table, pid, counts_fd, text_fd, progress):
-        self.table, self.pid, self.progress = table, pid, progress
-        self.counts_fd, self.text_fd = counts_fd, text_fd
-        self._open = [counts_fd, text_fd]
-
-    @classmethod
-    def fork(cls, table):
-        """A helper for table, or None when no process or file can be made."""
-        progress = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-        fds = []
-        try:
-            fds += os.pipe()
-            fds.append(os.memfd_create("csv"))
-            pid = os.fork()
-        except OSError:  # nothing to spare: the caller formats every row
-            for fd in fds:
-                os.close(fd)
-            return None
-        counts_r, counts_w, text_fd = fds
-        if pid == 0:
-            code = 1
-            try:
-                os.close(counts_w)
-                _helper_rows(table, counts_r, text_fd, progress)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(counts_r)
-        return cls(table, pid, counts_w, text_fd, progress)
-
-    def announce(self, rows: int) -> None:
-        """Tell the helper that rows [0, rows) are final."""
-        # a helper that is gone already owes rows that finish formats
-        with contextlib.suppress(BrokenPipeError):
-            os.write(self.counts_fd, rows.to_bytes(8, "little", signed=True))
-
-    def finish(self, stream, header) -> None:
-        """Stop the helper and write header and every row to stream: the
-        helper's rows [0, s), then this process's rows [s, n)."""
-        n = len(self.table)
-        p = int(self.progress[0])
-        split = p + (n - p) // 2
-        self.announce(~split)
-        own = list(_csv_blocks(self.table[split:]))
-        stream.write(header)
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status:
-            _write_rows(stream.write, self.table[:split])
-        else:
-            # one reused buffer: a new bytes object per chunk fragmented
-            # the heap once the helper ran beside RK4
-            buf = bytearray(1 << 16)
-            view, at = memoryview(buf), 0
-            while k := os.preadv(self.text_fd, [buf], at):
-                stream.write(str(view[:k], "ascii"))
-                at += k
-        for block in own:
-            stream.write(block.decode("ascii"))
-
-    def close(self) -> None:
-        """Kill and reap the helper unless finish reaped it; close the
-        pipe and the file."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        while self._open:
-            os.close(self._open.pop())
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-def _helper_rows(table, counts_fd, text_fd, progress) -> None:
-    """Write the helper's text of rows [0, s) of table to text_fd, s from
-    the stop.
-
-    Rows are formatted as the counts read from counts_fd make them final,
-    a block at a time, and each block is written as soon as it is
-    formatted; the helper waits on counts_fd only when every final row is
-    formatted. Rows begun before the stop came and formatted past it are
-    the other process's: the file is cut where row s begins.
-    """
-    step = _block_rows(table.shape[1])
-    # the first row and the byte offset of each block, then the end
-    rows, offsets, ready, stop = [0], [0], 0, None
-    while stop is None or rows[-1] < stop:
-        done = rows[-1]
-        os.set_blocking(counts_fd, done == ready)
-        try:
-            data = os.read(counts_fd, 1 << 12)
-        except BlockingIOError:
-            data = None
-        if data == b"":
-            raise EOFError("the counts ended before the stop")
-        for count in np.frombuffer(data or b"", dtype="<i8").tolist():
-            if count < 0:
-                ready = stop = ~count
-            else:
-                ready = count
-        hi = min(ready, done + step)
-        if hi > done:
-            text = memoryview(next(_csv_blocks(table[done:hi])))
-            rows.append(hi)
-            offsets.append(offsets[-1] + len(text))
-            while text:
-                text = text[os.write(text_fd, text) :]
-            del text  # an empty slice still holds the block
-            progress[0] = hi
-    i = bisect.bisect_right(rows, stop) - 1
-    end = 0
-    if rows[i] < stop:  # block i runs past the stop
-        text = os.pread(text_fd, offsets[i + 1] - offsets[i], offsets[i])
-        for _ in range(stop - rows[i]):
-            end = text.index(b"\n", end) + 1
-    os.ftruncate(text_fd, offsets[i] + end)
+        write_trajectory(self, stream)
 
 
 def integrate(
@@ -678,52 +228,6 @@ def _integrate(state, cfg, corruption, **rows) -> Trajectory:
         c_min = float(np.min(np.abs(c)))
         raise CNearZeroError(state.t + status * cfg.h, status, c_min)
     return Trajectory(samples, state.m, cfg.h, state.t)
-
-
-@contextlib.contextmanager
-def integrate_for_csv(state, cfg, corruption=None):
-    """integrate(state, cfg, corruption) for a caller that writes the
-    trajectory's CSV: yields the Trajectory, whose to_csv writes the bytes
-    it writes for integrate's.
-
-    When the table, n_steps + 1 rows of 1 + 2 (3m - 3) fields, is one that
-    write_csv formats on two processes, it is laid out before RK4 in an
-    anonymous mapping shared with a helper forked then, the samples being
-    its columns after t. RK4 announces each block of FLOOR_BLOCK rows that
-    passes the floor test, the helper formats it while RK4 goes on, and
-    to_csv finishes the table. A table too big to store raises ValueError
-    before anything is allocated. Leaving the block on any path, an abort
-    or a KeyboardInterrupt included, kills and reaps a helper that to_csv
-    has not finished. Kept out of __all__, as write_csv.
-    """
-    n_rows, L = cfg.n_steps + 1, 3 * state.m - 3
-    width = 1 + 2 * L
-    if not _forks(n_rows * width):
-        yield _integrate(state, cfg, corruption)
-        return
-    try:
-        table = mmap.mmap(-1, 8 * n_rows * width)
-    except (OSError, OverflowError) as exc:
-        raise ValueError(
-            f"cannot store the trajectory: samples of shape {(n_rows, L)} and "
-            f"their times take {8 * n_rows * width} bytes: {exc}"
-        ) from None
-    table = np.frombuffer(table, dtype=np.float64).reshape(n_rows, width)
-    table[:, 0] = state.t + cfg.h * np.arange(n_rows)
-    helper = _Helper.fork(table)
-    traj = None
-    try:
-        traj = _integrate(
-            state, cfg, corruption, out=table[:, 1:].view(np.complex128),
-            on_rows=None if helper is None else helper.announce,
-        )
-        traj._table, traj._helper = table, helper
-        yield traj
-    finally:
-        if traj is not None:
-            traj._helper = None  # a later to_csv formats the table afresh
-        if helper is not None:
-            helper.close()
 
 
 def central_diff(values, h: float):

@@ -128,7 +128,7 @@ def test_overflowing_kernel_is_the_frozen_loop_bit_for_bit(seed, step):
 @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c and c.kind)
 def test_strided_out_and_block_hook_keep_the_samples(corruption):
     # the sample columns of a CSV table after its t column, as
-    # dynamics.integrate_for_csv lays them out
+    # csvio.integrate_for_csv lays them out
     st = random_state(830, 12)
     y0 = pack_state(st.a, st.b, st.c)
     want, _ = backends.rk4_trajectory(y0, 12, 130, 1e-3, corruption)

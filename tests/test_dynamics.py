@@ -21,9 +21,9 @@ from kostant_toda import (
     norm_bound,
     random_state,
 )
-from kostant_toda import dynamics
+from kostant_toda import csvio
 from kostant_toda.core import expm
-from kostant_toda.dynamics import write_csv
+from kostant_toda.csvio import write_csv
 
 
 def test_rhs_hand_value(unit_instance):
@@ -297,7 +297,7 @@ def test_field_kernel_is_17g_byte_for_byte():
     row_fmt = ",".join(["%.17g"] * 8) + "\n"
     want = "".join(row_fmt % tuple(row) for row in table.tolist())
     parts = []
-    dynamics._write_rows(parts.append, table)
+    csvio._write_rows(parts.append, table)
     got = "".join(parts)
     if got != want:
         bad = [(w, g) for w, g in zip(want.split("\n"), got.split("\n")) if w != g]
@@ -355,8 +355,8 @@ def test_two_process_write_csv_is_savetxt_byte_for_byte(forks, tmp_path, shape, 
             write_csv(fh, cols, table)
         got = path.read_text()
     assert got == _savetxt(cols, table)
-    assert len(forks) == (table.size >= dynamics.FORK_FIELDS)
-    assert dynamics.FORK_FIELDS == 60_000  # the sizes above straddle it
+    assert len(forks) == (table.size >= csvio.FORK_FIELDS)
+    assert csvio.FORK_FIELDS == 60_000  # the sizes above straddle it
 
 
 def test_no_process_to_spare_writes_serially(monkeypatch):
@@ -373,14 +373,14 @@ def test_no_process_to_spare_writes_serially(monkeypatch):
 
 def _rows_formatted_here(monkeypatch):
     """The row count of each _csv_blocks call this process makes."""
-    parent, real, calls = os.getpid(), dynamics._csv_blocks, []
+    parent, real, calls = os.getpid(), csvio._csv_blocks, []
 
     def blocks(rows):
         if os.getpid() == parent:
             calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(dynamics, "_csv_blocks", blocks)
+    monkeypatch.setattr(csvio, "_csv_blocks", blocks)
     return calls
 
 
@@ -411,7 +411,7 @@ def _killed_mid_line(fd, data):
 
 
 # where each failure is faked in the helper, and the fake
-HELPER_FAILURES = {"_csv_blocks": (dynamics, _raise_in_helper), "write": (os, _killed_mid_line)}
+HELPER_FAILURES = {"_csv_blocks": (csvio, _raise_in_helper), "write": (os, _killed_mid_line)}
 
 
 # The helper owes the first 2,500 rows of 5,001 and this process formats
@@ -452,7 +452,7 @@ def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(forks, exc, p
     # this process's rows [2500, 5001)
     clean = _BrokenStream(None, 10**9)
     write_csv(clean, cols, table)
-    own = len(list(dynamics._csv_blocks(table[2_500:])))
+    own = len(list(csvio._csv_blocks(table[2_500:])))
     first = {"header": 0, "copy": 1, "rows": 10**9 - clean.writes - own}
     assert first["rows"] > first["copy"]
     with pytest.raises(type(exc)):
@@ -465,7 +465,7 @@ def test_helper_cuts_rows_formatted_past_the_stop(monkeypatch):
     # of 10: it cuts its file where row s begins, inside the block [20, 30),
     # on the edge of the block [30, 40), or at the end, and reports 40
     # formatted
-    monkeypatch.setattr(dynamics, "_BLOCK_FIELDS", 120)
+    monkeypatch.setattr(csvio, "_BLOCK_FIELDS", 120)
     table = _table(100, 12)
     cols = [f"x{j}" for j in range(12)]
     for stop in (25, 30, 40):
@@ -482,7 +482,7 @@ def test_helper_cuts_rows_formatted_past_the_stop(monkeypatch):
         stopper = threading.Thread(target=stop_after_40)
         stopper.start()
         try:
-            dynamics._helper_rows(table, r, text_fd, progress)
+            csvio._helper_rows(table, r, text_fd, progress)
             text = os.pread(text_fd, 1 << 20, 0)
         finally:
             stopper.join()
@@ -510,7 +510,7 @@ def _csv_of(traj):
 def test_csv_integration_keeps_the_samples_and_the_bytes(forks, monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     plain = integrate(CSV_STATE, CSV_CFG)
-    with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
+    with csvio.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
         assert traj.samples.tobytes() == plain.samples.tobytes()
         assert traj.ts.tobytes() == plain.ts.tobytes()
         got, want = _csv_of(traj)
@@ -526,14 +526,14 @@ def test_csv_integration_keeps_the_samples_and_the_bytes(forks, monkeypatch, cpu
 def test_helper_that_dies_beside_rk4_costs_time_not_bytes(forks, monkeypatch, name):
     module, fake = HELPER_FAILURES[name]
     if name == "_csv_blocks":
-        real, count = dynamics._csv_blocks, []
+        real, count = csvio._csv_blocks, []
 
         def fake(rows):
             count.append(1)
             return real(rows) if len(count) < 3 else _raise_in_helper()
 
     _in_helper(monkeypatch, module, name, fake)
-    with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
+    with csvio.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
         got, want = _csv_of(traj)
     assert got == want and forks == [1]
 
@@ -552,7 +552,7 @@ def test_forked_csv_goes_through_the_stream(forks, monkeypatch, tmp_path, open_a
             traj.to_csv(fh)
         return path.read_bytes()
 
-    with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
+    with csvio.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
         forked = to_csv(traj, "forked.csv")
         # the helper is spent: on one CPU the same table is written serially
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -577,22 +577,22 @@ def test_no_memfd_to_spare_writes_serially(forks, monkeypatch, refusal):
     buf = io.StringIO()
     write_csv(buf, cols, table)
     assert buf.getvalue() == _savetxt(cols, table)
-    with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
+    with csvio.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
         got, want = _csv_of(traj)
     assert got == want and forks == []
 
 
 def test_interrupt_in_the_block_hook_reaches_the_caller(forks, monkeypatch):
     # the helper is reaped before the interrupt propagates (no_child_left)
-    real = dynamics._Helper.announce
+    real = csvio._Helper.announce
 
     def announce(self, rows):
         if rows > 500:
             raise KeyboardInterrupt
         real(self, rows)
 
-    monkeypatch.setattr(dynamics._Helper, "announce", announce)
+    monkeypatch.setattr(csvio._Helper, "announce", announce)
     with pytest.raises(KeyboardInterrupt):
-        with dynamics.integrate_for_csv(CSV_STATE, CSV_CFG):
+        with csvio.integrate_for_csv(CSV_STATE, CSV_CFG):
             pytest.fail("RK4 ran to the end")
     assert forks == [1]
