@@ -1,16 +1,9 @@
-"""CSV text of float tables: the %.17g field kernel and the writer.
-
-write_csv formats a float table a block of rows at a time by
-_format_fields, whose text is byte for byte that of '%.17g' % x. A table
-of FORK_FIELDS or more is formatted on two cores, by this process and a
-forked _Helper. integrate_for_csv runs the flow into a table shared with
-such a helper, which formats the rows while RK4 goes on. The flow itself
-is dynamics'; Trajectory.to_csv calls write_trajectory.
-"""
+"""CSV text of float tables (write_csv) and of trajectories
+(write_trajectory, behind Trajectory.to_csv, and integrate_for_csv),
+formatted by a %.17g kernel on one core or, with a forked helper, two."""
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import mmap
 import os
@@ -21,18 +14,17 @@ import numpy as np
 from .dynamics import _integrate
 
 
-# A table of at least this many fields is formatted by two processes. With
-# write_csv at about 0.15 us per field on one, fork, wait and the hand-off of
-# the helper's text cost more than the helper saves at 50,000 fields and less
-# from 60,000 on (alternating in-process write_csv runs to a file of
-# simulate's table cut to size, medians of three rounds of 21-31, 2-core
-# Linux box, CPython 3.11): one process against two took 7.4-8.1 against
-# 7.9-9.1 ms at 50k fields, 8.7-9.4 against 8.0-8.9 ms at 60k, and 51-57
-# against 40-43 ms for simulate's 374k. The resolvent CLI's 4,848-field
-# tables at --angles 4 stay serial; its 68k-field --angles 32 sweeps split,
-# 9.4-9.5 against 10.5 ms on one process. These figures were measured when
-# the helper sent its text through a 64 KiB pipe, a slower hand-off than
-# today's in-memory file; the value stands until it is measured again.
+# A table of at least this many fields is formatted by two processes. The
+# break-even is near 80,000 fields when the helper runs on a CPU of its own:
+# alternating in-process write_csv runs to a file of simulate's table cut to
+# size (three rounds of 21 pairs, 2-vCPU Linux box, CPython 3.11), with the
+# helper pinned to the other CPU, read one process against two as 16-21
+# against 19-24 ms at 40k-60k fields and 26-32 against 27-28 ms at 80k, where
+# two won 9, 17 and 20 of 21 pairs. Forked where the scheduler puts it, the
+# helper stayed on the writer's CPU (8 of 8 probed calls) and two processes
+# lost at every size up to 200k (25-33 against 29-39 ms at 80k). simulate's
+# 374k-field table takes two processes, the resolvent CLI's 4,848-field
+# tables at --angles 4 one.
 FORK_FIELDS = 60_000
 
 # Fields per _format_fields call. Its temporaries peak near 300 bytes a
@@ -259,15 +251,12 @@ def _write_rows(write, rows) -> None:
         del block
 
 
-def _two_cpus() -> bool:
-    """Whether this process may run on more than one CPU."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-
-
 def _forks(fields: int) -> bool:
-    """Whether a table of this many fields is formatted by two processes."""
-    return (fields >= FORK_FIELDS and hasattr(os, "fork")
-            and hasattr(os, "memfd_create") and _two_cpus())
+    """Whether a table of this many fields is formatted by two processes:
+    on a host with os.fork and os.memfd_create, by a process that may run
+    on more than one CPU."""
+    return (fields >= FORK_FIELDS and hasattr(os, "fork") and hasattr(os, "memfd_create")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
 
 
 def write_csv(stream, columns, table, helper=None) -> None:
@@ -285,20 +274,23 @@ def write_csv(stream, columns, table, helper=None) -> None:
     became final (integrate_for_csv forks it before RK4), or None, and one
     is forked here with every row final. This process reads how many rows
     the helper has formatted, p, and leaves it rows [0, s) with s = p +
-    (n - p) // 2: the two format at the same rate, so each takes half of
-    what is left, and on a complete table the helper takes the first half.
-    This process formats rows [s, n) and holds their text, writes the
-    header, reaps the helper, copies the helper's text into the stream in
-    64 KiB chunks, then writes its own. If the helper exits non-zero, this
-    process formats rows [0, s) itself: a failed helper costs time, never
-    bytes. Every byte goes through stream.write, so an append-mode file and
-    a text stream's encoding and newline translation see what one process
+    (n - p) // 2 rounded up to the next block edge, or n: the two format at
+    about the same rate, so each takes half of what is left, and on a
+    complete table the helper takes the first half and the rest of the
+    block it ends in. The helper formats whole blocks only, so the stop
+    never falls inside one (_helper_rows). This process formats rows
+    [s, n) and holds their text, writes the header, reaps the helper,
+    copies the helper's text into the stream in 64 KiB chunks, then
+    writes its own. If the helper exits non-zero, this process formats
+    rows [0, s) itself: a failed helper costs time, never bytes. Every
+    byte goes through stream.write, so an append-mode file and a text
+    stream's encoding and newline translation see what one process
     writes. On any exception, KeyboardInterrupt included, the helper is
     killed and reaped before the exception propagates, so no process
     outlives the call. Smaller tables, hosts without os.fork,
-    os.memfd_create or os.sched_getaffinity, processes allowed one CPU, and
-    a helper that cannot be made run the same block loop over all rows
-    here.
+    os.memfd_create or os.sched_getaffinity, processes allowed one CPU,
+    and a helper that cannot be made run the same block loop over all
+    rows here.
 
     On CPython 3.12 and later, os.fork in a process that runs threads, such
     as numpy's BLAS pool, raises a DeprecationWarning; it is left
@@ -316,7 +308,7 @@ def write_csv(stream, columns, table, helper=None) -> None:
         stream.write(header)
         _write_rows(stream.write, table)
         return
-    with helper:
+    with contextlib.closing(helper):
         helper.finish(stream, header)
 
 
@@ -328,12 +320,13 @@ class _Helper:
     This process talks to it over a pipe in 8-byte signed counts: c >= 0
     says that rows [0, c) are final, and the stop ~s (-1 - s) that every
     row is and that the helper's share is rows [0, s). The helper formats
-    the final rows in order, a block at a time, writes each block to the
-    file, and stores how many rows it has formatted in a shared slot, from
-    which finish chooses s. At the stop it truncates the file where row s
-    begins and exits 0. It only formats text and calls os.read, os.write,
-    os.pread, os.ftruncate and fcntl, and it leaves by os._exit on every
-    path, so it never flushes the buffers it inherited.
+    the rows in order and in whole blocks, each once it is final, writes
+    each block to the file, and stores how many rows it has formatted in a
+    shared slot, from which finish chooses s on a block edge or at the end.
+    At the stop it cuts the file where block s begins, or at its end, and
+    exits 0. It only formats text and calls os.read, os.write, os.ftruncate
+    and fcntl, and it leaves by os._exit on every path, so it never flushes
+    the buffers it inherited.
     """
 
     def __init__(self, table, pid, counts_fd, text_fd, progress):
@@ -343,10 +336,11 @@ class _Helper:
 
     @classmethod
     def fork(cls, table):
-        """A helper for table, or None when no process or file can be made."""
-        progress = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+        """A helper for table, or None when no process, file or mapping can
+        be made."""
         fds = []
         try:
+            progress = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
             fds += os.pipe()
             fds.append(os.memfd_create("csv"))
             pid = os.fork()
@@ -375,9 +369,9 @@ class _Helper:
     def finish(self, stream, header) -> None:
         """Stop the helper and write header and every row to stream: the
         helper's rows [0, s), then this process's rows [s, n)."""
-        n = len(self.table)
+        n, step = len(self.table), _block_rows(self.table.shape[1])
         p = int(self.progress[0])
-        split = p + (n - p) // 2
+        split = min(-(-(p + (n - p) // 2) // step) * step, n)
         self.announce(~split)
         own = list(_csv_blocks(self.table[split:]))
         stream.write(header)
@@ -406,29 +400,25 @@ class _Helper:
         while self._open:
             os.close(self._open.pop())
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 def _helper_rows(table, counts_fd, text_fd, progress) -> None:
     """Write the helper's text of rows [0, s) of table to text_fd, s from
     the stop.
 
-    Rows are formatted as the counts read from counts_fd make them final,
-    a block at a time, and each block is written as soon as it is
-    formatted; the helper waits on counts_fd only when every final row is
-    formatted. Rows begun before the stop came and formatted past it are
-    the other process's: the file is cut where row s begins.
+    Rows are formatted in whole blocks [k step, min((k + 1) step, n)),
+    step = _block_rows(width), each once the counts read from counts_fd
+    cover it, and each block is written as soon as it is formatted; the
+    helper waits on counts_fd only when the next block is not final. The
+    stop s is a block edge or n, so the blocks formatted past it are whole
+    and the other process's: the file is cut at the stored offset of block
+    s // step, rounded up at n.
     """
-    step = _block_rows(table.shape[1])
-    # the first row and the byte offset of each block, then the end
-    rows, offsets, ready, stop = [0], [0], 0, None
-    while stop is None or rows[-1] < stop:
-        done = rows[-1]
-        os.set_blocking(counts_fd, done == ready)
+    n, step = len(table), _block_rows(table.shape[1])
+    # the byte offset of each block formatted, then the end
+    offsets, done, ready, stop = [0], 0, 0, None
+    while stop is None or done < stop:
+        hi = min(done + step, n)
+        os.set_blocking(counts_fd, not done < hi <= ready)
         try:
             data = os.read(counts_fd, 1 << 12)
         except BlockingIOError:
@@ -440,22 +430,14 @@ def _helper_rows(table, counts_fd, text_fd, progress) -> None:
                 ready = stop = ~count
             else:
                 ready = count
-        hi = min(ready, done + step)
-        if hi > done:
+        if done < hi <= ready:
             text = memoryview(next(_csv_blocks(table[done:hi])))
-            rows.append(hi)
             offsets.append(offsets[-1] + len(text))
             while text:
                 text = text[os.write(text_fd, text) :]
             del text  # an empty slice still holds the block
-            progress[0] = hi
-    i = bisect.bisect_right(rows, stop) - 1
-    end = 0
-    if rows[i] < stop:  # block i runs past the stop
-        text = os.pread(text_fd, offsets[i + 1] - offsets[i], offsets[i])
-        for _ in range(stop - rows[i]):
-            end = text.index(b"\n", end) + 1
-    os.ftruncate(text_fd, offsets[i] + end)
+            done = progress[0] = hi
+    os.ftruncate(text_fd, offsets[-(-stop // step)])
 
 
 def write_trajectory(traj, stream) -> None:

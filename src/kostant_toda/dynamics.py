@@ -196,7 +196,6 @@ class Trajectory:
     def to_csv(self, stream) -> None:
         """Write t, Re/Im of every band entry to a text stream, one row per sample."""
         from .csvio import write_trajectory  # csvio imports this module
-
         write_trajectory(self, stream)
 
 

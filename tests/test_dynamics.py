@@ -1,5 +1,7 @@
+import ast
 import errno
 import io
+import mmap
 import os
 import signal
 import threading
@@ -21,7 +23,7 @@ from kostant_toda import (
     norm_bound,
     random_state,
 )
-from kostant_toda import csvio
+from kostant_toda import csvio, dynamics
 from kostant_toda.core import expm
 from kostant_toda.csvio import write_csv
 
@@ -186,6 +188,18 @@ def test_flow_is_the_conjugation_by_the_factor_of_expm(seed):
     assert np.max(np.abs(rk4 - exact)) < 1e-13 * np.max(np.abs(exact))
 
 
+def test_dynamics_imports_no_process_code():
+    # the CSV writer's fork, pipe and mapping code stays in csvio
+    with open(dynamics.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and not node.level}
+    assert {name.split(".")[0] for name in names}.isdisjoint(
+        {"bisect", "contextlib", "mmap", "os", "signal"})
+
+
 def test_csv_round_trip():
     st = random_state(5, 6)
     traj = integrate(st, IntegratorConfig(t_end=0.01, h=1e-3))
@@ -342,7 +356,10 @@ def forks(monkeypatch):
 # 5,001 rows are one more and odd, and 2 wide rows give each process one.
 @pytest.mark.parametrize("shape", [(4_999, 12), (5_000, 12), (5_001, 12), (2, 30_000)])
 @pytest.mark.parametrize("sink", ["string", "file"])
-def test_two_process_write_csv_is_savetxt_byte_for_byte(forks, tmp_path, shape, sink):
+def test_two_process_write_csv_is_savetxt_byte_for_byte(forks, monkeypatch, tmp_path, shape, sink):
+    stops, announce = [], csvio._Helper.announce
+    monkeypatch.setattr(csvio._Helper, "announce",
+                        lambda self, rows: (stops.append(~rows), announce(self, rows)))
     table = _table(*shape)
     cols = [f"x{j}" for j in range(shape[1])]
     if sink == "string":
@@ -357,6 +374,9 @@ def test_two_process_write_csv_is_savetxt_byte_for_byte(forks, tmp_path, shape, 
     assert got == _savetxt(cols, table)
     assert len(forks) == (table.size >= csvio.FORK_FIELDS)
     assert csvio.FORK_FIELDS == 60_000  # the sizes above straddle it
+    # the helper's share ends on a block edge, or at the end: 2,728 of 5,001
+    assert len(stops) == len(forks)
+    assert all(s % csvio._block_rows(shape[1]) == 0 or s == shape[0] for s in stops)
 
 
 def test_no_process_to_spare_writes_serially(monkeypatch):
@@ -414,8 +434,9 @@ def _killed_mid_line(fd, data):
 HELPER_FAILURES = {"_csv_blocks": (csvio, _raise_in_helper), "write": (os, _killed_mid_line)}
 
 
-# The helper owes the first 2,500 rows of 5,001 and this process formats
-# the other 2,501, then the 2,500 the failed helper did not hand over.
+# The helper owes the first 2,728 rows of 5,001, four blocks of 682, and
+# this process formats the other 2,273, then the 2,728 the failed helper
+# did not hand over.
 @pytest.mark.parametrize("name", HELPER_FAILURES)
 def test_failed_helper_costs_time_not_bytes(forks, monkeypatch, name):
     calls = _rows_formatted_here(monkeypatch)
@@ -426,7 +447,7 @@ def test_failed_helper_costs_time_not_bytes(forks, monkeypatch, name):
     buf = io.StringIO()
     write_csv(buf, cols, table)
     assert buf.getvalue() == _savetxt(cols, table)
-    assert forks == [1] and calls == [2_501, 2_500]
+    assert forks == [1] and calls == [2_273, 2_728]
 
 
 class _BrokenStream(io.StringIO):
@@ -449,10 +470,10 @@ class _BrokenStream(io.StringIO):
 def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(forks, exc, phase):
     table, cols = _table(5_001, 12), [f"x{j}" for j in range(12)]
     # a clean run writes the header, the copy's chunks, then the blocks of
-    # this process's rows [2500, 5001)
+    # this process's rows [2728, 5001)
     clean = _BrokenStream(None, 10**9)
     write_csv(clean, cols, table)
-    own = len(list(csvio._csv_blocks(table[2_500:])))
+    own = len(list(csvio._csv_blocks(table[2_728:])))
     first = {"header": 0, "copy": 1, "rows": 10**9 - clean.writes - own}
     assert first["rows"] > first["copy"]
     with pytest.raises(type(exc)):
@@ -462,13 +483,13 @@ def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(forks, exc, p
 
 def test_helper_cuts_rows_formatted_past_the_stop(monkeypatch):
     # the stop comes after the helper has formatted rows [0, 40) in blocks
-    # of 10: it cuts its file where row s begins, inside the block [20, 30),
-    # on the edge of the block [30, 40), or at the end, and reports 40
-    # formatted
+    # of 10: it cuts its file where row s begins, on the edge of the block
+    # [30, 40) or at the end, and reports 40 formatted; a stop at the end of
+    # the 95-row table has it format the rest, a short block last
     monkeypatch.setattr(csvio, "_BLOCK_FIELDS", 120)
-    table = _table(100, 12)
+    table = _table(95, 12)
     cols = [f"x{j}" for j in range(12)]
-    for stop in (25, 30, 40):
+    for stop in (30, 40, 95):
         progress = np.zeros(1, dtype=np.int64)
         r, w = os.pipe()
         text_fd = os.memfd_create("rows")
@@ -488,7 +509,7 @@ def test_helper_cuts_rows_formatted_past_the_stop(monkeypatch):
             stopper.join()
             for fd in (r, w, text_fd):
                 os.close(fd)
-        assert progress[0] == 40
+        assert progress[0] == max(stop, 40)
         assert text.decode() == _savetxt(cols, table[:stop]).split("\n", 1)[1]
 
 
@@ -564,15 +585,25 @@ def test_forked_csv_goes_through_the_stream(forks, monkeypatch, tmp_path, open_a
         assert forked.count(b"\r\n") == forked.count(b"\n") == 1_002
 
 
-@pytest.mark.parametrize("refusal", ["raises", "missing"])
+@pytest.mark.parametrize("refusal", ["raises", "missing", "progress"])
 def test_no_memfd_to_spare_writes_serially(forks, monkeypatch, refusal):
     def memfd_create(name, flags=0):
         raise OSError(errno.EMFILE, "Too many open files")
 
+    real_mmap = mmap.mmap
+
+    def small_mmap(fileno, length, *args):
+        # the helper's 8-byte progress slot is refused, the table is not
+        if length == 8:
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        return real_mmap(fileno, length, *args)
+
     if refusal == "raises":
         monkeypatch.setattr(os, "memfd_create", memfd_create)
-    else:
+    elif refusal == "missing":
         monkeypatch.delattr(os, "memfd_create")
+    else:
+        monkeypatch.setattr(mmap, "mmap", small_mmap)
     table, cols = _table(5_001, 12), [f"x{j}" for j in range(12)]
     buf = io.StringIO()
     write_csv(buf, cols, table)
