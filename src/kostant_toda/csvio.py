@@ -297,8 +297,8 @@ def write_csv(stream, columns, table, helper=None) -> None:
     unsilenced. The helper runs no code that could meet a lock held by such
     a thread. This path is tested on CPython 3.11; 3.12 is untested.
 
-    Opening a file is the caller's (cli._emit). Kept out of __all__ so that
-    tracers time it as part of its caller.
+    Opening a file is the caller's (cli._emit). The package does not export
+    it, so tracers time it as part of its caller.
     """
     table = np.asarray(table, dtype=np.float64)
     header = ",".join(columns) + "\n"
@@ -465,11 +465,12 @@ def integrate_for_csv(state, cfg, corruption=None):
     write_csv formats on two processes, it is laid out before RK4 in an
     anonymous mapping shared with a helper forked then, the samples being
     its columns after t. RK4 announces each block of FLOOR_BLOCK rows that
-    passes the floor test, the helper formats it while RK4 goes on, and
-    to_csv finishes the table. A table too big to store raises ValueError
-    before anything is allocated. Leaving the block on any path, an abort
-    or a KeyboardInterrupt included, kills and reaps a helper that to_csv
-    has not finished. Kept out of __all__, as write_csv.
+    passes the floor test, the helper formats each of its blocks once the
+    announced rows cover it while RK4 goes on, and to_csv finishes the
+    table. A table too big to store raises ValueError before anything is
+    allocated. Leaving the block on any path, an abort or a
+    KeyboardInterrupt included, kills and reaps a helper that to_csv has
+    not finished.
     """
     n_rows, L = cfg.n_steps + 1, 3 * state.m - 3
     width = 1 + 2 * L
