@@ -19,15 +19,8 @@ method and its global error O(h^4) are as in Hairer, Nørsett & Wanner,
 *Solving Ordinary Differential Equations I* (2nd ed., Springer 1993),
 Chapter II.
 
-A sample array of PREFAULT_BYTES (32 MiB) or more, on Linux, has its
-pages faulted in before the loop starts by one synchronous call,
-madvise(MADV_POPULATE_WRITE) through ctypes over the array's page-aligned
-interior. The advice maps pages and writes nothing to them, so every
-sample keeps its bits; its result is ignored, since after a refusal (a
-kernel before 5.14 answers EINVAL) RK4 faults the pages in itself.
-
 A caller may hand in the array to fill, whose rows may be strided (the
-sample columns of dynamics' shared CSV table), and a hook that is told,
+sample columns of csvio's shared CSV table), and a hook that is told,
 once per block of FLOOR_BLOCK steps that passes the floor test, how many
 rows are final; the step's 36 ufunc calls do not change.
 
@@ -49,11 +42,7 @@ for the negative controls of the verification harness.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import importlib.util
-import os
-import sys
 
 import numpy as np
 
@@ -62,11 +51,6 @@ HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 C_FLOOR = 1e-12  # the integrator aborts once some |c_n| falls below this
 FLOOR_BLOCK = 64  # stored steps per test of the c floor
-# Sample arrays this large are faulted in ahead of RK4. glibc maps a block of
-# 32 MiB or more afresh on every allocation; a smaller one can reuse heap
-# pages already mapped, where the advice only costs time.
-PREFAULT_BYTES = 32 << 20
-MADV_POPULATE_WRITE = 23  # Linux 5.14 and later; older kernels answer EINVAL
 
 __all__ = [
     "HAS_NUMBA",
@@ -157,19 +141,6 @@ def _rhs(y, dy, m, corruption):
     _flow(y, dy, m, corruption)()
 
 
-@functools.cache
-def _libc_madvise():
-    f = ctypes.CDLL(None, use_errno=True).madvise
-    f.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
-    f.restype = ctypes.c_int
-    return f
-
-
-def _madvise(addr: int, length: int, advice: int) -> int:
-    """madvise(2) through ctypes: 0, or the errno."""
-    return ctypes.get_errno() if _libc_madvise()(addr, length, advice) else 0
-
-
 def rk4_trajectory(y0, m, n_steps, h, corruption=None, out=None, on_rows=None):
     """Integrate the packed state; returns (samples, status).
 
@@ -179,11 +150,9 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None, out=None, on_rows=None):
     Overflow is reported by status alone: numpy's warnings are silenced.
     samples is out when given, a complex128 array of that shape whose rows
     may be strided; else a new array, and one too big to allocate raises
-    ValueError naming its size. One of PREFAULT_BYTES or more, on Linux,
-    is faulted in by one madvise call before the loop; the advice writes
-    nothing, so the samples keep their bits. on_rows, when given, is
-    called once per block of FLOOR_BLOCK steps that passes the floor test,
-    with the count c of rows now final: rows [0, c) keep their values.
+    ValueError naming its size. on_rows, when given, is called once per
+    block of FLOOR_BLOCK steps that passes the floor test, with the count
+    c of rows now final: rows [0, c) keep their values.
     """
     y0 = np.ascontiguousarray(y0, dtype=np.complex128)
     L = y0.size
@@ -208,13 +177,6 @@ def rk4_trajectory(y0, m, n_steps, h, corruption=None, out=None, on_rows=None):
     )
     add, multiply = np.add, np.multiply
     c_rows = unpack_bands(out.T, m)[2].T
-    if out.nbytes >= PREFAULT_BYTES and sys.platform.startswith("linux"):
-        # map the page-aligned interior of the rows' span; after a refusal
-        # RK4 faults it in
-        page = os.sysconf("SC_PAGESIZE")
-        start = -(-out.ctypes.data // page) * page
-        end = (out.ctypes.data + out.strides[0] * n_steps + out[-1].nbytes) // page * page
-        _madvise(start, max(end - start, 0), MADV_POPULATE_WRITE)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, FLOOR_BLOCK):
             hi = min(lo + FLOOR_BLOCK, n_steps)

@@ -1,6 +1,7 @@
 """CSV text of float tables (write_csv) and of trajectories
 (write_trajectory, behind Trajectory.to_csv, and integrate_for_csv),
-formatted by a %.17g kernel on one core or, with a forked helper, two."""
+formatted by a %.17g kernel in one process, or in two when
+integrate_for_csv forks a helper before RK4."""
 
 from __future__ import annotations
 
@@ -14,17 +15,13 @@ import numpy as np
 from .dynamics import _integrate
 
 
-# A table of at least this many fields is formatted by two processes. The
-# break-even is near 80,000 fields when the helper runs on a CPU of its own:
-# alternating in-process write_csv runs to a file of simulate's table cut to
-# size (three rounds of 21 pairs, 2-vCPU Linux box, CPython 3.11), with the
-# helper pinned to the other CPU, read one process against two as 16-21
-# against 19-24 ms at 40k-60k fields and 26-32 against 27-28 ms at 80k, where
-# two won 9, 17 and 20 of 21 pairs. Forked where the scheduler puts it, the
-# helper stayed on the writer's CPU (8 of 8 probed calls) and two processes
-# lost at every size up to 200k (25-33 against 29-39 ms at 80k). simulate's
-# 374k-field table takes two processes, the resolvent CLI's 4,848-field
-# tables at --angles 4 one.
+# integrate_for_csv forks a helper for a table of at least this many fields.
+# In fresh processes of simulate --seed 7 --t-end 1 --h 1e-3 (2-vCPU Linux
+# box, CPython 3.11, four sets of 12 alternating pairs), the overlap beat
+# one process in the median of every set at every size measured: 49-56
+# against 53-74 ms at m = 12 (67,067 fields; it won 8-11 of 12 pairs), 53-61
+# against 58-82 ms at 91k (9-11), 51-65 against 64-94 ms at 115k (12) and
+# 70-85 against 103-120 ms at 187k (11-12).
 FORK_FIELDS = 60_000
 
 # Fields per _format_fields call. Its temporaries peak near 300 bytes a
@@ -252,64 +249,28 @@ def _write_rows(write, rows) -> None:
 
 
 def _forks(fields: int) -> bool:
-    """Whether a table of this many fields is formatted by two processes:
-    on a host with os.fork and os.memfd_create, by a process that may run
-    on more than one CPU."""
+    """Whether integrate_for_csv forks a helper for a table of this many
+    fields: on a host with os.fork and os.memfd_create, in a process that
+    may run on more than one CPU."""
     return (fields >= FORK_FIELDS and hasattr(os, "fork") and hasattr(os, "memfd_create")
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
 
 
-def write_csv(stream, columns, table, helper=None) -> None:
+def write_csv(stream, columns, table) -> None:
     """Write a float table as CSV to a text stream: a header line, then
     %.17g per field.
 
     %.17g round-trips every double exactly. The fields are formatted a
     block of rows at a time by _format_fields, a numpy kernel whose text is
-    byte for byte that of %, at about 0.25 us per field on one core with
+    byte for byte that of %, at about 0.25 us per field in one process with
     the writes (simulate's 374,187-field table in 94 ms), against 0.8-1.0
     us for % on each row's Python floats (200,000 normal values).
-
-    A table of FORK_FIELDS or more is formatted on two cores. helper is
-    then a _Helper that has been formatting the rows of table as they
-    became final (integrate_for_csv forks it before RK4), or None, and one
-    is forked here with every row final. This process reads how many rows
-    the helper has formatted, p, and leaves it rows [0, s) with s = p +
-    (n - p) // 2 rounded up to the next block edge, or n: the two format at
-    about the same rate, so each takes half of what is left, and on a
-    complete table the helper takes the first half and the rest of the
-    block it ends in. The helper formats whole blocks only, so the stop
-    never falls inside one (_helper_rows). This process formats rows
-    [s, n) and holds their text, writes the header, reaps the helper,
-    copies the helper's text into the stream in 64 KiB chunks, then
-    writes its own. If the helper exits non-zero, this process formats
-    rows [0, s) itself: a failed helper costs time, never bytes. Every
-    byte goes through stream.write, so an append-mode file and a text
-    stream's encoding and newline translation see what one process
-    writes. On any exception, KeyboardInterrupt included, the helper is
-    killed and reaped before the exception propagates, so no process
-    outlives the call. Smaller tables, hosts without os.fork,
-    os.memfd_create or os.sched_getaffinity, processes allowed one CPU,
-    and a helper that cannot be made run the same block loop over all
-    rows here.
-
-    On CPython 3.12 and later, os.fork in a process that runs threads, such
-    as numpy's BLAS pool, raises a DeprecationWarning; it is left
-    unsilenced. The helper runs no code that could meet a lock held by such
-    a thread. This path is tested on CPython 3.11; 3.12 is untested.
 
     Opening a file is the caller's (cli._emit). The package does not export
     it, so tracers time it as part of its caller.
     """
-    table = np.asarray(table, dtype=np.float64)
-    header = ",".join(columns) + "\n"
-    if helper is None and _forks(table.size):
-        helper = _Helper.fork(table)
-    if helper is None:
-        stream.write(header)
-        _write_rows(stream.write, table)
-        return
-    with contextlib.closing(helper):
-        helper.finish(stream, header)
+    stream.write(",".join(columns) + "\n")
+    _write_rows(stream.write, np.asarray(table, dtype=np.float64))
 
 
 class _Helper:
@@ -368,7 +329,23 @@ class _Helper:
 
     def finish(self, stream, header) -> None:
         """Stop the helper and write header and every row to stream: the
-        helper's rows [0, s), then this process's rows [s, n)."""
+        helper's rows [0, s), then this process's rows [s, n).
+
+        This process reads how many rows the helper has formatted, p, and
+        leaves it rows [0, s) with s = p + (n - p) // 2 rounded up to the
+        next block edge, or n: the two format at about the same rate, so
+        each takes half of what is left. The helper formats whole blocks
+        only, so the stop never falls inside one (_helper_rows). This
+        process formats rows [s, n) and holds their text, writes the
+        header, reaps the helper, copies the helper's text into the stream
+        in 64 KiB chunks, then writes its own. If the helper exits
+        non-zero, this process formats rows [0, s) itself: a failed helper
+        costs time, never bytes. Every byte goes through stream.write, so
+        an append-mode file and a text stream's encoding and newline
+        translation see what one process writes. The caller closes the
+        helper on every path (contextlib.closing), so no process outlives
+        an exception, KeyboardInterrupt included.
+        """
         n, step = len(self.table), _block_rows(self.table.shape[1])
         p = int(self.progress[0])
         split = min(-(-(p + (n - p) // 2) // step) * step, n)
@@ -441,18 +418,21 @@ def _helper_rows(table, counts_fd, text_fd, progress) -> None:
 
 
 def write_trajectory(traj, stream) -> None:
-    """Write t, Re/Im of every band entry to a text stream, one row per sample."""
+    """Write t, Re/Im of every band entry to a text stream, one row per
+    sample: through the helper that integrate_for_csv forked for traj, the
+    first time, else in one process."""
     m = traj.m
     cols = ["t"]
     for name, count in (("a", m), ("b", m - 1), ("c", m - 2)):
         for n in range(1, count + 1):
             cols += [f"{name}{n}_re", f"{name}{n}_im"]
-    table = traj._table
-    if table is None:
-        bands = traj.samples.view(np.float64)  # re, im interleaved
-        table = np.column_stack([traj.ts, bands])
     helper, traj._helper = traj._helper, None  # a helper finishes once
-    write_csv(stream, cols, table, helper)
+    if helper is None:
+        bands = traj.samples.view(np.float64)  # re, im interleaved
+        write_csv(stream, cols, np.column_stack([traj.ts, bands]))
+        return
+    with contextlib.closing(helper):
+        helper.finish(stream, ",".join(cols) + "\n")
 
 
 @contextlib.contextmanager
@@ -461,16 +441,22 @@ def integrate_for_csv(state, cfg, corruption=None):
     trajectory's CSV: yields the Trajectory, whose to_csv writes the bytes
     it writes for integrate's.
 
-    When the table, n_steps + 1 rows of 1 + 2 (3m - 3) fields, is one that
-    write_csv formats on two processes, it is laid out before RK4 in an
-    anonymous mapping shared with a helper forked then, the samples being
-    its columns after t. RK4 announces each block of FLOOR_BLOCK rows that
-    passes the floor test, the helper formats each of its blocks once the
-    announced rows cover it while RK4 goes on, and to_csv finishes the
-    table. A table too big to store raises ValueError before anything is
-    allocated. Leaving the block on any path, an abort or a
-    KeyboardInterrupt included, kills and reaps a helper that to_csv has
-    not finished.
+    When the table, n_steps + 1 rows of 1 + 2 (3m - 3) fields, has
+    FORK_FIELDS or more and _forks allows it, it is laid out before RK4 in
+    an anonymous mapping shared with a helper forked then, the samples
+    being its columns after t. RK4 announces each block of FLOOR_BLOCK
+    rows that passes the floor test, the helper formats each of its blocks
+    once the announced rows cover it while RK4 goes on, and the first
+    to_csv finishes the table (_Helper.finish). Where no helper can be
+    made, to_csv formats every row in one process. A table too big to
+    store raises ValueError before anything is allocated. Leaving the block
+    on any path, an abort or a KeyboardInterrupt included, kills and reaps
+    a helper that to_csv has not finished.
+
+    On CPython 3.12 and later, os.fork in a process that runs threads, such
+    as numpy's BLAS pool, raises a DeprecationWarning; it is left
+    unsilenced. The helper runs no code that could meet a lock held by such
+    a thread. This path is tested on CPython 3.11; 3.12 is untested.
     """
     n_rows, L = cfg.n_steps + 1, 3 * state.m - 3
     width = 1 + 2 * L
@@ -493,10 +479,10 @@ def integrate_for_csv(state, cfg, corruption=None):
             state, cfg, corruption, out=table[:, 1:].view(np.complex128),
             on_rows=None if helper is None else helper.announce,
         )
-        traj._table, traj._helper = table, helper
+        traj._helper = helper
         yield traj
     finally:
         if traj is not None:
-            traj._helper = None  # a later to_csv formats the table afresh
+            traj._helper = None  # a later to_csv formats the samples in one process
         if helper is not None:
             helper.close()

@@ -154,9 +154,9 @@ class Trajectory:
         self.t0 = t0
         self.ts = t0 + h * np.arange(samples.shape[0])
         self.a, self.b, self.c = (x.T for x in backends.unpack_bands(samples.T, m))
-        # the CSV table whose columns after t are samples, and the helper
-        # formatting it, when csvio.integrate_for_csv made them
-        self._table = self._helper = None
+        # the helper formatting the CSV table whose columns after t are
+        # samples, when csvio.integrate_for_csv forked one
+        self._helper = None
 
     @property
     def n_samples(self) -> int:

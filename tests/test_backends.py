@@ -1,8 +1,3 @@
-import errno
-import os
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -227,93 +222,3 @@ def test_clean_step_stays_within_its_ufunc_budget(monkeypatch, n_steps):
     _, status = backends.rk4_trajectory(y0, 12, n_steps, 1e-3)
     assert status == 0
     assert 0 < len(calls) <= 36 * n_steps
-
-
-@pytest.fixture
-def advised(monkeypatch):
-    """The (addr, length, advice) of each madvise call, which still goes
-    to the kernel."""
-    calls = []
-    madvise = backends._madvise
-
-    def counted(*call):
-        calls.append(call)
-        return madvise(*call)
-
-    monkeypatch.setattr(backends, "_madvise", counted)
-    return calls
-
-
-@pytest.fixture
-def prefault(advised, monkeypatch):
-    """Every sample array takes the advice; returns its madvise calls."""
-    monkeypatch.setattr(backends, "PREFAULT_BYTES", 0)
-    return advised
-
-
-linux_only = pytest.mark.skipif(
-    not sys.platform.startswith("linux"), reason="pages are faulted in ahead on Linux only"
-)
-
-
-@linux_only
-@pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c and c.kind)
-def test_prefaulted_kernel_is_the_frozen_loop_bit_for_bit(prefault, corruption):
-    st = random_state(828, 12)
-    y0 = pack_state(st.a, st.b, st.c)
-    for n_steps in (0, 1, 65, 130):
-        assert _assert_same_run(y0, 12, n_steps, 1e-3, corruption) == 0
-    st = random_state(1024, 1024)
-    y0 = pack_state(st.a, st.b, st.c)
-    assert _assert_same_run(y0, 1024, 70, 1e-4, corruption) == 0
-    assert len(prefault) == 5
-
-
-@linux_only
-def test_prefault_advises_the_page_aligned_interior_once(advised, monkeypatch):
-    # a real sample array past PREFAULT_BYTES: m = 1024 for 700 steps, 34 MB
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    st = random_state(1024, 1024)
-    y0 = pack_state(st.a, st.b, st.c)
-    out, status = backends.rk4_trajectory(y0, 1024, 700, 1e-4)
-    assert out.nbytes >= backends.PREFAULT_BYTES
-    want, _ = _frozen_rk4(y0, 1024, 700, 1e-4, None)
-    assert status == 0 and out.tobytes() == want.tobytes()
-    page = os.sysconf("SC_PAGESIZE")
-    (start, length, advice), = advised
-    assert out.ctypes.data <= start < out.ctypes.data + page
-    assert out.ctypes.data + out.nbytes - page < start + length <= out.ctypes.data + out.nbytes
-    assert start % page == length % page == 0
-    assert advice == backends.MADV_POPULATE_WRITE
-
-
-@linux_only
-def test_refused_advice_leaves_the_samples(prefault, monkeypatch):
-    # a kernel before 5.14 answers MADV_POPULATE_WRITE with EINVAL
-    monkeypatch.setattr(backends, "_madvise", lambda *call: prefault.append(call) or errno.EINVAL)
-    st = random_state(1024, 1024)
-    assert _assert_same_run(pack_state(st.a, st.b, st.c), 1024, 70, 1e-4, None) == 0
-    assert len(prefault) == 1
-
-
-@linux_only
-def test_one_cpu_host_keeps_the_samples(prefault, monkeypatch):
-    # the advice does not depend on how many CPUs the process may use
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    st = random_state(1024, 1024)
-    assert _assert_same_run(pack_state(st.a, st.b, st.c), 1024, 70, 1e-4, None) == 0
-    assert len(prefault) == 1
-
-
-@linux_only
-def test_advice_maps_pages_without_writing_to_them():
-    page = os.sysconf("SC_PAGESIZE")
-    x = np.arange(4 * page, dtype=np.float64)
-    start = -(-x.ctypes.data // page) * page
-    before = x.tobytes()
-    err = backends._madvise(start, 2 * page, backends.MADV_POPULATE_WRITE)
-    assert err in (0, errno.EINVAL)
-    assert x.tobytes() == before

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import errno
 import io
 import mmap
@@ -23,7 +24,7 @@ from kostant_toda import (
     norm_bound,
     random_state,
 )
-from kostant_toda import csvio, dynamics
+from kostant_toda import backends, csvio, dynamics
 from kostant_toda.core import expm
 from kostant_toda.csvio import write_csv
 
@@ -188,16 +189,25 @@ def test_flow_is_the_conjugation_by_the_factor_of_expm(seed):
     assert np.max(np.abs(rk4 - exact)) < 1e-13 * np.max(np.abs(exact))
 
 
-def test_dynamics_imports_no_process_code():
-    # the CSV writer's fork, pipe and mapping code stays in csvio
-    with open(dynamics.__file__) as fh:
+def _top_imports(module):
+    """The top-level names of the packages module imports by absolute name."""
+    with open(module.__file__) as fh:
         tree = ast.parse(fh.read())
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
              for alias in node.names}
     names |= {node.module for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and not node.level}
-    assert {name.split(".")[0] for name in names}.isdisjoint(
-        {"bisect", "contextlib", "mmap", "os", "signal"})
+    return {name.split(".")[0] for name in names}
+
+
+def test_dynamics_imports_no_process_code():
+    # the CSV writer's fork, pipe and mapping code stays in csvio
+    assert _top_imports(dynamics).isdisjoint({"bisect", "contextlib", "mmap", "os", "signal"})
+
+
+def test_backends_imports_no_process_code():
+    # RK4 calls no C library and asks the host nothing
+    assert _top_imports(backends).isdisjoint({"ctypes", "os", "sys"})
 
 
 def test_csv_round_trip():
@@ -352,6 +362,13 @@ def forks(monkeypatch):
     return calls
 
 
+def _two_process_csv(stream, cols, table):
+    """Write table to stream through a helper forked with every row final."""
+    helper = csvio._Helper.fork(table)
+    with contextlib.closing(helper):
+        helper.finish(stream, ",".join(cols) + "\n")
+
+
 # 12 columns: 4,999 rows are just under FORK_FIELDS, 5,000 rows reach it,
 # 5,001 rows are one more and odd, and 2 wide rows give each process one.
 @pytest.mark.parametrize("shape", [(4_999, 12), (5_000, 12), (5_001, 12), (2, 30_000)])
@@ -362,20 +379,25 @@ def test_two_process_write_csv_is_savetxt_byte_for_byte(forks, monkeypatch, tmp_
                         lambda self, rows: (stops.append(~rows), announce(self, rows)))
     table = _table(*shape)
     cols = [f"x{j}" for j in range(shape[1])]
-    if sink == "string":
-        buf = io.StringIO()
-        write_csv(buf, cols, table)
-        got = buf.getvalue()
-    else:
+
+    def written(write):
+        if sink == "string":
+            buf = io.StringIO()
+            write(buf, cols, table)
+            return buf.getvalue()
         path = tmp_path / "table.csv"
         with open(path, "w") as fh:
-            write_csv(fh, cols, table)
-        got = path.read_text()
-    assert got == _savetxt(cols, table)
-    assert len(forks) == (table.size >= csvio.FORK_FIELDS)
-    assert csvio.FORK_FIELDS == 60_000  # the sizes above straddle it
+            write(fh, cols, table)
+        return path.read_text()
+
+    # write_csv is one process at every size
+    assert written(write_csv) == _savetxt(cols, table) and forks == []
+    assert written(_two_process_csv) == _savetxt(cols, table) and forks == [1]
+    # the sizes above straddle the table integrate_for_csv forks for
+    assert csvio.FORK_FIELDS == 60_000
+    assert csvio._forks(table.size) == (table.size >= csvio.FORK_FIELDS)
     # the helper's share ends on a block edge, or at the end: 2,728 of 5,001
-    assert len(stops) == len(forks)
+    assert len(stops) == 1
     assert all(s % csvio._block_rows(shape[1]) == 0 or s == shape[0] for s in stops)
 
 
@@ -385,10 +407,10 @@ def test_no_process_to_spare_writes_serially(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", fork)
-    table = _table(5_001, 12)
-    buf = io.StringIO()
-    write_csv(buf, [f"x{j}" for j in range(12)], table)
-    assert buf.getvalue() == _savetxt([f"x{j}" for j in range(12)], table)
+    assert csvio._Helper.fork(_table(5_001, 12)) is None
+    with csvio.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
+        got, want = _csv_of(traj)
+    assert got == want
 
 
 def _rows_formatted_here(monkeypatch):
@@ -445,7 +467,7 @@ def test_failed_helper_costs_time_not_bytes(forks, monkeypatch, name):
     table = _table(5_001, 12)
     cols = [f"x{j}" for j in range(12)]
     buf = io.StringIO()
-    write_csv(buf, cols, table)
+    _two_process_csv(buf, cols, table)
     assert buf.getvalue() == _savetxt(cols, table)
     assert forks == [1] and calls == [2_273, 2_728]
 
@@ -472,12 +494,12 @@ def test_stream_error_reaches_the_caller_and_no_helper_outlives_it(forks, exc, p
     # a clean run writes the header, the copy's chunks, then the blocks of
     # this process's rows [2728, 5001)
     clean = _BrokenStream(None, 10**9)
-    write_csv(clean, cols, table)
+    _two_process_csv(clean, cols, table)
     own = len(list(csvio._csv_blocks(table[2_728:])))
     first = {"header": 0, "copy": 1, "rows": 10**9 - clean.writes - own}
     assert first["rows"] > first["copy"]
     with pytest.raises(type(exc)):
-        write_csv(_BrokenStream(exc, first[phase]), cols, table)
+        _two_process_csv(_BrokenStream(exc, first[phase]), cols, table)
     assert forks == [1, 1]
 
 
@@ -534,12 +556,12 @@ def test_csv_integration_keeps_the_samples_and_the_bytes(forks, monkeypatch, cpu
     with csvio.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
         assert traj.samples.tobytes() == plain.samples.tobytes()
         assert traj.ts.tobytes() == plain.ts.tobytes()
+        assert (traj._helper is None) == (len(cpus) == 1)
         got, want = _csv_of(traj)
     plain_table = np.column_stack([plain.ts, plain.samples.view(np.float64)])
     assert got == want == _savetxt(got[: got.index("\n")].split(","), plain_table)
     # with two CPUs the one fork is the helper's, before RK4
     assert forks == [1] * (len(cpus) - 1)
-    assert (traj._table is None) == (len(cpus) == 1)
 
 
 # The helper dies after two blocks, or is killed after writing part of a line.
@@ -575,9 +597,7 @@ def test_forked_csv_goes_through_the_stream(forks, monkeypatch, tmp_path, open_a
 
     with csvio.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
         forked = to_csv(traj, "forked.csv")
-        # the helper is spent: on one CPU the same table is written serially
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        serial = to_csv(traj, "serial.csv")
+        serial = to_csv(traj, "serial.csv")  # the helper is spent
     assert forked == serial and forks == [1]
     if open_args["mode"] == "a":
         assert forked.startswith(b"earlier text\nt,")
@@ -587,7 +607,10 @@ def test_forked_csv_goes_through_the_stream(forks, monkeypatch, tmp_path, open_a
 
 @pytest.mark.parametrize("refusal", ["raises", "missing", "progress"])
 def test_no_memfd_to_spare_writes_serially(forks, monkeypatch, refusal):
+    made = []
+
     def memfd_create(name, flags=0):
+        made.append(name)
         raise OSError(errno.EMFILE, "Too many open files")
 
     real_mmap = mmap.mmap
@@ -604,13 +627,11 @@ def test_no_memfd_to_spare_writes_serially(forks, monkeypatch, refusal):
         monkeypatch.delattr(os, "memfd_create")
     else:
         monkeypatch.setattr(mmap, "mmap", small_mmap)
-    table, cols = _table(5_001, 12), [f"x{j}" for j in range(12)]
-    buf = io.StringIO()
-    write_csv(buf, cols, table)
-    assert buf.getvalue() == _savetxt(cols, table)
     with csvio.integrate_for_csv(CSV_STATE, CSV_CFG) as traj:
         got, want = _csv_of(traj)
     assert got == want and forks == []
+    # integrate_for_csv asks once; to_csv of the refused table forks nothing
+    assert len(made) == (refusal == "raises")
 
 
 def test_interrupt_in_the_block_hook_reaches_the_caller(forks, monkeypatch):
