@@ -13,6 +13,10 @@ truncated flow is an honest Lax pair and the spectrum of J is conserved.
 A trajectory stores the bands and nothing else. The closed-form
 resolvent reads all it needs off the exponential of the operator at the
 first sample (resolvent.closed_form_resolvent), not off the integrator.
+
+It owns the package's one time-derivative rule, Trajectory.derivative.
+Every law dX/dt = F(J) reads the flow through that method alone, so any
+flow object with it can stand in for the trajectory.
 """
 
 from __future__ import annotations
@@ -29,14 +33,13 @@ __all__ = [
     "CorruptionSpec",
     "IntegratorConfig",
     "Trajectory",
-    "central_diff",
     "integrate",
     "kostant_rhs",
     "lax_rhs",
 ]
 
-# Central differences span delta = STENCIL_HALFWIDTH * h on each side of the
-# sample, so the stencil stays on the stored grid.
+# Trajectory.derivative reads the samples delta = STENCIL_HALFWIDTH * h on
+# each side of t, so its stencil stays on the stored grid.
 STENCIL_HALFWIDTH = 2
 
 # The deliberate defects CorruptionSpec can inject, in report order.
@@ -182,16 +185,20 @@ class Trajectory:
             self.a[i].copy(), self.b[i].copy(), self.c[i].copy(), t=float(self.ts[i])
         )
 
-    def stencil(self, t: float):
-        """State at grid time t, and the states at the central_diff points.
+    def derivative(self, t: float, values_of):
+        """State at grid time t, f there, and the central difference of f.
 
-        The points are t - delta and t + delta, delta = STENCIL_HALFWIDTH * h.
-        A stencil that leaves the grid raises ValueError from state_at.
+        values_of is called once, on the states at t, t - delta and
+        t + delta, delta = STENCIL_HALFWIDTH * h, and returns f at each.
+        The derivative is (f(t + delta) - f(t - delta)) / (2 delta), whose
+        truncation error is delta^2/6 times the third derivative of f. A
+        stencil that leaves the grid raises ValueError from state_at.
         """
         i = self.index_of(t)
         k = STENCIL_HALFWIDTH
         before, state, after = (self.state_at(j) for j in (i - k, i, i + k))
-        return state, (before, after)
+        values = values_of((state, before, after))
+        return state, values[0], (values[2] - values[1]) / (2.0 * (k * self.h))
 
     def to_csv(self, stream) -> None:
         """Write t, Re/Im of every band entry to a text stream, one row per sample."""
@@ -228,12 +235,3 @@ def _integrate(state, cfg, corruption, **rows) -> Trajectory:
         raise CNearZeroError(state.t + status * cfg.h, status, c_min)
     return Trajectory(samples, state.m, cfg.h, state.t)
 
-
-def central_diff(values, h: float):
-    """Time derivative from the values at the points of Trajectory.stencil.
-
-    values holds f(t - delta) and f(t + delta), delta = STENCIL_HALFWIDTH * h.
-    Truncation error is delta^2/6 times the third derivative.
-    """
-    k = STENCIL_HALFWIDTH
-    return (values[1] - values[0]) / (2.0 * (k * h))

@@ -36,7 +36,6 @@ from .core import (
     leading_power_blocks,
     norm_bound,
 )
-from .dynamics import Trajectory, central_diff
 from .polynomials import VectorPolynomial, scalar_polys, shift_coeffs
 
 __all__ = [
@@ -200,26 +199,28 @@ def moments_from_recurrence(state: LatticeState, n_max: int) -> MomentFunctional
     return MomentFunctional(out)
 
 
-def moment_ode_residual(traj: Trajectory, n: int, t: float) -> np.ndarray:
-    """Defect (2, 2) of d/dt moment_n = moment_{n+1} - moment_n moment_1 at time t."""
-    st, points = traj.stencil(t)
-    dm = central_diff([moments_from_j(s, n).moments[n] for s in points], traj.h)
-    u = moments_from_j(st, n + 1)
-    return dm - (u.moments[n + 1] - u.moments[n] @ u.moments[1])
+def moment_ode_residual(traj, n: int, t: float) -> np.ndarray:
+    """Defect (2, 2) of d/dt moment_n = moment_{n+1} - moment_n moment_1 at
+    time t, with the derivative from the flow traj (Trajectory.derivative)."""
+    _, u, du = traj.derivative(
+        t, lambda states: [moments_from_j(s, n + 1).moments for s in states]
+    )
+    return du[n] - (u[n + 1] - u[n] @ u[1])
 
 
-def functional_derivative_residual(
-    traj: Trajectory, q: VectorPolynomial, t: float
-) -> np.ndarray:
-    """Defect (2, 2) of d/dt U(Q) = U(zQ) - U(Q) moment_1 for a fixed Q at time t."""
+def functional_derivative_residual(traj, q: VectorPolynomial, t: float) -> np.ndarray:
+    """Defect (2, 2) of d/dt U(Q) = U(zQ) - U(Q) moment_1 for a fixed Q at
+    time t, with the derivative from the flow traj (Trajectory.derivative)."""
     deg = max(q.top.size, q.bottom.size) - 1
     n_ord = deg + 1  # U(zQ) reaches one scalar order higher
-    st, points = traj.stencil(t)
-    du = central_diff(
-        [moments_from_j(s, n_ord).apply(q.top, q.bottom) for s in points], traj.h
-    )
-    u = moments_from_j(st, n_ord)
-    return du - (apply_u(u, q, shift=1) - apply_u(u, q) @ u.moments[1])
+
+    def values_of(states):
+        # U(Q), U(zQ) and moment_1 at each state
+        us = [moments_from_j(s, n_ord) for s in states]
+        return [np.stack([apply_u(u, q), apply_u(u, q, shift=1), u.moments[1]]) for u in us]
+
+    _, (uq, uzq, m1), (duq, _, _) = traj.derivative(t, values_of)
+    return duq - (uzq - uq @ m1)
 
 
 @dataclass(frozen=True)

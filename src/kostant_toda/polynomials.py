@@ -27,7 +27,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .core import LatticeState, c_block, d_block
-from .dynamics import Trajectory, central_diff
 
 __all__ = [
     "VectorPolynomial",
@@ -112,20 +111,18 @@ def characteristic_identity(state: LatticeState, zs) -> tuple[np.ndarray, np.nda
     return p_m, np.max(np.abs(res) / size, axis=0)
 
 
-def derivative_law_residual(
-    traj: Trajectory, n: int, t: float, z0: complex
-) -> np.ndarray:
+def derivative_law_residual(traj, n: int, t: float, z0: complex) -> np.ndarray:
     """Defect (2,) of d/dt Bv_n(z0) = -C_n Bv_{n-1}(z0) - D_n Bv_n(z0) at time t.
 
-    The time derivative is central_diff of the polynomial coefficients at
-    the points of Trajectory.stencil, delta = STENCIL_HALFWIDTH * h apart
-    from t, so on the true flow the residual is limited by the delta^2
-    stencil error.
+    The time derivative is that of the coefficients of P_{2n} and P_{2n+1}
+    from the flow traj (Trajectory.derivative), so on the true flow the
+    residual is limited by the delta^2 error of its central difference.
     """
-    st, points = traj.stencil(t)
-    # coefficients of P_{2n} then P_{2n+1}, in one array per stencil point
-    coeffs = [np.concatenate(scalar_polys(s, 2 * n + 1)[2 * n :]) for s in points]
-    dcoeffs = central_diff(coeffs, traj.h)
+    st, _, dcoeffs = traj.derivative(
+        t,
+        # coefficients of P_{2n} then P_{2n+1}, in one array per state
+        lambda states: [np.concatenate(scalar_polys(s, 2 * n + 1)[2 * n :]) for s in states],
+    )
     dtop, dbot = dcoeffs[: 2 * n + 1], dcoeffs[2 * n + 1 :]
     dval = np.array(
         [npoly.polyval(z0, dtop), npoly.polyval(z0, dbot)], dtype=np.complex128

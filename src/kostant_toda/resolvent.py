@@ -11,8 +11,9 @@ bound rho: stopping after terms 0..K leaves at most
 reached, or powers of J that leave the float range, raise SeriesCapError.
 Every sum comes from one kernel over band rows: `resolvent_block` runs it
 on one state, `resolvent_sweep` on many, and the ODE residuals on the
-states of a central-difference stencil. The conjugated block
-F(z) = C0^{-1} R(z) C0 is the generating function of the moment blocks.
+three states at t and t -+ delta whose sums Trajectory.derivative
+differences. The conjugated block F(z) = C0^{-1} R(z) C0 is the
+generating function of the moment blocks.
 
 Along the flow, R satisfies a first-order matrix ODE whose solution has
 the closed form
@@ -55,7 +56,7 @@ from .core import (
 
 # integrate is not called here; perfbench's tracer wraps it in every package
 # namespace that holds it, and its tests assert resolvent.integrate is it.
-from .dynamics import Trajectory, central_diff, integrate  # noqa: F401
+from .dynamics import Trajectory, integrate  # noqa: F401
 from .moments import SeriesCapError, moments_from_j
 
 __all__ = [
@@ -273,47 +274,47 @@ def dense_resolvent_block(state: LatticeState, z: complex) -> np.ndarray:
     return sol[:2, :]
 
 
-def _series_stencil(
-    traj: Trajectory, z: complex, t: float, tol: float, conjugate: bool
-):
-    """State st at t, the series value there, and its central time derivative.
+def _series_derivative(traj, z: complex, t: float, tol: float, conjugate: bool):
+    """State st at t, the series value there, and its time derivative from
+    the flow traj (Trajectory.derivative).
 
     The value is R(z), or with conjugate F(z) = C0^{-1} R(z) C0
-    (c0_conjugate). The band rows of the states (st, *points) of
-    traj.stencil(t) are summed by _neumann_sums, each with the same number
-    of terms: the smallest that certifies tol at all of them, so the
-    truncation error is smooth in time. A sum that is not finite raises
-    SeriesCapError naming t and z.
+    (c0_conjugate). The band rows of the derivative's states are summed
+    by _neumann_sums, each with the same number of terms: the smallest
+    that certifies tol at all of them, so the truncation error is smooth
+    in time. A sum that is not finite raises SeriesCapError naming t and z.
     """
-    st, points = traj.stencil(t)
-    states = (st, *points)
-    a, b, c = (np.stack([getattr(s, x) for s in states]) for x in "abc")
-    rho = norm_bound_stack(a, b, c)
-    abs_z = _check_margin([z], rho, " along the stencil")
-    needed = int(_terms_needed(rho[:, None], np.array(abs_z), tol).max())
-    K = np.full((len(states), 1), needed)
-    values = _neumann_sums(a, b, c, [z], K + 1)
-    _refuse_nonfinite(values, [z], K, lambda i: f"t = {t:.6g}")
-    values = values[:, 0]
-    if conjugate:
-        values = [c0_conjugate(v, s.a[0]) for s, v in zip(states, values)]
-    return st, values[0], central_diff(values[1:], traj.h)
+
+    def values_of(states):
+        a, b, c = (np.stack([getattr(s, x) for s in states]) for x in "abc")
+        rho = norm_bound_stack(a, b, c)
+        abs_z = _check_margin([z], rho, " along the stencil")
+        needed = int(_terms_needed(rho[:, None], np.array(abs_z), tol).max())
+        K = np.full((len(states), 1), needed)
+        values = _neumann_sums(a, b, c, [z], K + 1)
+        _refuse_nonfinite(values, [z], K, lambda i: f"t = {t:.6g}")
+        values = values[:, 0]
+        if conjugate:
+            values = [c0_conjugate(v, s.a[0]) for s, v in zip(states, values)]
+        return values
+
+    return traj.derivative(t, values_of)
 
 
-def resolvent_ode_residual(
-    traj: Trajectory, z: complex, t: float, tol: float = 1e-12
-) -> np.ndarray:
-    """Defect (2, 2) of R' = R (zI - B_1) - I + [R, (J_lower)_11] at time t."""
-    st, r, dr = _series_stencil(traj, z, t, tol, conjugate=False)
+def resolvent_ode_residual(traj, z: complex, t: float, tol: float = 1e-12) -> np.ndarray:
+    """Defect (2, 2) of R' = R (zI - B_1) - I + [R, (J_lower)_11] at time t,
+    with R' from the flow traj (Trajectory.derivative)."""
+    st, r, dr = _series_derivative(traj, z, t, tol, conjugate=False)
     eye = np.eye(2, dtype=np.complex128)
     return dr - (r @ (z * eye - b_block(st, 1)) - eye + commutator(r, d_block(st, 0)))
 
 
 def generating_ode_residual(
-    traj: Trajectory, zeta: complex, t: float, tol: float = 1e-12
+    traj, zeta: complex, t: float, tol: float = 1e-12
 ) -> np.ndarray:
-    """Defect (2, 2) of F' = F (zeta I - moment_1) - I at time t."""
-    st, f, df = _series_stencil(traj, zeta, t, tol, conjugate=True)
+    """Defect (2, 2) of F' = F (zeta I - moment_1) - I at time t, with F'
+    from the flow traj (Trajectory.derivative)."""
+    st, f, df = _series_derivative(traj, zeta, t, tol, conjugate=True)
     m1 = moments_from_j(st, 1).moments[1]
     eye = np.eye(2, dtype=np.complex128)
     return df - (f @ (zeta * eye - m1) - eye)

@@ -35,7 +35,6 @@ from .dynamics import (
     CorruptionSpec,
     IntegratorConfig,
     Trajectory,
-    central_diff,
     integrate,
     kostant_rhs,
     lax_rhs,
@@ -177,10 +176,9 @@ def check_block_power_ode(seeds, flow):
     for seed in seeds:
         traj = flow(seed)
         for t in _T_SAMPLES:
-            st, points = traj.stencil(t)
-            stack = np.stack([s.dense() for s in (st, *points)])
-            p, *p_points = leading_power_blocks(stack, 5)
-            dp = central_diff(p_points, traj.h)
+            st, p, dp = traj.derivative(
+                t, lambda states: leading_power_blocks(np.stack([s.dense() for s in states]), 5)
+            )
             b1 = b_block(st, 1)
             d0 = d_block(st, 0)
             for n in range(1, 5):

@@ -71,6 +71,25 @@ def test_signatures_the_hooks_bind_by_name():
     assert exponential_moments(st, 0.1, 2).terms_used > 0
 
 
+def test_every_span_outside_verify_names_a_traced_function(bench):
+    # the tracer wraps __all__ functions and tracer.METHODS by name, so a
+    # renamed or moved law would leave its span reading 0 without a failure
+    tracer, layers, _ = bench
+    dead = {"resolvent.integrate_with_closed_form"}  # no such function left
+    for span, _kinds in layers.SPANS:
+        layer, name = span.split(".", 1)
+        if layer == "verify" or span in dead:
+            continue
+        module = sys.modules[f"{tracer.PACKAGE}.{layer}"]
+        traced = name in tracer.METHODS.get(layer, ()) or (
+            name in module.__all__ and inspect.isfunction(getattr(module, name))
+        )
+        assert traced, span
+    for span in dead:
+        layer, name = span.split(".", 1)
+        assert not hasattr(sys.modules[f"{tracer.PACKAGE}.{layer}"], name), span
+
+
 def test_run_record_fields():
     assert isinstance(kostant_toda.HAS_NUMBA, bool)
     assert kostant_toda.active_backend() == "numpy"
@@ -109,14 +128,17 @@ def test_tracer_hooks_count_an_integration_and_come_off(bench):
 
 
 def test_simulate_csv_passes_the_benchmark_oracle(bench, tmp_path):
-    # one pass of simulate-csv-t1: the CSV must parse back bit-identical
-    # to a direct integrate call
+    # five consecutive passes of simulate-csv-t1 in one process, as the
+    # benchmark runs them: each CSV must parse back bit-identical to a
+    # direct integrate call, so a fault that shows from one pass to the
+    # next fails here
     _, _, workloads = bench
     w = workloads.make("simulate-csv-t1", 0, str(tmp_path))
     w.setup()
-    verdict = w.judge(w.run_pass())
-    assert verdict.ops == 1
-    assert not verdict.failures, verdict.failures
+    for i in range(5):
+        verdict = w.judge(w.run_pass())
+        assert verdict.ops == 1, i
+        assert not verdict.failures, (i, verdict.failures)
 
 
 def test_resolvent_neumann_passes_the_benchmark_oracle(bench, tmp_path):

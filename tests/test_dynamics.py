@@ -17,14 +17,13 @@ from kostant_toda import (
     IntegratorConfig,
     LatticeState,
     Trajectory,
-    central_diff,
     integrate,
     kostant_rhs,
     lax_rhs,
     norm_bound,
     random_state,
 )
-from kostant_toda import backends, csvio, dynamics
+from kostant_toda import backends, csvio, dynamics, moments, polynomials
 from kostant_toda.core import expm
 from kostant_toda.csvio import write_csv
 
@@ -205,6 +204,28 @@ def test_dynamics_imports_no_process_code():
     assert _top_imports(dynamics).isdisjoint({"bisect", "contextlib", "mmap", "os", "signal"})
 
 
+def _package_imports(module):
+    """The package modules module imports by relative name."""
+    with open(module.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_moments_and_polynomials_import_nothing_from_dynamics():
+    # the laws take their derivative from the flow object they are given,
+    # so any flow with Trajectory's derivative method can stand in
+    assert "core" in _package_imports(moments)
+    for module in (moments, polynomials):
+        assert "dynamics" not in _package_imports(module), module.__name__
+
+
 def test_backends_imports_no_process_code():
     # RK4 calls no C library and asks the host nothing
     assert _top_imports(backends).isdisjoint({"ctypes", "os", "sys"})
@@ -229,12 +250,12 @@ def test_csv_round_trip():
     assert data[0, 2] == st.a[0].imag
 
 
-def test_central_diff_on_cubic():
+def test_derivative_on_cubic():
     h = 1e-2
-    ts = h * np.arange(101)
-    vals = ts**3
-    d = central_diff((vals[48], vals[52]), h)
-    t = ts[50]
+    traj = integrate(random_state(0, 8), IntegratorConfig(t_end=1.0, h=h))
+    t = traj.ts[50]
+    st, v, d = traj.derivative(t, lambda states: np.array([s.t for s in states]) ** 3)
+    assert st.t == t and v == t**3
     # exact for the 2h stencil applied to t^3 up to the delta^2 term
     assert d == pytest.approx(3 * t**2 + (2 * h) ** 2, rel=1e-10)
 

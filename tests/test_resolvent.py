@@ -11,7 +11,6 @@ from kostant_toda import (
     ZTooSmallError,
     b_block,
     c0_block,
-    central_diff,
     closed_form_resolvent,
     commutator,
     d_block,
@@ -25,7 +24,7 @@ from kostant_toda import (
     resolvent_ode_residual,
     resolvent_sweep,
 )
-from kostant_toda import core, resolvent
+from kostant_toda import core, dynamics, resolvent
 from kostant_toda.backends import pack_state
 from kostant_toda.dynamics import Trajectory
 from kostant_toda.resolvent import spectral_ring
@@ -113,19 +112,21 @@ def test_resolvent_ode_residual_small():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_stacked_stencil_matches_lone_sums_bit_for_bit(seed, neumann_by_hand):
-    # each stencil state summed alone by hand with the stencil's largest
-    # term count, then the two laws written out again
+    # the states at t and t -+ delta each summed alone by hand with their
+    # largest term count, then the two laws written out again
     traj = integrate(random_state(seed, 12), IntegratorConfig(t_end=0.2, h=1.25e-4))
     z, t = spectral_ring(traj, 4)[1], 0.1
-    st, points = traj.stencil(t)
-    states = (st, *points)
+    i, k = traj.index_of(t), dynamics.STENCIL_HALFWIDTH
+    states = [traj.state_at(j) for j in (i, i - k, i + k)]
+    st = states[0]
     terms = max(resolvent_block(s, z, tol=1e-12).terms_used for s in states)
     r = [neumann_by_hand(s, z, 1e-12, terms)[0] for s in states]
     f = [c0_block(-s.a[0]) @ v @ c0_block(s.a[0]) for s, v in zip(states, r)]
     eye = np.eye(2, dtype=np.complex128)
     rhs = r[0] @ (z * eye - b_block(st, 1)) - eye + commutator(r[0], d_block(st, 0))
-    want_r = central_diff(r[1:], traj.h) - rhs
-    want_f = central_diff(f[1:], traj.h) - (
+    delta = k * traj.h
+    want_r = (r[2] - r[1]) / (2.0 * delta) - rhs
+    want_f = (f[2] - f[1]) / (2.0 * delta) - (
         f[0] @ (z * eye - moments_from_j(st, 1).moments[1]) - eye
     )
     assert np.array_equal(resolvent_ode_residual(traj, z, t), want_r)

@@ -1,4 +1,5 @@
-"""Every derivative-law residual needs its whole stencil on the stored grid."""
+"""The derivative-law residuals read the flow only through its derivative
+method, whose whole stencil must lie on the stored grid."""
 
 import numpy as np
 import pytest
@@ -51,3 +52,27 @@ def test_stencil_off_the_grid_is_refused(traj, name, t):
 @pytest.mark.parametrize("name", sorted(RESIDUALS))
 def test_stencil_fits_at_the_grid_edges(traj, name, t):
     assert np.max(np.abs(RESIDUALS[name](traj, t))) < 1e-4
+
+
+class StandInFlow:
+    """A flow exposing only derivative, delegated to a Trajectory."""
+
+    __slots__ = ("derivative",)
+
+    def __init__(self, traj):
+        self.derivative = traj.derivative
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_laws_read_the_flow_only_through_derivative(seed):
+    traj = integrate(random_state(seed, 12), IntegratorConfig(t_end=0.2, h=H))
+    z, t = _z(traj), 0.1
+    laws = [
+        lambda flow: moment_ode_residual(flow, 2, t),
+        lambda flow: functional_derivative_residual(flow, Q, t),
+        lambda flow: derivative_law_residual(flow, 2, t, 0.8),
+        lambda flow: resolvent_ode_residual(flow, z, t),
+        lambda flow: generating_ode_residual(flow, z, t),
+    ]
+    for law in laws:
+        assert np.array_equal(law(StandInFlow(traj)), law(traj))
