@@ -71,6 +71,25 @@ def test_signatures_the_hooks_bind_by_name():
     assert exponential_moments(st, 0.1, 2).terms_used > 0
 
 
+def test_run_suite_reaches_each_check_through_the_module(monkeypatch):
+    # perfbench's VerifySuite and tracer replace verify.check_<name> in
+    # place, so run_suite must look every check up on the module each run
+    def stub_rhs(seeds):
+        return verify.CheckReport("stub_rhs", {}, 0.0, 1.0, True, 0.0)
+
+    def stub_moment_ode(seeds, flow):
+        return verify.CheckReport("stub_moment_ode", {}, 0.0, 1.0, True, 0.0)
+
+    monkeypatch.setattr(verify, "check_rhs_equivalence", stub_rhs)
+    monkeypatch.setattr(verify, "check_moment_ode", stub_moment_ode)
+    ids = [r.id for r in verify.run_suite(seeds=[0])]
+    assert ids[0] == "stub_rhs" and ids[5] == "stub_moment_ode"
+    # check_exponential_moments still returns two reports, and perfbench's
+    # check boundary counts on that
+    assert ids[15:17] == ["exponential_moments", "exponential_tail_certificate"]
+    assert len(ids) == 22
+
+
 def test_every_span_outside_verify_names_a_traced_function(bench):
     # the tracer wraps __all__ functions and tracer.METHODS by name, so a
     # renamed or moved law would leave its span reading 0 without a failure

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from collections import Counter
@@ -127,10 +128,63 @@ def test_empty_seed_list_rejected():
         run_suite(seeds=[])
 
 
-def test_check_with_no_residual_fails():
-    rep = verify.check_moment_uniqueness([])
+# every check_<name> that _check builds: all but the two with their own loop
+BUILT_CHECKS = sorted(
+    name for name in vars(verify)
+    if name.startswith("check_")
+    and name not in ("check_exponential_moments", "check_fd_convergence")
+)
+
+
+def _no_flow(seed):
+    raise AssertionError("a check on no seeds read a flow")
+
+
+@pytest.mark.parametrize("name", BUILT_CHECKS)
+def test_check_with_no_residual_fails(name):
+    check = getattr(verify, name)
+    flow = (_no_flow,) * ("flow" in inspect.signature(check).parameters)
+    rep = check([], *flow)
     assert rep.passed is False
     assert math.isnan(rep.max_residual)
+    assert rep.instance["seeds"] == []
+
+
+def test_check_folds_every_defect_of_every_seed():
+    @verify._check("toy", 7.0, m=3, orders=[0, 2])
+    def check_toy(seed, flow):
+        """A toy law."""
+        yield flow(seed)
+        yield np.array([0.5, -2.0 * seed])
+
+    rep = check_toy(range(4), lambda seed: 7.0 * (seed == 1))
+    assert list(inspect.signature(check_toy).parameters) == ["seeds", "flow"]
+    assert check_toy.__name__ == "check_toy" and check_toy.__doc__ == "A toy law."
+    assert rep.id == "toy" and rep.threshold == 7.0
+    assert list(rep.instance) == ["seeds", "m", "orders"]
+    assert rep.instance == {"seeds": [0, 1, 2, 3], "m": 3, "orders": [0, 2]}
+    assert rep.max_residual == 7.0  # the first yield of seed 1
+    assert rep.passed is True
+    assert rep.runtime_s >= 0
+    assert rep.control is False
+    # |-2 * 3|, the last entry of the second yield of the last seed
+    assert check_toy([2, 3], lambda seed: 1.0).max_residual == 6.0
+
+
+def test_check_keeps_a_nan_seen_after_finite_defects():
+    @verify._check("toy", 1.0)
+    def check_toy(seed):
+        yield 0.25
+        yield float("nan") if seed == 1 else 0.5
+        yield 0.75
+
+    assert list(inspect.signature(check_toy).parameters) == ["seeds"]
+    rep = check_toy([0, 1, 2])
+    assert math.isnan(rep.max_residual)
+    assert rep.passed is False
+    empty = check_toy([])
+    assert math.isnan(empty.max_residual) and empty.passed is False
+    assert empty.instance == {"seeds": []}
 
 
 def _nan_residual(*args, **kwargs):
