@@ -40,6 +40,13 @@ _X_MAX = 99
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 # Half less the margin a decided fraction keeps from a tie.
 _TIE = 0.5 - 2.0**-30
+# A field's 29 cells: its sign, five for %g's "0.000" prefix, the lead
+# digit (digit 0 of 17), the point, digits 1..16, four for "e+XX" and the
+# separator.
+_CELLS = 29
+_LEAD, _POINT, _DIGITS, _EXPONENT = 6, 7, slice(8, 24), slice(24, 28)
+# rows per sign: X = -_X_MAX - 1 .. _X_MAX + 1
+_SIGN_ROWS = 2 * _X_MAX + 3
 
 
 def _veltkamp(v):
@@ -49,15 +56,40 @@ def _veltkamp(v):
     return head, v - head
 
 
-def _pow10_pairs():
-    """(hi, lo, head, tail) of 10^q, q = 16 - X for X = -_X_MAX.._X_MAX.
+def _rows():
+    """The row of a field by the top 12 bits of its double (sign and biased
+    exponent), and the least magnitude that moves it to the next row, inf
+    where none does.
+
+    A field's row is X + _X_MAX + 1 + s _SIGN_ROWS for its decimal
+    exponent X and sign bit s. The rows of X = -_X_MAX - 1 and _X_MAX + 1
+    stand for every field outside |X| <= _X_MAX, infinities and nans
+    included; zeros and subnormals get the rows of X = 0. A binade
+    [2^E, 2^(E + 1)) holds X0 = floor(log10 2^E) and perhaps X0 + 1, from
+    10^(X0 + 1) up.
+    """
+    bits = np.arange(4096)
+    biased = bits & 2047
+    x0 = np.floor((biased - 1023) * np.log10(2.0)).astype(np.intp)
+    # 10^k for k = -_X_MAX .. _X_MAX + 1, each rounded once
+    tens = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(-_X_MAX, _X_MAX + 2)])
+    up = tens.take(np.clip(x0 + 1 + _X_MAX, 0, tens.size - 1))
+    up[(x0 < -_X_MAX - 1) | (x0 > _X_MAX) | (biased == 0)] = np.inf
+    x0 = np.clip(x0, -_X_MAX - 1, _X_MAX + 1)
+    x0[biased == 0] = 0
+    return x0 + _X_MAX + 1 + (bits >> 11) * _SIGN_ROWS, up
+
+
+def _pow10_rows():
+    """(hi, lo, head, tail) of 10^q, q = 16 - X, by row (_rows); 0 in the
+    rows outside |X| <= _X_MAX.
 
     hi is 10^q rounded to a double and lo the rounded remainder 10^q - hi,
     both from exact integer arithmetic (int to float and int / int round
     correctly), so hi + lo is 10^q to a relative 2^-106; head and tail
     split hi for Dekker's product.
     """
-    hi, lo = [], []
+    hi, lo = [0.0], [0.0]
     for q in range(16 + _X_MAX, 15 - _X_MAX, -1):
         if q >= 0:
             n = 10**q
@@ -68,38 +100,59 @@ def _pow10_pairs():
             hi.append(1 / d)
             num, den = hi[-1].as_integer_ratio()
             lo.append((den - num * d) / (d * den))
-    hi = np.array(hi)
-    return (hi, np.array(lo), *_veltkamp(hi))
+    hi, lo = np.tile(hi + [0.0], 2), np.tile(lo + [0.0], 2)
+    return (hi, lo, *_veltkamp(hi))
 
 
 def _templates():
-    """Field templates by X (rows X + _X_MAX without the point, the next
-    2 _X_MAX + 1 rows with it) and the digits each X never strips.
+    """The cells of each row (_rows), the digits it never strips, and the
+    digit its point follows.
 
-    A field is 44 cells: sign, five for %g's "0.000" prefix, 17 digits
-    with a point cell after each of the first 16, four for "e+XX", and the
-    separator. Unused cells hold 0.
+    X = 0..15 and the exponent form have the point after the lead digit,
+    where X = 1..15 move it after digit X (_point_masks); -4 <= X < 0 write
+    "0." and zeros in the prefix and X = 16 no point. Unused cells hold 0.
     """
-    xs = range(-_X_MAX, _X_MAX + 1)
-    cells = np.zeros((2, len(xs), 44), dtype=np.uint8)
-    int_digits = np.ones(len(xs), dtype=np.uint8)
-    for i, x in enumerate(xs):
+    cells = np.zeros((2, _SIGN_ROWS, _CELLS), dtype=np.uint8)
+    cells[1, :, 0] = ord("-")
+    int_digits = np.ones(_SIGN_ROWS, dtype=np.uint8)
+    point_after = np.zeros(_SIGN_ROWS, dtype=np.intp)
+    for i, x in enumerate(range(-_X_MAX - 1, _X_MAX + 2)):
+        if abs(x) > _X_MAX:  # % writes every field of these rows
+            continue
         if -4 <= x < 0:
             cells[:, i, 1 : 2 - x] = np.frombuffer(b"0." + b"0" * (-1 - x), np.uint8)
-        elif 0 <= x < 17:
+            continue
+        if 0 <= x <= 16:
             int_digits[i] = x + 1
-            if x < 16:
-                cells[1, i, 7 + 2 * x] = ord(".")
         else:
-            cells[1, i, 7] = ord(".")
-            cells[:, i, 39:43] = np.frombuffer(b"e%+03d" % x, np.uint8)
-    return cells.reshape(-1, 44), int_digits
+            cells[:, i, _EXPONENT] = np.frombuffer(b"e%+03d" % x, np.uint8)
+        if x != 16:
+            cells[:, i, _POINT] = ord(".")
+        if 0 < x < 16:
+            point_after[i] = x
+    return cells.reshape(-1, _CELLS), np.tile(int_digits, 2), np.tile(point_after, 2)
+
+
+def _point_masks():
+    """For the point after digit X = 0..15, the masks below, point and
+    above over the 16 cells from _POINT on, each a pair of little-endian
+    words: digits 1..X, the point itself, and digits X + 1..15.
+
+    With W the 16 bytes of digits 1..16, (W & below) | point | ((W << 8) &
+    above) is the text of those cells with the point after digit X; digit
+    16 keeps its cell."""
+    masks = np.empty((3, 16, 2), dtype="<u8")
+    for x in range(16):
+        below, through = (1 << 8 * x) - 1, (1 << 8 * x + 8) - 1
+        for i, mask in enumerate((below, ord(".") << 8 * x, (1 << 128) - 1 - through)):
+            masks[i, x] = np.frombuffer(mask.to_bytes(16, "little"), dtype="<u8")
+    return masks
 
 
 def _digit_tables():
-    """The text of 0..9999 as four digits, one uint32 each, and at
-    j * 10,000 + g the digits of group j (digits 4j+1..4j+4 of 17) of value
-    g up to its last nonzero one: 0 when g is 0."""
+    """The text of 0..9999 as four digits, one little-endian uint32 each,
+    and at j * 10,000 + g the digits of group j (digits 4j+1..4j+4 of 17)
+    of value g up to its last nonzero one: 0 when g is 0."""
     g = np.arange(10_000.0)
     text = np.empty((g.size, 4), dtype=np.uint8)
     sig = np.zeros(g.size, dtype=np.intp)
@@ -110,16 +163,18 @@ def _digit_tables():
     last = np.zeros((4, g.size), dtype=np.uint8)
     for j in range(4):
         last[j] = np.where(sig > 0, sig + 4 * j + 1, 0)
-    return text.view(np.uint32).ravel(), last.ravel()
+    return text.view("<u4").ravel(), last.ravel()
 
 
-_HI, _LO, _HI_HEAD, _HI_TAIL = _pow10_pairs()
-_TEMPLATES, _INT_DIGITS = _templates()
+_ROW, _UP = _rows()
+_HI, _LO, _HI_HEAD, _HI_TAIL = _pow10_rows()
+_TEMPLATES, _INT_DIGITS, _POINT_AFTER = _templates()
+_BELOW, _DOT, _ABOVE = _point_masks()
 _DIGITS4, _LAST = _digit_tables()
-# the first 43 cells of the fields inf, -inf and nan
-_NONFINITE = np.array([list(t.ljust(43, b"\0")) for t in (b"inf", b"-inf", b"nan")],
-                      dtype=np.uint8)
 _GROUP_BASE = np.array([0, 10_000, 20_000, 30_000])
+# four digits of text end in 0 when, as a little-endian uint32, they are
+# below "0001"'s
+_ENDS_IN_0 = 0x31000000
 # for k = 0..17 digits kept of 17, the masks of the bytes kept in the
 # little-endian words of digits 1..8 and 9..16
 _KEEP_BYTES = np.array(
@@ -132,45 +187,48 @@ def _format_fields(x, sep) -> bytes:
     """The text of '%.17g' % x[i] + chr(sep[i]) for every i, joined, for
     doubles x and separator bytes sep; byte for byte that of %.
 
-    Digits. With X the estimate floor(log10 |x|), q = 16 - X and 10^q =
-    hi + lo (_pow10_pairs), v = |x| 10^q is formed as p + r: Dekker's exact
-    product |x| hi = p + e (Numer. Math. 18, 1971) and r = e + |x| lo. The
-    error of p + r is at most about 2^-104 v, so 2^-47 for v < 2^57. The
-    17 digits N = round(v) are decided, as p + floor(r + 0.5), only when
-    p lies in (10^16 + 64, 10^17 - 64), which proves that X is exact and
-    N has 17 digits, and the fraction r - floor(r + 0.5) is farther than
-    2^-30 from -1/2 and 1/2, which proves the rounding. Every other field
-    is written by '%.17g' % x itself, as Grisu3 leaves the cases it cannot
-    decide to an exact algorithm (Loitsch, PLDI 2010): subnormal and
-    |X| > 99 fields, near ties, powers of ten (v = 10^16, on the window's
-    edge) and an estimate off by one near them. So the text is exact
-    whenever the error bound holds. +-0, +-inf and nan are written from
-    templates, as % writes them: "0", "-0", "inf", "-inf", and "nan"
-    whatever its sign bit. A field left to % costs 0.35-0.55 us against
-    about 0.17 us.
+    Digits. With X the decimal exponent floor(log10 |x|), q = 16 - X and
+    10^q = hi + lo (_pow10_rows), v = |x| 10^q is formed as p + r: Dekker's
+    exact product |x| hi = p + e (Numer. Math. 18, 1971) and r = e + |x|
+    lo. The error of p + r is at most about 2^-104 v, so 2^-47 for v <
+    2^57. The 17 digits N = round(v) are decided, as p + floor(r + 0.5),
+    only when p lies in (10^16 + 64, 10^17 - 64), which proves that X is
+    exact and N has 17 digits, and the fraction r - floor(r + 0.5) is
+    farther than 2^-30 from -1/2 and 1/2, which proves the rounding. X is
+    read off the exponent bits and one comparison (_rows), so the double
+    nearest 10^X gets X even when it lies below 10^X; the window sends it
+    to %. Every other field is written by '%.17g' % x itself, as Grisu3
+    leaves the cases it cannot decide to an exact algorithm (Loitsch, PLDI
+    2010): subnormal, infinite, nan and |X| > 99 fields, near ties, powers
+    of ten (v = 10^16, on the window's edge) and an X off by one near them.
+    So the text is exact whenever the error bound holds. +-0 are written
+    from the rows of X = 0, as "0" and "-0". A field left to % costs
+    0.35-0.55 us against about 0.09 us.
 
     Text, as %g: fixed form for -4 <= X < 17 with trailing zeros and a
     bare point removed, else d.ddd then e and a signed exponent of at
     least two digits; "-" when the sign bit is set. Each field fills one
-    44-cell template (_templates), its digits coming four at a time from
-    _DIGITS4, and bytes.translate squeezes out the unused 0 cells.
+    row of _CELLS cells: its row's template (_templates), which holds the
+    sign, prefix, point and exponent, then the lead digit, digits 1..16
+    four at a time from _DIGITS4 and the separator. Only a field whose
+    last digit is 0 looks up its trailing zeros (_LAST), and only a field
+    with 1 <= X <= 15 and a digit after its point moves the point, by word
+    masks (_point_masks); bytes.translate squeezes out the unused 0 cells.
     """
     n = x.size
+    # the top 12 bits, negative when the sign bit is set: take wraps them
+    e = x.view(np.int64) >> 52
+    row = _ROW.take(e)
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = np.floor(np.log10(a))
-    fast = np.abs(est) <= _X_MAX
-    xi = (np.where(fast, est, 0.0) + _X_MAX).astype(np.intp)
-    # the other fields go through as 1: 0 comes out as the digit 1, which
-    # the first digit cell lowers to 0, and the rest are written by %
-    a = np.where(fast, a, 1.0)
+    np.fmin(a, 1e300, out=a)  # inf and nan are 1e300 in rows where 10^q = 0
+    row += a >= _UP.take(e)
     a_head, a_tail = _veltkamp(a)
-    head, tail = _HI_HEAD.take(xi), _HI_TAIL.take(xi)
-    p = a * _HI.take(xi)
+    head, tail = _HI_HEAD.take(row), _HI_TAIL.take(row)
+    p = a * _HI.take(row)
     r = (((a_head * head - p) + a_head * tail) + a_tail * head) + a_tail * tail
-    r += a * _LO.take(xi)
+    r += a * _LO.take(row)
     k = np.floor(r + 0.5)
-    decided = fast & (np.abs(p - 5.5e16) < 4.5e16 - 64) & (np.abs(r - k) < _TIE)
+    decided = (np.abs(p - 5.5e16) < 4.5e16 - 64) & (np.abs(r - k) < _TIE)
     # N = p + k as its first digit and four groups of four, in exact float
     # operations: p / 1e8 may round up to the next integer, which the carry
     # mends, every other floor of a quotient is exact, each product of such
@@ -181,36 +239,49 @@ def _format_fields(x, sep) -> bytes:
     carry = np.floor(low / 1e8)
     high += carry
     low -= carry * 1e8
-    digits = np.empty((n, 5))
-    digits[:, 0] = np.floor(high / 1e8)
-    high -= digits[:, 0] * 1e8
-    digits[:, 1] = np.floor(high / 1e4)
-    digits[:, 2] = high - digits[:, 1] * 1e4
-    digits[:, 3] = np.floor(low / 1e4)
-    digits[:, 4] = low - digits[:, 3] * 1e4
-    digits = digits.astype(np.intp)
-    lead, groups = digits[:, 0], digits[:, 1:]
-    last = _LAST.take(groups + _GROUP_BASE)
+    lead = np.floor(high / 1e8)
+    high -= lead * 1e8
+    groups = np.empty((n, 4))
+    np.floor(high / 1e4, out=groups[:, 0])
+    np.subtract(high, groups[:, 0] * 1e4, out=groups[:, 1])
+    np.floor(low / 1e4, out=groups[:, 2])
+    np.subtract(low, groups[:, 2] * 1e4, out=groups[:, 3])
+    groups = groups.astype(np.intp)
+    words = _DIGITS4.take(groups)
+    pairs = words.view("<u8")  # digits 1..8 and 9..16
+    # a field whose last digit is 0 keeps its digits up to its last nonzero
+    # one or the last before the point, and its point only before a digit
+    ends_in_0 = np.flatnonzero(words[:, 3] < _ENDS_IN_0)
+    last = _LAST.take(groups.take(ends_in_0, axis=0) + _GROUP_BASE)
     kept = np.maximum(np.maximum(last[:, 0], last[:, 1]), np.maximum(last[:, 2], last[:, 3]))
-    int_digits = _INT_DIGITS.take(xi)
+    int_digits = _INT_DIGITS.take(row.take(ends_in_0))
     np.maximum(kept, int_digits, out=kept)
-    words = _DIGITS4.take(groups).view("<u8")  # digits 1..8 and 9..16
-    words &= _KEEP_BYTES.take(kept, axis=0)
-    zero = x == 0
-    finite = np.isfinite(x)
-    # the template with the point when a digit after it is kept
-    out = _TEMPLATES.take(xi + (kept > int_digits) * (2 * _X_MAX + 1), axis=0)
-    out[:, 0] = np.signbit(x) * ord("-")
-    out[:, 6] = lead + ord("0") - zero
-    out[:, 8:39:2] = words.view(np.uint8)
-    out[:, 43] = sep
-    special = np.flatnonzero(~finite)
-    if special.size:
-        v = x[special]
-        out[special, :43] = _NONFINITE.take(np.where(np.isnan(v), 2, np.signbit(v)), axis=0)
+    keep = np.full(n, 17, dtype=np.uint8)
+    keep[ends_in_0] = kept
+    pairs &= _KEEP_BYTES.take(keep, axis=0)
+    out = _TEMPLATES.take(row, axis=0)
+    out[:, _LEAD] = lead + ord("0")
+    out[:, _DIGITS].view("V16")[:] = words.view("V16")  # 16 bytes a copy
+    out[:, -1] = sep
+    bare = ends_in_0[kept <= int_digits]
+    out[bare, _POINT] = 0
+    # a point with a digit after it moves after digit X for 1 <= X <= 15
+    after = _POINT_AFTER.take(row)
+    after[bare] = 0
+    moves = np.flatnonzero(after)
+    after = after.take(moves)
+    w = pairs.take(moves, axis=0)
+    above = w << 8
+    above[:, 1] |= w[:, 0] >> 56
+    above &= _ABOVE.take(after, axis=0)
+    w &= _BELOW.take(after, axis=0)
+    w |= _DOT.take(after, axis=0)
+    w |= above
+    out[:, _POINT : _DIGITS.stop - 1].view("V16")[moves] = w.view("V16")
     # each field left to % keeps only its separator and a 1 that marks it
-    others = np.flatnonzero(~(decided | zero) & finite)
-    out[others, :43] = 0
+    others = np.flatnonzero(~decided)
+    others = others[x[others] != 0]
+    out[others, :-1] = 0
     out[others, 0] = 1
     text = out.tobytes().translate(None, b"\0")
     if not others.size:
