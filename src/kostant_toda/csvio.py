@@ -6,6 +6,7 @@ integrate_for_csv forks a helper before RK4."""
 from __future__ import annotations
 
 import contextlib
+import math
 import mmap
 import os
 import signal
@@ -16,22 +17,24 @@ from .dynamics import _integrate
 
 
 # integrate_for_csv forks a helper for a table of at least this many fields.
-# In fresh processes of simulate --seed 7 --t-end 1 --h 1e-3 (2-vCPU Linux
-# box, CPython 3.11, four sets of 12 alternating pairs), the overlap beat
-# one process in the median of every set at every size measured: 49-56
-# against 53-74 ms at m = 12 (67,067 fields; it won 8-11 of 12 pairs), 53-61
-# against 58-82 ms at 91k (9-11), 51-65 against 64-94 ms at 115k (12) and
-# 70-85 against 103-120 ms at 187k (11-12).
+# In fresh processes of simulate --t-end 1 --h 1e-3 (2-vCPU Linux box,
+# CPython 3.11, 12 alternating pairs a size and seed), the overlap won 9-11
+# of 12 pairs at 41,041 fields (m = 8, seeds 7, 12 and 23; medians 31-40
+# against 35-51 ms) and 10-12 at 55,055 (m = 10); at seed 7 it won 10 at
+# 67,067 (m = 12) and lost 10 at 31,031 (m = 6; 37.1 against 31.1 ms). So
+# the threshold could come down to about 40,000; it stays where the
+# two-process CSV tests straddle it.
 FORK_FIELDS = 60_000
 
-# Fields per _format_fields call. Its temporaries peak near 300 bytes a
-# field, so a block of 8,192 takes about 2.4 MB, close to a core's 2 MiB L2
+# Fields per _format_fields call. Its temporaries peak near 250 bytes a
+# field, so a block of 8,192 takes about 2 MB, close to a core's 2 MiB L2
 # on the 2-core Xeon this was measured on (lscpu's 4 MiB is both cores').
-# Forked to_csv of simulate's table (m = 32, 2,001 rows, before the helper
-# ran beside RK4) took a median of 77, 71, 67, 67 and 88 ms at 2k, 4k, 8k,
-# 16k and 32k fields per block over 15 alternating in-process rounds at
-# seed 7, and perfbench's simulate-csv-t1 wall_rel went from 7.84 to 7.28
-# with 8k (medians of 8 alternating pairs at seed 7, 6 won).
+# In-process simulate passes (m = 32, t = 1, h = 5e-4, perfbench's
+# reference kernel between them, 15 alternating rounds) took a median of
+# 72, 68, 72, 71 and 73 ms at seed 7 and 64, 56, 54, 52 and 54 ms at seed
+# 23 with 2k, 4k, 8k, 16k and 32k fields per block, and the kernel alone
+# 74, 60, 56, 54 and 57 ms: 16k was 1-2 ms ahead of 8k, inside the
+# quartiles of both, for twice the temporaries, so 8k stays.
 _BLOCK_FIELDS = 8192
 
 # Decimal exponents X whose fields _format_fields decides itself: |X| <= 99,
@@ -68,16 +71,16 @@ def _rows():
     [2^E, 2^(E + 1)) holds X0 = floor(log10 2^E) and perhaps X0 + 1, from
     10^(X0 + 1) up.
     """
-    bits = np.arange(4096)
-    biased = bits & 2047
-    x0 = np.floor((biased - 1023) * np.log10(2.0)).astype(np.intp)
+    x0 = np.floor(np.arange(-1023.0, 1025.0) * math.log10(2.0))
+    x0[0] = 0.0
+    inside = np.abs(x0 + 0.5) < _X_MAX + 1  # -_X_MAX - 1 <= X0 <= _X_MAX
+    inside[0] = False
     # 10^k for k = -_X_MAX .. _X_MAX + 1, each rounded once
-    tens = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(-_X_MAX, _X_MAX + 2)])
-    up = tens.take(np.clip(x0 + 1 + _X_MAX, 0, tens.size - 1))
-    up[(x0 < -_X_MAX - 1) | (x0 > _X_MAX) | (biased == 0)] = np.inf
-    x0 = np.clip(x0, -_X_MAX - 1, _X_MAX + 1)
-    x0[biased == 0] = 0
-    return x0 + _X_MAX + 1 + (bits >> 11) * _SIGN_ROWS, up
+    tens = np.array([float(f"1e{k}") for k in range(-_X_MAX, _X_MAX + 2)])
+    up = np.full(x0.size, np.inf)
+    up[inside] = tens.take((x0[inside] + _X_MAX).astype(np.intp) + 1)
+    row = (np.minimum(np.maximum(x0, -_X_MAX - 1), _X_MAX + 1) + _X_MAX + 1).astype(np.intp)
+    return np.concatenate([row, row + _SIGN_ROWS]), np.concatenate([up, up])
 
 
 def _pow10_rows():
@@ -112,24 +115,20 @@ def _templates():
     where X = 1..15 move it after digit X (_point_masks); -4 <= X < 0 write
     "0." and zeros in the prefix and X = 16 no point. Unused cells hold 0.
     """
-    cells = np.zeros((2, _SIGN_ROWS, _CELLS), dtype=np.uint8)
+    x = np.arange(-_X_MAX - 1, _X_MAX + 2)
+    prefix, fixed = (-4 <= x) & (x < 0), (0 <= x) & (x <= 16)
+    point = (-_X_MAX <= x) & (x <= _X_MAX) & ~prefix  # % writes every field of the other rows
+    expo = point & ~fixed
+    point &= x != 16
+    cells = np.zeros((2, x.size, _CELLS), dtype=np.uint8)
     cells[1, :, 0] = ord("-")
-    int_digits = np.ones(_SIGN_ROWS, dtype=np.uint8)
-    point_after = np.zeros(_SIGN_ROWS, dtype=np.intp)
-    for i, x in enumerate(range(-_X_MAX - 1, _X_MAX + 2)):
-        if abs(x) > _X_MAX:  # % writes every field of these rows
-            continue
-        if -4 <= x < 0:
-            cells[:, i, 1 : 2 - x] = np.frombuffer(b"0." + b"0" * (-1 - x), np.uint8)
-            continue
-        if 0 <= x <= 16:
-            int_digits[i] = x + 1
-        else:
-            cells[:, i, _EXPONENT] = np.frombuffer(b"e%+03d" % x, np.uint8)
-        if x != 16:
-            cells[:, i, _POINT] = ord(".")
-        if 0 < x < 16:
-            point_after[i] = x
+    text = b"".join(b"0.000"[: 1 - k].ljust(5, b"\0") for k in x[prefix].tolist())
+    cells[:, prefix, 1:6] = np.frombuffer(text, np.uint8).reshape(-1, 5)
+    text = b"".join(b"e%+03d" % k for k in x[expo].tolist())
+    cells[:, expo, _EXPONENT] = np.frombuffer(text, np.uint8).reshape(-1, 4)
+    cells[:, point, _POINT] = ord(".")
+    int_digits = np.where(fixed, x + 1, 1).astype(np.uint8)
+    point_after = np.where(fixed & (x < 16), x, 0)
     return cells.reshape(-1, _CELLS), np.tile(int_digits, 2), np.tile(point_after, 2)
 
 
@@ -141,26 +140,22 @@ def _point_masks():
     With W the 16 bytes of digits 1..16, (W & below) | point | ((W << 8) &
     above) is the text of those cells with the point after digit X; digit
     16 keeps its cell."""
-    masks = np.empty((3, 16, 2), dtype="<u8")
-    for x in range(16):
-        below, through = (1 << 8 * x) - 1, (1 << 8 * x + 8) - 1
-        for i, mask in enumerate((below, ord(".") << 8 * x, (1 << 128) - 1 - through)):
-            masks[i, x] = np.frombuffer(mask.to_bytes(16, "little"), dtype="<u8")
-    return masks
+    cell, x = np.arange(16), np.arange(16)[:, None]
+    masks = np.stack([(cell < x) * 255, (cell == x) * ord("."), (cell > x) * 255])
+    return masks.astype(np.uint8).view("<u8")
 
 
 def _digit_tables():
     """The text of 0..9999 as four digits, one little-endian uint32 each,
     and at j * 10,000 + g the digits of group j (digits 4j+1..4j+4 of 17)
     of value g up to its last nonzero one: 0 when g is 0."""
-    g = np.arange(10_000.0)
-    text = np.empty((g.size, 4), dtype=np.uint8)
-    sig = np.zeros(g.size, dtype=np.intp)
-    for i, d in enumerate((1000.0, 100.0, 10.0, 1.0)):
-        digit = (np.floor(g / d) - 10 * np.floor(g / (10 * d))).astype(np.intp)
-        text[:, i] = digit + ord("0")
-        sig[digit > 0] = i + 1
-    last = np.zeros((4, g.size), dtype=np.uint8)
+    text = np.empty((10_000, 4), dtype=np.uint8)
+    sig = np.zeros(10_000, dtype=np.intp)  # the place of g's last nonzero digit
+    for place in range(4):
+        digit = np.tile(np.arange(10).repeat(10 ** (3 - place)), 10**place)  # of 0..9999
+        text[:, place] = digit + ord("0")
+        sig[digit > 0] = place + 1
+    last = np.zeros((4, 10_000), dtype=np.uint8)
     for j in range(4):
         last[j] = np.where(sig > 0, sig + 4 * j + 1, 0)
     return text.view("<u4").ravel(), last.ravel()
@@ -172,9 +167,6 @@ _TEMPLATES, _INT_DIGITS, _POINT_AFTER = _templates()
 _BELOW, _DOT, _ABOVE = _point_masks()
 _DIGITS4, _LAST = _digit_tables()
 _GROUP_BASE = np.array([0, 10_000, 20_000, 30_000])
-# four digits of text end in 0 when, as a little-endian uint32, they are
-# below "0001"'s
-_ENDS_IN_0 = 0x31000000
 # for k = 0..17 digits kept of 17, the masks of the bytes kept in the
 # little-endian words of digits 1..8 and 9..16
 _KEEP_BYTES = np.array(
@@ -251,7 +243,7 @@ def _format_fields(x, sep) -> bytes:
     pairs = words.view("<u8")  # digits 1..8 and 9..16
     # a field whose last digit is 0 keeps its digits up to its last nonzero
     # one or the last before the point, and its point only before a digit
-    ends_in_0 = np.flatnonzero(words[:, 3] < _ENDS_IN_0)
+    ends_in_0 = np.flatnonzero(words.view(np.uint8)[:, 15] == ord("0"))
     last = _LAST.take(groups.take(ends_in_0, axis=0) + _GROUP_BASE)
     kept = np.maximum(np.maximum(last[:, 0], last[:, 1]), np.maximum(last[:, 2], last[:, 3]))
     int_digits = _INT_DIGITS.take(row.take(ends_in_0))
@@ -333,8 +325,8 @@ def write_csv(stream, columns, table) -> None:
 
     %.17g round-trips every double exactly. The fields are formatted a
     block of rows at a time by _format_fields, a numpy kernel whose text is
-    byte for byte that of %, at about 0.25 us per field in one process with
-    the writes (simulate's 374,187-field table in 94 ms), against 0.8-1.0
+    byte for byte that of %, at about 0.16 us per field in one process with
+    the writes (simulate's 374,187-field table in 60 ms), against 0.8-1.0
     us for % on each row's Python floats (200,000 normal values).
 
     Opening a file is the caller's (cli._emit). The package does not export
@@ -543,6 +535,11 @@ def integrate_for_csv(state, cfg, corruption=None):
         ) from None
     table = np.frombuffer(table, dtype=np.float64).reshape(n_rows, width)
     table[:, 0] = state.t + cfg.h * np.arange(n_rows)
+    # An 8 MiB buffer freed untouched raises glibc's dynamic mmap threshold
+    # to 8 MiB and its trim threshold to 16 MiB (mallopt(3)), in both
+    # processes, so that block temporaries stay on the heap rather than
+    # being mapped and faulted in again block after block.
+    np.empty(1 << 20)
     helper = _Helper.fork(table)
     traj = None
     try:

@@ -4,7 +4,6 @@ the cost properties its layout was chosen for."""
 import re
 
 import numpy as np
-import pytest
 
 from kostant_toda import csvio
 
@@ -48,11 +47,6 @@ def test_kernel_writes_every_layout_like_17g():
     got = _kernel_text(x)
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert not bad, f"{len(bad)} fields differ, first {bad[:3]}"
-
-
-def test_kernel_zeros_and_nonfinite_fields_are_17g():
-    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1e-310, 1e100, -1e-100])
-    assert _kernel_text(x) == ["%.17g" % v for v in x.tolist()]
 
 
 class _Counted:
