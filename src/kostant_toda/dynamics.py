@@ -16,7 +16,8 @@ first sample (resolvent.closed_form_resolvent), not off the integrator.
 
 It owns the package's one time-derivative rule, Trajectory.derivative.
 Every law dX/dt = F(J) reads the flow through that method alone, so any
-flow object with it can stand in for the trajectory.
+flow object with it can stand in for the trajectory. The rule reads the
+flow's vector field at the sample, not the time grid around it.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ __all__ = [
     "lax_rhs",
 ]
 
-# Trajectory.derivative reads the samples delta = STENCIL_HALFWIDTH * h on
-# each side of t, so its stencil stays on the stored grid.
-STENCIL_HALFWIDTH = 2
+# Trajectory.derivative's ring, N = 12 roots of unity: the laws reach degree 9
+_RING = np.exp(2j * np.pi * np.arange(12) / 12)
 
 # The deliberate defects CorruptionSpec can inject, in report order.
 CORRUPTION_KINDS = ("freeze-b", "scale-c-rhs", "drop-commutator-term")
@@ -147,14 +147,15 @@ class Trajectory:
     """Sampled solution on the uniform grid t0 + k h, k = 0..n_steps.
 
     samples holds the packed rows described in backends; the bands a, b
-    and c are views into it, bound once.
+    and c are views into it, bound once; corruption bends the flow they follow.
     """
 
-    def __init__(self, samples, m, h, t0):
+    def __init__(self, samples, m, h, t0, corruption=None):
         self.samples = samples
         self.m = m
         self.h = h
         self.t0 = t0
+        self.corruption = corruption
         self.ts = t0 + h * np.arange(samples.shape[0])
         self.a, self.b, self.c = (x.T for x in backends.unpack_bands(samples.T, m))
         # the helper formatting the CSV table whose columns after t are
@@ -186,19 +187,26 @@ class Trajectory:
         )
 
     def derivative(self, t: float, values_of):
-        """State at grid time t, f there, and the central difference of f.
+        """State J at grid time t, f there, and the derivative of f along the flow.
 
-        values_of is called once, on the states at t, t - delta and
-        t + delta, delta = STENCIL_HALFWIDTH * h, and returns f at each.
-        The derivative is (f(t + delta) - f(t - delta)) / (2 delta), whose
-        truncation error is delta^2/6 times the third derivative of f. A
-        stencil that leaves the grid raises ValueError from state_at.
+        values_of is called once, on J and the ring states J + r w_j V, and
+        returns f at each: V is the vector field at J under the
+        trajectory's corruption, w_j = e^{2 pi i j / N} for j < N = 12 and
+        r = 0.1 / max |V|. The derivative f'(J)[V] is the trapezoidal sum
+        (1/N) sum_j f(J + r w_j V) / (r w_j), exact for f polynomial in
+        J's entries of degree at most N, with roundoff about eps |f| / r
+        (Lyness & Moler, SIAM J. Numer. Anal. 4, 1967).
         """
         i = self.index_of(t)
-        k = STENCIL_HALFWIDTH
-        before, state, after = (self.state_at(j) for j in (i - k, i, i + k))
-        values = values_of((state, before, after))
-        return state, values[0], (values[2] - values[1]) / (2.0 * (k * self.h))
+        state, y = self.state_at(i), self.samples[i]
+        v = np.empty_like(y)
+        backends._rhs(y, v, self.m, self.corruption)
+        r = 0.1 / np.max(np.abs(v))
+        rows = y + (r * _RING)[:, None] * v
+        ring = (LatticeState(*backends.unpack_bands(row, self.m), state.t) for row in rows)
+        values = np.asarray(values_of((state, *ring)))
+        weights = 1.0 / (len(_RING) * r * _RING)
+        return state, values[0], np.tensordot(weights, values[1:], axes=1)
 
     def to_csv(self, stream) -> None:
         """Write t, Re/Im of every band entry to a text stream, one row per sample."""
@@ -233,5 +241,5 @@ def _integrate(state, cfg, corruption, **rows) -> Trajectory:
         c = backends.unpack_bands(samples[status], state.m)[2]
         c_min = float(np.min(np.abs(c)))
         raise CNearZeroError(state.t + status * cfg.h, status, c_min)
-    return Trajectory(samples, state.m, cfg.h, state.t)
+    return Trajectory(samples, state.m, cfg.h, state.t, corruption)
 

@@ -115,8 +115,7 @@ def derivative_law_residual(traj, n: int, t: float, z0: complex) -> np.ndarray:
     """Defect (2,) of d/dt Bv_n(z0) = -C_n Bv_{n-1}(z0) - D_n Bv_n(z0) at time t.
 
     The time derivative is that of the coefficients of P_{2n} and P_{2n+1}
-    from the flow traj (Trajectory.derivative), so on the true flow the
-    residual is limited by the delta^2 error of its central difference.
+    from the flow traj (Trajectory.derivative).
     """
     st, _, dcoeffs = traj.derivative(
         t,

@@ -11,8 +11,8 @@ bound rho: stopping after terms 0..K leaves at most
 reached, or powers of J that leave the float range, raise SeriesCapError.
 Every sum comes from one kernel over band rows: `resolvent_block` runs it
 on one state, `resolvent_sweep` on many, and the ODE residuals on the
-three states at t and t -+ delta whose sums Trajectory.derivative
-differences. The conjugated block F(z) = C0^{-1} R(z) C0 is the
+state at t and the ring states around it whose sums Trajectory.derivative
+weighs. The conjugated block F(z) = C0^{-1} R(z) C0 is the
 generating function of the moment blocks.
 
 Along the flow, R satisfies a first-order matrix ODE whose solution has
@@ -281,14 +281,15 @@ def _series_derivative(traj, z: complex, t: float, tol: float, conjugate: bool):
     The value is R(z), or with conjugate F(z) = C0^{-1} R(z) C0
     (c0_conjugate). The band rows of the derivative's states are summed
     by _neumann_sums, each with the same number of terms: the smallest
-    that certifies tol at all of them, so the truncation error is smooth
-    in time. A sum that is not finite raises SeriesCapError naming t and z.
+    that certifies tol at all of them, so the sums are one polynomial in J,
+    as the derivative's rule needs. A sum that is not finite raises
+    SeriesCapError naming t and z.
     """
 
     def values_of(states):
         a, b, c = (np.stack([getattr(s, x) for s in states]) for x in "abc")
         rho = norm_bound_stack(a, b, c)
-        abs_z = _check_margin([z], rho, " along the stencil")
+        abs_z = _check_margin([z], rho, " on the derivative's ring")
         needed = int(_terms_needed(rho[:, None], np.array(abs_z), tol).max())
         K = np.full((len(states), 1), needed)
         values = _neumann_sums(a, b, c, [z], K + 1)

@@ -8,9 +8,9 @@ value. check_exponential_moments (two reports) and check_fd_convergence
 A check that reads the m = 12 flow takes it as flow(seed), so run_suite
 integrates each seed's flow once for all of them. Positive checks must
 come in under their threshold; negative controls rerun a paired check on
-a deliberately corrupted flow and must detect it (residual at least
-CONTROL_FLOOR). A NaN residual, or none at all, fails either kind. All
-checks are deterministic given the seeds.
+those flows read with a deliberately corrupted vector field and must
+detect it (residual at least CONTROL_FLOOR). A NaN residual, or none at
+all, fails either kind. All checks are deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import functools
 import json
 import time
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,9 +130,9 @@ class _Worst:
         )
 
 
-def _flow_traj(seed, corruption=None):
+def _flow_traj(seed):
     cfg = IntegratorConfig(t_end=_FLOW["t_end"], h=_FLOW["h"])
-    return integrate(random_state(seed, _FLOW["m"]), cfg, corruption=corruption)
+    return integrate(random_state(seed, _FLOW["m"]), cfg)
 
 
 def _check(check_id, threshold, **instance):
@@ -373,21 +374,31 @@ def check_neumann_tail(seed):
 
 
 def check_fd_convergence(seeds, flow):
-    """Halving the stencil's spacing must cut the stencil-limited residuals
-    by about 4. The coarse grid reads every other sample of the shared
-    flow, on which t lies too. The instance lists the ratios measured, so
-    the check keeps its own seed loop."""
+    """The error of the samples' central difference against the exact
+    derivative must fall about 4x from half-width 4h to 2h. The laws read
+    the difference through a stand-in flow. The instance lists the ratios
+    measured, so the check keeps its own seed loop."""
+
+    def stencil(traj, k):
+        def derivative(t, values_of):
+            i = traj.index_of(t)
+            values = values_of([traj.state_at(j) for j in (i, i - k, i + k)])
+            return traj.state_at(i), values[0], (values[2] - values[1]) / (2 * k * traj.h)
+
+        return SimpleNamespace(derivative=derivative)
+
     worst = _Worst()
     ratios = []
     for seed in seeds:
-        fine = flow(seed)
-        coarse = Trajectory(fine.samples[::2], fine.m, 2 * fine.h, fine.t0)
+        traj = flow(seed)
         t = 0.25
         for fn in (
             lambda tr: moment_ode_residual(tr, 2, t),
             lambda tr: derivative_law_residual(tr, 2, t, 0.8),
         ):
-            ratio = np.max(np.abs(fn(coarse))) / np.max(np.abs(fn(fine)))
+            exact = fn(traj)
+            fine, coarse = (np.max(np.abs(fn(stencil(traj, k)) - exact)) for k in (2, 4))
+            ratio = coarse / fine
             ratios.append(float(ratio))
             # distance outside the window [2.5, 6]; np.max keeps a NaN ratio
             worst.add(np.max([2.5 - ratio, ratio - 6.0, 0.0]))
@@ -396,7 +407,7 @@ def check_fd_convergence(seeds, flow):
 
 
 # ----------------------------------------------------------------------
-# negative controls: corrupted flows must be detected by the paired check
+# negative controls: a corrupted vector field must be detected by the paired check
 
 _CONTROL_PAIRING = {
     "freeze-b": ("control_freeze_b", check_polynomial_derivative_law),
@@ -405,10 +416,15 @@ _CONTROL_PAIRING = {
 }
 
 
-def run_control(kind, seeds=_CONTROL_SEEDS):
+def run_control(kind, flow, seeds=_CONTROL_SEEDS):
     check_id, fn = _CONTROL_PAIRING[kind]
     spec = CorruptionSpec(kind, CONTROL_MAGNITUDE)
-    rep = fn(list(seeds), functools.partial(_flow_traj, corruption=spec))
+
+    def bent(seed):  # the clean flow, read with the corrupted vector field
+        traj = flow(seed)
+        return Trajectory(traj.samples, traj.m, traj.h, traj.t0, spec)
+
+    rep = fn(list(seeds), bent)
     rep.id = check_id
     rep.threshold = CONTROL_FLOOR
     rep.passed = rep.max_residual >= CONTROL_FLOOR
@@ -467,7 +483,7 @@ def run_suite(seeds=None, quick=False, control=None, jobs=1):
         *check_exponential_moments(seeds, flow),
         check_neumann_tail(seeds[:3]),
         check_fd_convergence(seeds[:2], flow),
-        *(run_control(kind) for kind in control_kinds),
+        *(run_control(kind, flow) for kind in control_kinds),
     ]
 
 

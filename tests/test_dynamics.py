@@ -251,13 +251,12 @@ def test_csv_round_trip():
 
 
 def test_derivative_on_cubic():
-    h = 1e-2
-    traj = integrate(random_state(0, 8), IntegratorConfig(t_end=1.0, h=h))
+    traj = integrate(random_state(0, 8), IntegratorConfig(t_end=1.0, h=1e-2))
     t = traj.ts[50]
-    st, v, d = traj.derivative(t, lambda states: np.array([s.t for s in states]) ** 3)
-    assert st.t == t and v == t**3
-    # exact for the 2h stencil applied to t^3 up to the delta^2 term
-    assert d == pytest.approx(3 * t**2 + (2 * h) ** 2, rel=1e-10)
+    st, v, d = traj.derivative(t, lambda states: np.array([s.a[0] for s in states]) ** 3)
+    assert st.t == t and v == st.a[0] ** 3
+    # a_1' = b_1, so (a_1^3)' = 3 a_1^2 b_1, which the ring's sum reads exactly
+    assert d == pytest.approx(3 * st.a[0] ** 2 * st.b[0], rel=1e-13)
 
 
 @pytest.mark.parametrize("t_end,h", [(np.inf, 1e-3), (np.nan, 1e-3),

@@ -26,7 +26,7 @@ from kostant_toda import (
 )
 from kostant_toda import core, dynamics, resolvent
 from kostant_toda.backends import pack_state
-from kostant_toda.dynamics import Trajectory
+from kostant_toda.dynamics import Trajectory, kostant_rhs
 from kostant_toda.resolvent import spectral_ring
 
 
@@ -110,23 +110,32 @@ def test_resolvent_ode_residual_small():
     assert np.max(np.abs(generating_ode_residual(traj, z, 0.1))) < 1e-5
 
 
+def _ring(traj, t):
+    """The state at t, the ring states Trajectory.derivative reads around it
+    (J + r w_j V, r = 0.1 / max |V|), and the ring's weights 1 / (N r w_j)."""
+    st = traj.state_at(traj.index_of(t))
+    da, db, dc = kostant_rhs(st)
+    r = 0.1 / max(np.max(np.abs(x)) for x in (da, db, dc))
+    ring = [LatticeState(st.a + s * da, st.b + s * db, st.c + s * dc, st.t)
+            for s in r * dynamics._RING]
+    return st, ring, 1.0 / (len(ring) * r * dynamics._RING)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_stacked_stencil_matches_lone_sums_bit_for_bit(seed, neumann_by_hand):
-    # the states at t and t -+ delta each summed alone by hand with their
-    # largest term count, then the two laws written out again
+    # the state at t and the ring states each summed alone by hand with
+    # their largest term count, then the two laws written out again
     traj = integrate(random_state(seed, 12), IntegratorConfig(t_end=0.2, h=1.25e-4))
     z, t = spectral_ring(traj, 4)[1], 0.1
-    i, k = traj.index_of(t), dynamics.STENCIL_HALFWIDTH
-    states = [traj.state_at(j) for j in (i, i - k, i + k)]
-    st = states[0]
+    st, ring, weights = _ring(traj, t)
+    states = [st, *ring]
     terms = max(resolvent_block(s, z, tol=1e-12).terms_used for s in states)
     r = [neumann_by_hand(s, z, 1e-12, terms)[0] for s in states]
     f = [c0_block(-s.a[0]) @ v @ c0_block(s.a[0]) for s, v in zip(states, r)]
     eye = np.eye(2, dtype=np.complex128)
     rhs = r[0] @ (z * eye - b_block(st, 1)) - eye + commutator(r[0], d_block(st, 0))
-    delta = k * traj.h
-    want_r = (r[2] - r[1]) / (2.0 * delta) - rhs
-    want_f = (f[2] - f[1]) / (2.0 * delta) - (
+    want_r = np.tensordot(weights, r[1:], axes=1) - rhs
+    want_f = np.tensordot(weights, f[1:], axes=1) - (
         f[0] @ (z * eye - moments_from_j(st, 1).moments[1]) - eye
     )
     assert np.array_equal(resolvent_ode_residual(traj, z, t), want_r)
@@ -179,16 +188,17 @@ def test_closed_form_margin_at_start():
 
 @pytest.mark.parametrize("residual", [resolvent_ode_residual, generating_ode_residual])
 def test_stencil_margin_names_the_first_state_inside_it(residual):
-    # z clears the margin at t - delta but not at t: the state at t, the
-    # stencil's first, is named
+    # z clears the margin at t but not at the ring's widest state: the
+    # first ring state inside it is named
     traj = integrate(random_state(2, 10), IntegratorConfig(t_end=0.01, h=1e-3))
-    rho = traj.norm_bounds()
-    i = int(np.argmax(rho[2:-2])) + 2
-    z = MARGIN * rho[i - 2] + 0.5 * (rho[i] - rho[i - 2])
-    assert MARGIN * rho[i - 2] <= z < MARGIN * rho[i]
+    st, ring, _ = _ring(traj, 0.005)
+    rho, rhos = norm_bound(st), [norm_bound(s) for s in ring]
+    z = MARGIN * (rho + 0.5 * (max(rhos) - rho))
+    assert MARGIN * rho <= z < MARGIN * max(rhos)
+    first = next(x for x in rhos if z < MARGIN * x)
     with pytest.raises(ZTooSmallError) as refused:
-        residual(traj, z, traj.ts[i])
-    assert str(refused.value) == _margin_message(z, rho[i], " along the stencil")
+        residual(traj, z, 0.005)
+    assert str(refused.value) == _margin_message(z, first, " on the derivative's ring")
 
 
 @pytest.mark.parametrize("seed", [0, 830])
@@ -306,10 +316,11 @@ def test_stalled_bound_is_refused_at_the_pass_that_stalls():
 
 @pytest.mark.parametrize("law", [resolvent_ode_residual, generating_ode_residual])
 def test_stencil_sum_past_the_float_range_is_refused(law):
-    # about 1,400 powers of J at m = 64 overflow at this tolerance; the
-    # stencil summed them to an all-NaN defect without a word
+    # about 1,300 powers of J at m = 64 overflow at this tolerance on the
+    # derivative's states, which summed to an all-NaN defect without a word;
+    # the ring's states reach past 1.5 rho's margin, 1.6 rho clears it
     traj = integrate(random_state(0, 64), IntegratorConfig(t_end=0.01, h=1e-3))
-    z = spectral_ring(traj, 4, 1.5)[0]
+    z = spectral_ring(traj, 4, 1.6)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SeriesCapError, match=r"at t = 0.005, z = .* is not finite"):

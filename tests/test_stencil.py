@@ -1,5 +1,6 @@
 """The derivative-law residuals read the flow only through its derivative
-method, whose whole stencil must lie on the stored grid."""
+method, which reads the sample at t and the flow's vector field there, so
+it holds the laws at roundoff at every time on the grid, its ends too."""
 
 import numpy as np
 import pytest
@@ -42,10 +43,9 @@ def traj():
 @pytest.mark.parametrize("t", [0.0, H, T_END], ids=["t0", "t0_plus_h", "t_end"])
 @pytest.mark.parametrize("name", sorted(RESIDUALS))
 def test_stencil_off_the_grid_is_refused(traj, name, t):
-    # a stencil reaching before t0 must not wrap round to the end of the
-    # trajectory, and one reaching past t_end must not raise IndexError
-    with pytest.raises(ValueError):
-        RESIDUALS[name](traj, t)
+    # the time stencil that reached off the grid here is gone: the ring
+    # reads only the sample at t, so the laws hold at the grid's ends too
+    assert np.max(np.abs(RESIDUALS[name](traj, t))) < 1e-11
 
 
 @pytest.mark.parametrize("t", [2 * H, T_END - 2 * H], ids=["first", "last"])

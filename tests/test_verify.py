@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import math
@@ -105,7 +106,7 @@ def test_report_runtime_recorded(quick_reports):
 
 
 def test_run_control_rewrites_report():
-    rep = run_control("scale-c-rhs", [0])
+    rep = run_control("scale-c-rhs", verify._flow_traj, [0])
     assert isinstance(rep, CheckReport)
     assert rep.id == "control_scale_c_rhs"
     assert rep.control
@@ -208,7 +209,8 @@ def _nan_recurrence(state, n_max):
         pytest.param("moments_from_recurrence", _nan_recurrence,
                      lambda: verify.check_moment_uniqueness([0]), id="moment_uniqueness"),
         pytest.param("moment_ode_residual", _nan_residual,
-                     lambda: run_control("scale-c-rhs", [0]), id="control_scale_c_rhs"),
+                     lambda: run_control("scale-c-rhs", verify._flow_traj, [0]),
+                     id="control_scale_c_rhs"),
     ],
 )
 def test_nan_residual_fails_the_check(monkeypatch, attr, fake, check):
@@ -262,9 +264,10 @@ def test_suite_integrates_each_flow_once(monkeypatch):
 
 
 def test_suite_on_one_seed_stays_within_its_step_budget(monkeypatch):
-    # base flow 4,000 steps, its continuation to t = 1 4,000, the three
-    # controls on two seeds 24,000 and the isospectrality flow 1,000: a check
-    # that integrates a side flow of its own shows up here
+    # base flow 4,000 steps, its continuation to t = 1 4,000, the clean flow
+    # of control seed 1 4,000 (the controls bend the vector field, not the
+    # flow) and the isospectrality flow 1,000: a check that integrates a
+    # side flow of its own shows up here
     steps = []
     rk4 = backends.rk4_trajectory
 
@@ -274,7 +277,27 @@ def test_suite_on_one_seed_stays_within_its_step_budget(monkeypatch):
 
     monkeypatch.setattr(backends, "rk4_trajectory", counting)
     run_suite(seeds=[0])
-    assert 0 < sum(steps) <= 33_000, steps
+    assert 0 < sum(steps) <= 13_000, steps
+
+
+def test_polynomial_derivative_law_holds_at_seed_494():
+    # the central difference of the samples 2h apart read 1.2258e-5 here,
+    # its own truncation error, against the threshold 1e-5
+    r = verify.check_polynomial_derivative_law([494], verify._flow_traj)
+    assert r.passed and r.max_residual <= 1e-11, r.max_residual
+
+
+def test_controls_resolve_a_small_corruption(monkeypatch):
+    # at magnitude 2e-3 each control reads at least 100x its paired check's
+    # clean worst on the control seeds: 6.4e-2, 4.3e-3 and 1.6e-5 against
+    # 8.2e-14, 1.3e-14 and 8.8e-16
+    monkeypatch.setattr(verify, "CONTROL_MAGNITUDE", 2e-3)
+    flow = functools.cache(verify._flow_traj)
+    for kind, (_, check) in verify._CONTROL_PAIRING.items():
+        clean = check(list(verify._CONTROL_SEEDS), flow).max_residual
+        rep = run_control(kind, flow)
+        assert rep.instance["magnitude"] == 2e-3
+        assert rep.max_residual >= 100 * clean, (kind, rep.max_residual, clean)
 
 
 def test_isospectrality_on_100_seeds_holds_the_identity_at_roundoff(monkeypatch):
