@@ -194,7 +194,8 @@ class Trajectory:
         trajectory's corruption, w_j = e^{2 pi i j / N} for j < N = 12 and
         r = 0.1 / max |V|. The derivative f'(J)[V] is the trapezoidal sum
         (1/N) sum_j f(J + r w_j V) / (r w_j), exact for f polynomial in
-        J's entries of degree at most N, with roundoff about eps |f| / r
+        J's entries of degree at most N and geometrically close for f
+        rational, as the resolvent, with roundoff about eps |f| / r
         (Lyness & Moler, SIAM J. Numer. Anal. 4, 1967).
         """
         i = self.index_of(t)

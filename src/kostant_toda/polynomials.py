@@ -111,11 +111,12 @@ def characteristic_identity(state: LatticeState, zs) -> tuple[np.ndarray, np.nda
     return p_m, np.max(np.abs(res) / size, axis=0)
 
 
-def derivative_law_residual(traj, n: int, t: float, z0: complex) -> np.ndarray:
-    """Defect (2,) of d/dt Bv_n(z0) = -C_n Bv_{n-1}(z0) - D_n Bv_n(z0) at time t.
+def derivative_law_residual(traj, n: int, t: float, z0s) -> np.ndarray:
+    """Defects (len(z0s), 2) of d/dt Bv_n(z0) = -C_n Bv_{n-1}(z0) - D_n Bv_n(z0)
+    at time t, one row per point z0 of z0s.
 
     The time derivative is that of the coefficients of P_{2n} and P_{2n+1}
-    from the flow traj (Trajectory.derivative).
+    from the flow traj (Trajectory.derivative), taken once for all points.
     """
     st, _, dcoeffs = traj.derivative(
         t,
@@ -123,11 +124,14 @@ def derivative_law_residual(traj, n: int, t: float, z0: complex) -> np.ndarray:
         lambda states: [np.concatenate(scalar_polys(s, 2 * n + 1)[2 * n :]) for s in states],
     )
     dtop, dbot = dcoeffs[: 2 * n + 1], dcoeffs[2 * n + 1 :]
-    dval = np.array(
-        [npoly.polyval(z0, dtop), npoly.polyval(z0, dbot)], dtype=np.complex128
-    )
-
     polys = vector_polys(st, n)
-    cur = polys[n].eval(z0)
-    prev = np.zeros(2, dtype=np.complex128) if n == 0 else polys[n - 1].eval(z0)
-    return dval - (-(c_block(st, n) @ prev) - d_block(st, n) @ cur)
+    cn, dn = c_block(st, n), d_block(st, n)
+    defects = []
+    for z0 in z0s:
+        dval = np.array(
+            [npoly.polyval(z0, dtop), npoly.polyval(z0, dbot)], dtype=np.complex128
+        )
+        cur = polys[n].eval(z0)
+        prev = np.zeros(2, dtype=np.complex128) if n == 0 else polys[n - 1].eval(z0)
+        defects.append(dval - (-(cn @ prev) - dn @ cur))
+    return np.array(defects)

@@ -6,14 +6,17 @@ For |z| > ||J|| the (1,1) block of the resolvent of J expands as
 
 summed here with a certified geometric tail bound derived from the norm
 bound rho: stopping after terms 0..K leaves at most
-(rho/|z|)^{K+1} / (|z| - rho). All entry points enforce the safety margin
-|z| >= 1.5 rho. A tolerance whose bound stops shrinking before it is
-reached, or powers of J that leave the float range, raise SeriesCapError.
+(rho/|z|)^{K+1} / (|z| - rho). The series and the closed form enforce the
+safety margin |z| >= 1.5 rho. A tolerance whose bound stops shrinking
+before it is reached, or powers of J that leave the float range, raise
+SeriesCapError.
 Every sum comes from one kernel over band rows: `resolvent_block` runs it
-on one state, `resolvent_sweep` on many, and the ODE residuals on the
-state at t and the ring states around it whose sums Trajectory.derivative
-weighs. The conjugated block F(z) = C0^{-1} R(z) C0 is the
-generating function of the moment blocks.
+on one state, `resolvent_sweep` on many. The ODE residuals need no sum:
+they read R(z) = [(zI - J)^{-1}]_11 from `dense_resolvent_block`, exact
+and rational in J, at the state at t and at the ring states around it
+whose values Trajectory.derivative weighs, so they hold at any z off the
+spectrum, inside the margin too. The conjugated block F(z) = C0^{-1} R(z)
+C0 is the generating function of the moment blocks.
 
 Along the flow, R satisfies a first-order matrix ODE whose solution has
 the closed form
@@ -265,7 +268,8 @@ def resolvent_sweep(
 
 
 def dense_resolvent_block(state: LatticeState, z: complex) -> np.ndarray:
-    """(1,1) block of (zI - J)^{-1} by dense solve (reference oracle)."""
+    """(1,1) block of (zI - J)^{-1} by dense solve: the series' reference
+    oracle, and the R that the ODE residuals read."""
     m = state.m
     rhs = np.zeros((m, 2), dtype=np.complex128)
     rhs[0, 0] = 1.0
@@ -274,48 +278,31 @@ def dense_resolvent_block(state: LatticeState, z: complex) -> np.ndarray:
     return sol[:2, :]
 
 
-def _series_derivative(traj, z: complex, t: float, tol: float, conjugate: bool):
-    """State st at t, the series value there, and its time derivative from
-    the flow traj (Trajectory.derivative).
-
-    The value is R(z), or with conjugate F(z) = C0^{-1} R(z) C0
-    (c0_conjugate). The band rows of the derivative's states are summed
-    by _neumann_sums, each with the same number of terms: the smallest
-    that certifies tol at all of them, so the sums are one polynomial in J,
-    as the derivative's rule needs. A sum that is not finite raises
-    SeriesCapError naming t and z.
-    """
-
-    def values_of(states):
-        a, b, c = (np.stack([getattr(s, x) for s in states]) for x in "abc")
-        rho = norm_bound_stack(a, b, c)
-        abs_z = _check_margin([z], rho, " on the derivative's ring")
-        needed = int(_terms_needed(rho[:, None], np.array(abs_z), tol).max())
-        K = np.full((len(states), 1), needed)
-        values = _neumann_sums(a, b, c, [z], K + 1)
-        _refuse_nonfinite(values, [z], K, lambda i: f"t = {t:.6g}")
-        values = values[:, 0]
-        if conjugate:
-            values = [c0_conjugate(v, s.a[0]) for s, v in zip(states, values)]
-        return values
-
-    return traj.derivative(t, values_of)
-
-
-def resolvent_ode_residual(traj, z: complex, t: float, tol: float = 1e-12) -> np.ndarray:
+def resolvent_ode_residual(traj, z: complex, t: float) -> np.ndarray:
     """Defect (2, 2) of R' = R (zI - B_1) - I + [R, (J_lower)_11] at time t,
-    with R' from the flow traj (Trajectory.derivative)."""
-    st, r, dr = _series_derivative(traj, z, t, tol, conjugate=False)
+    with R' from the flow traj (Trajectory.derivative).
+
+    R is dense_resolvent_block, rational in J, so the law holds at any z
+    off the spectrum of J and its ring states, inside the margin too."""
+    st, r, dr = traj.derivative(
+        t, lambda states: [dense_resolvent_block(s, z) for s in states]
+    )
     eye = np.eye(2, dtype=np.complex128)
     return dr - (r @ (z * eye - b_block(st, 1)) - eye + commutator(r, d_block(st, 0)))
 
 
-def generating_ode_residual(
-    traj, zeta: complex, t: float, tol: float = 1e-12
-) -> np.ndarray:
+def generating_ode_residual(traj, zeta: complex, t: float) -> np.ndarray:
     """Defect (2, 2) of F' = F (zeta I - moment_1) - I at time t, with F'
-    from the flow traj (Trajectory.derivative)."""
-    st, f, df = _series_derivative(traj, zeta, t, tol, conjugate=True)
+    from the flow traj (Trajectory.derivative).
+
+    F is c0_conjugate of dense_resolvent_block, so it holds wherever R
+    does."""
+    st, f, df = traj.derivative(
+        t,
+        lambda states: [
+            c0_conjugate(dense_resolvent_block(s, zeta), s.a[0]) for s in states
+        ],
+    )
     m1 = moments_from_j(st, 1).moments[1]
     eye = np.eye(2, dtype=np.complex128)
     return df - (f @ (zeta * eye - m1) - eye)

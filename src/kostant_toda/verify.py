@@ -205,10 +205,16 @@ def check_block_power_ode(seed, flow):
             yield dp[n] - (p[n + 1] - p[n] @ b1 + commutator(p[n], d0))
 
 
-@_check("resolvent_ode", 1e-5, **_FLOW, n_angles=4, z="2 rho ring")
+def _rings(traj):
+    """The 4 points on each of the 2 rho and 0.5 rho rings (spectral_ring) at
+    which the resolvent laws are read, the inner ones inside the margin."""
+    return np.concatenate([spectral_ring(traj, 4, mult) for mult in (2.0, 0.5)])
+
+
+@_check("resolvent_ode", 1e-5, **_FLOW, n_angles=4, z="2 rho and 0.5 rho rings")
 def check_resolvent_ode(seed, flow):
     traj = flow(seed)
-    for z in spectral_ring(traj, 4):
+    for z in _rings(traj):
         for t in (0.1, 0.4):
             yield resolvent_ode_residual(traj, z, t)
 
@@ -219,8 +225,7 @@ def check_polynomial_derivative_law(seed, flow):
     z0s = np.exp(2j * np.pi * np.array([0.0, 1 / 3, 2 / 3]))
     for t in _T_SAMPLES:
         for n in range(5):
-            for z0 in z0s:
-                yield derivative_law_residual(traj, n, t, z0)
+            yield derivative_law_residual(traj, n, t, z0s)
 
 
 @_check("moment_ode", 1e-5, **_FLOW, orders=[0, 4])
@@ -231,10 +236,10 @@ def check_moment_ode(seed, flow):
             yield moment_ode_residual(traj, n, t)
 
 
-@_check("generating_ode", 1e-5, **_FLOW, n_angles=4)
+@_check("generating_ode", 1e-5, **_FLOW, n_angles=4, z="2 rho and 0.5 rho rings")
 def check_generating_ode(seed, flow):
     traj = flow(seed)
-    for zeta in spectral_ring(traj, 4):
+    for zeta in _rings(traj):
         for t in (0.1, 0.4):
             yield generating_ode_residual(traj, zeta, t)
 
@@ -259,7 +264,7 @@ def check_laurent_consistency(seed, flow):
     R = float(np.max(traj.norm_bounds())) * 2.0
     thetas = 2.0 * np.pi * np.arange(n_ring) / n_ring
     samples = np.array(
-        [generating_ode_residual(traj, R * np.exp(1j * th), t, tol=1e-14) for th in thetas]
+        [generating_ode_residual(traj, R * np.exp(1j * th), t) for th in thetas]
     )
     for n in range(4):
         phase = np.exp(1j * (n + 1) * thetas)
@@ -394,7 +399,7 @@ def check_fd_convergence(seeds, flow):
         t = 0.25
         for fn in (
             lambda tr: moment_ode_residual(tr, 2, t),
-            lambda tr: derivative_law_residual(tr, 2, t, 0.8),
+            lambda tr: derivative_law_residual(tr, 2, t, [0.8]),
         ):
             exact = fn(traj)
             fine, coarse = (np.max(np.abs(fn(stencil(traj, k)) - exact)) for k in (2, 4))

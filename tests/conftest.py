@@ -54,18 +54,17 @@ def unit_instance():
     )
 
 
-def _neumann_by_hand(state, z, tol, terms=None):
+def _neumann_by_hand(state, z, tol):
     """Value and tail bound of the Neumann sum of one state at one z, as a
-    lone call forms it: the term count from a loop on Python floats, the
-    2-D power loop W <- W J over the whole dense J and the powers of 1/z in
-    z's own scalar type. It sums terms powers, by default the count that
-    certifies tol."""
+    lone call forms it: the term count that certifies tol from a loop on
+    Python floats, the 2-D power loop W <- W J over the whole dense J and
+    the powers of 1/z in z's own scalar type."""
     rho = norm_bound(state)
     K, bound = -1, 1.0 / (abs(z) - rho)
     while bound >= tol:
         K += 1
         bound *= rho / abs(z)
-    K = max(K, 0) if terms is None else terms - 1
+    K = max(K, 0)
     J, W = state.dense(), np.eye(2, state.m, dtype=np.complex128)
     value = np.zeros((2, 2), dtype=np.complex128)
     zinv = 1.0 / z

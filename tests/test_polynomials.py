@@ -128,7 +128,27 @@ def test_derivative_law_on_trajectory():
     st = random_state(0, 12)
     traj = integrate(st, IntegratorConfig(t_end=0.2, h=1.25e-4))
     for n in range(4):
-        assert np.max(np.abs(derivative_law_residual(traj, n, 0.1, 1.0))) < 1e-5
+        assert np.max(np.abs(derivative_law_residual(traj, n, 0.1, [1.0]))) < 1e-5
+
+
+def test_derivative_law_differentiates_once_for_all_points():
+    # one derivative of the coefficients serves every z0, and each row is
+    # the lone point's defect bit for bit, at n = 0 (no Bv_{n-1}) too
+    traj = integrate(random_state(0, 12), IntegratorConfig(t_end=0.2, h=1.25e-4))
+    z0s = np.exp(2j * np.pi * np.array([0.0, 1 / 3, 2 / 3]))
+    calls = []
+
+    class CountingFlow:
+        def derivative(self, t, values_of):
+            calls.append(t)
+            return traj.derivative(t, values_of)
+
+    for n in (0, 2):
+        rows = derivative_law_residual(CountingFlow(), n, 0.1, z0s)
+        assert rows.shape == (3, 2)
+        for row, z0 in zip(rows, z0s):
+            assert np.array_equal(row, derivative_law_residual(traj, n, 0.1, [z0])[0])
+    assert len(calls) == 2
 
 
 def test_vector_polynomial_is_frozen():

@@ -1,6 +1,10 @@
-"""The derivative-law residuals read the flow only through its derivative
-method, which reads the sample at t and the flow's vector field there, so
-it holds the laws at roundoff at every time on the grid, its ends too."""
+"""The five derivative laws at and next to the ends of the time grid, and
+the one method they read the flow through.
+
+Trajectory.derivative, the laws' stencil, reads only the sample at t and
+the flow's vector field there, never a neighbouring sample, so every law
+holds at roundoff at the grid's first and last samples as at any other.
+"""
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ def _z(traj):
 RESIDUALS = {
     "moment_ode": lambda traj, t: moment_ode_residual(traj, 2, t),
     "functional_derivative": lambda traj, t: functional_derivative_residual(traj, Q, t),
-    "derivative_law": lambda traj, t: derivative_law_residual(traj, 2, t, 0.8),
+    "derivative_law": lambda traj, t: derivative_law_residual(traj, 2, t, [0.8]),
     "resolvent_ode": lambda traj, t: resolvent_ode_residual(traj, _z(traj), t),
     "generating_ode": lambda traj, t: generating_ode_residual(traj, _z(traj), t),
 }
@@ -40,18 +44,15 @@ def traj():
     return integrate(random_state(0, 12), IntegratorConfig(t_end=T_END, h=H))
 
 
-@pytest.mark.parametrize("t", [0.0, H, T_END], ids=["t0", "t0_plus_h", "t_end"])
-@pytest.mark.parametrize("name", sorted(RESIDUALS))
-def test_stencil_off_the_grid_is_refused(traj, name, t):
-    # the time stencil that reached off the grid here is gone: the ring
-    # reads only the sample at t, so the laws hold at the grid's ends too
-    assert np.max(np.abs(RESIDUALS[name](traj, t))) < 1e-11
-
-
-@pytest.mark.parametrize("t", [2 * H, T_END - 2 * H], ids=["first", "last"])
+@pytest.mark.parametrize(
+    "t", [0.0, H, 2 * H, T_END - 2 * H, T_END],
+    ids=["t0", "t0_plus_h", "first", "last", "t_end"],
+)
 @pytest.mark.parametrize("name", sorted(RESIDUALS))
 def test_stencil_fits_at_the_grid_edges(traj, name, t):
-    assert np.max(np.abs(RESIDUALS[name](traj, t))) < 1e-4
+    # "first" and "last" are the times t0 + 2h and t_end - 2h, the first and
+    # last that a central difference of half-width 2h reached
+    assert np.max(np.abs(RESIDUALS[name](traj, t))) < 1e-11
 
 
 class StandInFlow:
@@ -70,7 +71,7 @@ def test_laws_read_the_flow_only_through_derivative(seed):
     laws = [
         lambda flow: moment_ode_residual(flow, 2, t),
         lambda flow: functional_derivative_residual(flow, Q, t),
-        lambda flow: derivative_law_residual(flow, 2, t, 0.8),
+        lambda flow: derivative_law_residual(flow, 2, t, [0.8]),
         lambda flow: resolvent_ode_residual(flow, z, t),
         lambda flow: generating_ode_residual(flow, z, t),
     ]

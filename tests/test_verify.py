@@ -289,8 +289,8 @@ def test_polynomial_derivative_law_holds_at_seed_494():
 
 def test_controls_resolve_a_small_corruption(monkeypatch):
     # at magnitude 2e-3 each control reads at least 100x its paired check's
-    # clean worst on the control seeds: 6.4e-2, 4.3e-3 and 1.6e-5 against
-    # 8.2e-14, 1.3e-14 and 8.8e-16
+    # clean worst on the control seeds: 6.4e-2, 4.3e-3 and 4.0e-4 against
+    # 8.2e-14, 1.3e-14 and 3.5e-15
     monkeypatch.setattr(verify, "CONTROL_MAGNITUDE", 2e-3)
     flow = functools.cache(verify._flow_traj)
     for kind, (_, check) in verify._CONTROL_PAIRING.items():
@@ -298,6 +298,14 @@ def test_controls_resolve_a_small_corruption(monkeypatch):
         rep = run_control(kind, flow)
         assert rep.instance["magnitude"] == 2e-3
         assert rep.max_residual >= 100 * clean, (kind, rep.max_residual, clean)
+
+
+def test_drop_commutator_control_clears_its_floor_tenfold():
+    # the 0.5 rho ring reads 0.3995 at magnitude 2.0, where the 2 rho ring
+    # alone read 0.01637, 1.64x the floor
+    rep = run_control("drop-commutator-term", functools.cache(verify._flow_traj))
+    assert rep.instance["z"] == "2 rho and 0.5 rho rings"
+    assert rep.max_residual >= 10 * CONTROL_FLOOR
 
 
 def test_isospectrality_on_100_seeds_holds_the_identity_at_roundoff(monkeypatch):
